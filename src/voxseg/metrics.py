@@ -76,13 +76,6 @@ def extract_surface(mask: BinaryMask) -> np.ndarray:
     return np.stack([xx, yy, zz], axis=1)
 
 
-def _surface_or_raise(mask: BinaryMask) -> np.ndarray:
-    coords = extract_surface(mask)
-    if coords.shape[0] == 0:
-        raise EmptyMaskError("mask has no foreground voxels")
-    return coords
-
-
 def _directed_distances(src: np.ndarray, dst: np.ndarray,
                         spacing: tuple[float, float, float],
                         chunk: int = 512) -> np.ndarray:
@@ -101,23 +94,28 @@ def _directed_distances(src: np.ndarray, dst: np.ndarray,
     return out
 
 
+def _surface_distances(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-surface distances from A's surface to B's and from B's to A's."""
+    a._check_compatible(b)
+    sa, sb = extract_surface(a), extract_surface(b)
+    if len(sa) == 0 or len(sb) == 0:
+        raise EmptyMaskError("mask has no foreground voxels")
+    return _directed_distances(sa, sb, a.spacing), _directed_distances(sb, sa, a.spacing)
+
+
+def _asd_hausdorff(d_ab: np.ndarray, d_ba: np.ndarray) -> tuple[float, float]:
+    return (math.fsum(d_ab.tolist() + d_ba.tolist()) / (len(d_ab) + len(d_ba)),
+            float(max(d_ab.max(), d_ba.max())))
+
+
 def asd(a: BinaryMask, b: BinaryMask) -> float:
     """Symmetric mean nearest-surface distance in mm."""
-    a._check_compatible(b)
-    sa = _surface_or_raise(a)
-    sb = _surface_or_raise(b)
-    d_ab = _directed_distances(sa, sb, a.spacing)
-    d_ba = _directed_distances(sb, sa, a.spacing)
-    return math.fsum(d_ab.tolist() + d_ba.tolist()) / (len(sa) + len(sb))
+    return _asd_hausdorff(*_surface_distances(a, b))[0]
 
 
 def hausdorff(a: BinaryMask, b: BinaryMask) -> float:
     """Maximum nearest-surface distance over both directions, in mm (100th percentile)."""
-    a._check_compatible(b)
-    sa = _surface_or_raise(a)
-    sb = _surface_or_raise(b)
-    return float(max(_directed_distances(sa, sb, a.spacing).max(),
-                     _directed_distances(sb, sa, a.spacing).max()))
+    return _asd_hausdorff(*_surface_distances(a, b))[1]
 
 
 def per_class_metrics(prediction: Volume, reference: Volume) -> list[dict]:
@@ -140,8 +138,7 @@ def per_class_metrics(prediction: Volume, reference: Volume) -> list[dict]:
         rm = BinaryMask.from_labels(reference, cls)
         row = {"class": cls, "dice": dice(pm, rm)}
         try:
-            row["asd"] = asd(pm, rm)
-            row["hausdorff"] = hausdorff(pm, rm)
+            row["asd"], row["hausdorff"] = _asd_hausdorff(*_surface_distances(pm, rm))
         except EmptyMaskError:
             row["asd"] = float("nan")
             row["hausdorff"] = float("nan")

@@ -8,7 +8,11 @@ reverse topological order. Everything is float64.
 Convolution is cross-correlation (no kernel flip) with zero padding and the
 output-extent formula floor((in + 2*pad - kernel) / stride) + 1 per axis.
 Kernel weights live in a Tensor4 of shape (kx, ky, kz, c_in*c_out) whose
-channel index is ci * c_out + co.
+channel index is ci * c_out + co. ``conv3d`` adds one GEMM per kernel tap, in
+place, into a stride-1 output grid laid over the flattened zero-padded input:
+tap (dz, dy, dx) reads the rows from offset dz*Y*X + dy*X + dx on. All its
+GEMMs are scipy's ``dgemm``, because numpy's separate OpenBLAS thread pool
+contends with scipy's when both are used.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dgemm
 
 from .shuffle import ShuffleFactors, down_shuffle, up_shuffle
 from .tensor import Rng, Shape4, Tensor4
@@ -210,36 +214,40 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
         raise ValueError(
             f"channel mismatch: input has {x.value.shape.c}, filter expects {c_in}"
         )
-    ox, oy, oz = _conv_geometry(x.value.shape, kernel, stride, padding)
-    sx, sy, sz = stride
+    oxyz = _conv_geometry(x.value.shape, kernel, stride, padding)
+    valid = tuple(slice(0, s * (o - 1) + 1, s) for s, o in zip(stride[::-1], oxyz[::-1]))
     px, py, pz = padding
 
     xp = np.pad(x.value.zyxc, ((pz, pz), (py, py), (px, px), (0, 0)))
-    windows = sliding_window_view(xp, (kz, ky, kx), axis=(0, 1, 2))[::sz, ::sy, ::sx]
-    w5 = weight.value.zyxc.reshape(kz, ky, kx, c_in, c_out)
-    out = np.tensordot(windows, w5, axes=([3, 4, 5, 6], [3, 0, 1, 2]))
-    out += bias.value.zyxc[0, 0, 0, :]
-    value = Tensor4.from_zyxc(np.ascontiguousarray(out), copy=False)
+    Z, Y, X, _ = xp.shape
+    flat = xp.reshape(-1, c_in)
+    taps = weight.value.zyxc.reshape(kz * ky * kx, c_in, c_out)
+    offsets = [(dz * Y + dy) * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
+    # stride-1 outputs over the padded grid; rows past a row end wrap and are dropped
+    grid = (Z - kz + 1, Y, X)
+    n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
+    acc = np.tile(bias.value.zyxc[0, 0, 0], (grid[0] * Y * X, 1))
+    for t, o in enumerate(offsets):  # acc[:n] += flat[o:o+n] @ taps[t], in place
+        dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+    value = Tensor4.from_zyxc(np.ascontiguousarray(acc.reshape(*grid, c_out)[valid]), copy=False)
 
     def backprop(out_node: Node) -> None:
         g = out_node.grad  # (oz, oy, ox, c_out)
-        # weights: contract padded-input windows against the output gradient
-        gw = np.tensordot(windows, g, axes=([0, 1, 2], [0, 1, 2]))
-        weight.grad += gw.transpose(1, 2, 3, 0, 4).reshape(kz, ky, kx, c_in * c_out)
         bias.grad[0, 0, 0, :] += g.sum(axis=(0, 1, 2))
-        # input: scatter each kernel tap back over its strided window
-        gxp = np.zeros_like(xp)
-        gmat = g.reshape(-1, c_out)
-        for dkz in range(kz):
-            for dky in range(ky):
-                for dkx in range(kx):
-                    contrib = gmat @ w5[dkz, dky, dkx].T  # (-1, c_in)
-                    gxp[dkz : dkz + sz * (oz - 1) + 1 : sz,
-                        dky : dky + sy * (oy - 1) + 1 : sy,
-                        dkx : dkx + sx * (ox - 1) + 1 : sx, :] += contrib.reshape(
-                            oz, oy, ox, c_in)
-        Z, Y, X, _ = xp.shape
-        x.grad += gxp[pz : Z - pz, py : Y - py, px : X - px, :]
+        gacc = np.zeros((*grid, c_out))
+        gacc[valid] = g
+        gmat = gacc.reshape(-1, c_out)
+        gw, gflat = np.zeros_like(taps), np.zeros_like(flat)
+        for s in range(0, n, 2048):  # a row block of g stays in cache over all taps
+            e = min(n, s + 2048)
+            for t, o in enumerate(offsets):
+                # dW[t] += flat[o+s:o+e]^T @ g[s:e] and dX[o+s:o+e] += g[s:e] @ W[t]^T
+                dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
+                      c=gw[t].T, overwrite_c=True)
+                dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
+                      c=gflat[o + s : o + e].T, overwrite_c=True)
+        weight.grad += gw.reshape(weight.grad.shape)
+        x.grad += gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
 
     return Node(value, (x, weight, bias), "conv3d", backprop)
 
@@ -646,8 +654,13 @@ def load_checkpoint(path) -> "OrderedDict[str, Tensor4]":
         payload = buf.read(8 * shape.element_count)
         if len(payload) < 8 * shape.element_count:
             raise CheckpointError(f"{path}: truncated tensor payload")
-        data = np.frombuffer(payload, dtype="<f8")
-        params[name_bytes.decode("utf-8")] = Tensor4.from_flat(shape, data)
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
+        params[name] = Tensor4.from_flat(shape, np.frombuffer(payload, dtype="<f8"))
     return params
 
 

@@ -145,6 +145,88 @@ class TestConv3d:
         assert fd_gradient_error(build, [x, w, b]) < GRAD_TOL
 
 
+def conv_oracle(x, w, b, kernel, stride, padding):
+    """Direct nested-sum cross-correlation on zyxc arrays; also returns the
+    weight gradient for an output gradient ``g`` via the same index map."""
+    kx, ky, kz = kernel
+    c_in, c_out = x.shape[3], b.shape[3]
+    w5 = w.reshape(kz, ky, kx, c_in, c_out)
+    Z, Y, X = x.shape[:3]
+    oz, oy, ox = ((e + 2 * p - k) // s + 1 for e, k, s, p in
+                  zip((Z, Y, X), (kz, ky, kx), stride[::-1], padding[::-1]))
+    pairs = []  # (output index, input index, tap index) of every in-bounds product
+    for z, y, xx in np.ndindex(oz, oy, ox):
+        for dz, dy, dx in np.ndindex(kz, ky, kx):
+            iz = z * stride[2] + dz - padding[2]
+            iy = y * stride[1] + dy - padding[1]
+            ix = xx * stride[0] + dx - padding[0]
+            if 0 <= iz < Z and 0 <= iy < Y and 0 <= ix < X:
+                pairs.append(((z, y, xx), (iz, iy, ix), (dz, dy, dx)))
+    out = np.zeros((oz, oy, ox, c_out)) + b[0, 0, 0]
+    for o, i, t in pairs:
+        out[o] += x[i] @ w5[t]
+
+    def weight_grad(g):
+        gw = np.zeros_like(w5)
+        for o, i, t in pairs:
+            gw[t] += np.outer(x[i], g[o])
+        return gw.reshape(w.shape)
+
+    return out, weight_grad
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+CONV_CASES = [
+    # (input extents x,y,z), c_in, c_out, kernel, stride, padding
+    ((5, 4, 6), 1, 3, (3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    ((4, 5, 3), 2, 1, (3, 3, 3), (1, 1, 1), (0, 0, 0)),
+    ((3, 4, 5), 3, 2, (1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    ((3, 2, 4), 2, 2, (1, 1, 1), (1, 1, 1), (1, 1, 1)),
+    ((5, 4, 5), 2, 3, (3, 3, 3), (2, 2, 1), (1, 1, 1)),
+    ((6, 5, 4), 1, 1, (3, 3, 3), (2, 2, 1), (0, 0, 0)),
+    ((4, 6, 5), 2, 2, (2, 3, 1), (1, 1, 1), (1, 0, 0)),
+]
+
+
+class TestConv3dOracle:
+    @pytest.mark.parametrize("extents,c_in,c_out,kernel,stride,padding", CONV_CASES)
+    def test_forward_and_backward_match_direct_sums(self, extents, c_in, c_out, kernel,
+                                                    stride, padding):
+        rng = Rng(30 + sum(extents) + 7 * c_in + c_out)
+        x = constant(Tensor4.gaussian(Shape4(*extents, c_in), 0, 1, rng))
+        w = constant(Tensor4.gaussian(Shape4(*kernel, c_in * c_out), 0, 1, rng))
+        b = constant(Tensor4.gaussian(Shape4(1, 1, 1, c_out), 0, 1, rng))
+        out = conv3d(x, w, b, kernel, stride, padding)
+        want, weight_grad = conv_oracle(x.value.zyxc, w.value.zyxc, b.value.zyxc,
+                                        kernel, stride, padding)
+        assert_rel_close(out.value.zyxc, want)
+
+        g = Tensor4.gaussian(out.value.shape, 0, 1, rng)
+        backward(sum_all(mul(out, constant(g))))
+        # adjoint identity for the linear part: <conv(x) - b, g> = <x, dX(g)>
+        lhs = ((out.value.zyxc - b.value.zyxc[0, 0, 0]) * g.zyxc).sum()
+        rhs = (x.value.zyxc * x.grad).sum()
+        assert abs(lhs - rhs) <= 1e-12 * (np.abs(out.value.zyxc * g.zyxc).sum()
+                                          + np.abs(x.value.zyxc * x.grad).sum())
+        assert_rel_close(w.grad, weight_grad(g.zyxc))
+        assert_rel_close(b.grad[0, 0, 0], g.zyxc.sum(axis=(0, 1, 2)))
+
+    def test_backward_accumulates_into_existing_gradients(self):
+        rng = Rng(31)
+        x = constant(Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, rng))
+        w = constant(Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 1, rng))
+        b = constant(Tensor4.zeros(Shape4(1, 1, 1, 3)))
+        backward(sum_all(conv3d(x, w, b, (3, 3, 3), (1, 1, 1), (1, 1, 1))))
+        once_x, once_w = x.grad.copy(), w.grad.copy()
+        backward(sum_all(conv3d(x, w, b, (3, 3, 3), (1, 1, 1), (1, 1, 1))))
+        assert_rel_close(x.grad, 2 * once_x)
+        assert_rel_close(w.grad, 2 * once_w)
+
+
 class TestMaxpool:
     def test_constant_input(self):
         out = maxpool3(constant(Tensor4.full(Shape4(4, 4, 4, 1), 2.5)), (2, 2, 2))

@@ -220,3 +220,18 @@ class TestPerClassMetrics:
         b = self.vol_from(np.zeros((2, 2, 3)), 2)
         with pytest.raises(ValueError):
             per_class_metrics(a, b)
+
+    def test_rows_equal_standalone_asd_and_hausdorff(self):
+        rng = Rng(7)
+        spacing = (0.374, 0.363, 1.078)
+        pred_arr = rng.randint(0, 3, 6 * 5 * 4).reshape(6, 5, 4)
+        ref_arr = rng.randint(0, 3, 6 * 5 * 4).reshape(6, 5, 4)
+        pred = Volume(self.vol_from(pred_arr, 3).tensor, spacing, "labels", 3)
+        ref = Volume(self.vol_from(ref_arr, 3).tensor, spacing, "labels", 3)
+        rows = per_class_metrics(pred, ref)
+        assert [row["class"] for row in rows] == [1, 2]
+        for row in rows:
+            pm = BinaryMask.from_labels(pred, row["class"])
+            rm = BinaryMask.from_labels(ref, row["class"])
+            assert row["asd"] == asd(pm, rm)
+            assert row["hausdorff"] == hausdorff(pm, rm)

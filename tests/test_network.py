@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,20 @@ class TestCheckpoint:
         other = build_backbone(small_spec(k=6), Rng(42))
         with pytest.raises(CheckpointError):
             load_into_network(other, load_checkpoint(path))
+
+    def _one_record(self, name: bytes) -> bytes:
+        return (struct.pack("<I", len(name)) + name + struct.pack("<4I", 1, 1, 1, 1)
+                + struct.pack("<d", 0.5))
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "model.vckp"
+        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + self._one_record(b"stem.\xff"))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "model.vckp"
+        record = self._one_record(b"stem.bias")
+        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + record + record)
+        with pytest.raises(CheckpointError, match="duplicate"):
+            load_checkpoint(path)
