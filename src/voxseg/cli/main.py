@@ -13,7 +13,8 @@ from pathlib import Path
 
 from ..inference import decode_labels, predict_volume
 from ..metrics import per_class_metrics
-from ..nn import CheckpointError, build_backbone, load_checkpoint, load_into_network
+from ..nn import (CheckpointError, NonFiniteWeightsError, build_backbone, load_checkpoint,
+                  load_into_network)
 from ..shuffle import ShuffleFactors, down_shuffle, up_shuffle
 from ..tensor import Rng
 from ..volume import Volume, VvolError, gen_synthetic, read_vvol, write_manifest, write_vvol
@@ -209,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as exc:
+    except (NumericError, NonFiniteWeightsError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (VvolError, CheckpointError, FileNotFoundError, ValueError) as exc:

@@ -5,10 +5,17 @@ Surfaces are foreground voxels with at least one background voxel among their
 between voxel centers in mm: integer index deltas scaled by the per-axis
 spacing, measured surface to surface. Sums of distances are exactly rounded
 (math.fsum), so results do not depend on enumeration order.
+
+Nearest-surface distances are exact, not approximated. A kd-tree over the
+other surface bounds each one; the minimum is then taken over the few surface
+voxels within that bound, in the same arithmetic as a comparison of every
+pair, so the results equal the all-pairs values bit for bit. The cost grows
+about as n log n in the surface size instead of n squared.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,21 +84,32 @@ def extract_surface(mask: BinaryMask) -> np.ndarray:
 
 
 def _directed_distances(src: np.ndarray, dst: np.ndarray,
-                        spacing: tuple[float, float, float],
-                        chunk: int = 512) -> np.ndarray:
+                        spacing: tuple[float, float, float]) -> np.ndarray:
     """Nearest-surface distance in mm for each source voxel.
 
-    Computed over all pairs: integer index deltas scaled by spacing, squared,
-    summed per pair, minimized, then square-rooted.
+    A kd-tree over the destination surface bounds each nearest distance. The
+    minimum is then taken over the destination voxels within that bound, in
+    the all-pairs arithmetic: integer index deltas scaled by spacing, squared,
+    summed per pair, minimized, then square-rooted. The bound is widened by a
+    relative 1e-9 and an absolute 1e-12, more than the tree's own rounding, so
+    the all-pairs argmin is always among the candidates.
     """
+    # imported here: scipy.spatial adds ~6 MiB and 0.2 s to every process
+    # that imports voxseg, and training never measures surface distances
+    from scipy.spatial import cKDTree
+
     sp = np.asarray(spacing)
-    out = np.empty(len(src))
-    for start in range(0, len(src), chunk):
-        block = src[start : start + chunk]
-        delta = (block[:, None, :] - dst[None, :, :]).astype(np.float64) * sp
-        d2 = (delta * delta).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
-    return out
+    tree = cKDTree(dst * sp)
+    src_mm = src * sp
+    bound, _ = tree.query(src_mm)
+    near = tree.query_ball_point(src_mm, bound * (1.0 + 1e-9) + 1e-12)
+    rows = np.repeat(np.arange(len(src)), [len(n) for n in near])
+    cols = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
+                       count=len(rows))
+    delta = (src[rows] - dst[cols]).astype(np.float64) * sp
+    d2 = np.full(len(src), np.inf)
+    np.minimum.at(d2, rows, (delta * delta).sum(axis=1))
+    return np.sqrt(d2)
 
 
 def _surface_distances(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray]:

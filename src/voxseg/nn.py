@@ -26,6 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.linalg.blas import dgemm
 
+from .atomic import write_atomic
 from .shuffle import ShuffleFactors, down_shuffle, up_shuffle
 from .tensor import Rng, Shape4, Tensor4
 
@@ -609,27 +610,35 @@ _CKPT_VERSION = 1
 
 
 class CheckpointError(Exception):
-    pass
+    """Malformed checkpoint file, or one that does not fit the network."""
+
+
+class NonFiniteWeightsError(CheckpointError):
+    """A checkpoint parameter holds NaN or infinite values."""
 
 
 def save_checkpoint(path, params: Mapping[str, Node] | Mapping[str, Tensor4]) -> None:
     """Write parameters as little-endian records: magic, u32 version, then
     (u32 name length, utf-8 name, 4 x u32 extents, raw float64 data) each."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
+
+    def parts():
+        yield _CKPT_MAGIC
+        yield struct.pack("<I", _CKPT_VERSION)
         for name, entry in params.items():
             tensor = entry.value if isinstance(entry, Node) else entry
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<4I", *tensor.shape))
-            fh.write(tensor.flat.astype("<f8").tobytes())
+            yield struct.pack("<I", len(encoded))
+            yield encoded
+            yield struct.pack("<4I", *tensor.shape)
+            yield tensor.flat.astype("<f8", copy=False)
+
+    write_atomic(path, parts())
 
 
 def load_checkpoint(path) -> "OrderedDict[str, Tensor4]":
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     buf = io.BytesIO(raw)
@@ -651,16 +660,22 @@ def load_checkpoint(path) -> "OrderedDict[str, Tensor4]":
         if len(name_bytes) < name_len or len(shape_bytes) < 16:
             raise CheckpointError(f"{path}: truncated record")
         shape = Shape4(*struct.unpack("<4I", shape_bytes))
-        payload = buf.read(8 * shape.element_count)
-        if len(payload) < 8 * shape.element_count:
+        if min(shape) < 1:
+            raise CheckpointError(f"{path}: extents {tuple(shape)} must all be >= 1")
+        if 8 * shape.element_count > len(raw) - buf.tell():
             raise CheckpointError(f"{path}: truncated tensor payload")
+        payload = buf.read(8 * shape.element_count)
         try:
             name = name_bytes.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
         if name in params:
             raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
-        params[name] = Tensor4.from_flat(shape, np.frombuffer(payload, dtype="<f8"))
+        values = np.frombuffer(payload, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise NonFiniteWeightsError(f"{path}: parameter {name!r} holds NaN or "
+                                        "infinite weights")
+        params[name] = Tensor4.from_flat(shape, values)
     return params
 
 

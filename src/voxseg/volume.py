@@ -15,6 +15,7 @@ Round trips are bit-exact for both dtypes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import map_coordinates
 
+from .atomic import write_atomic
 from .tensor import Rng, Shape4, Tensor4
 
 _VVOL_MAGIC = b"VVOL"
@@ -51,8 +53,8 @@ class Volume:
         if self.kind not in ("image", "labels"):
             raise ValueError(f"kind must be 'image' or 'labels', got {self.kind!r}")
         self.spacing = tuple(float(s) for s in self.spacing)
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not all(0 < s < math.inf for s in self.spacing):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if self.kind == "labels":
             if self.class_count < 1:
                 raise ValueError("label volumes need class_count >= 1")
@@ -73,15 +75,13 @@ def write_vvol(volume: Volume, path) -> None:
     dtype = _DTYPE_LABELS if volume.kind == "labels" else _DTYPE_IMAGE
     if dtype == _DTYPE_LABELS and volume.class_count > 256:
         raise VvolError("uint8 label payload supports at most 256 classes")
-    with open(path, "wb") as fh:
-        fh.write(_VVOL_MAGIC)
-        fh.write(struct.pack("<III", _VVOL_VERSION, dtype, volume.class_count))
-        fh.write(struct.pack("<4I", *t.shape))
-        fh.write(struct.pack("<3d", *volume.spacing))
-        if dtype == _DTYPE_LABELS:
-            fh.write(t.flat.astype("<u1").tobytes())
-        else:
-            fh.write(t.flat.astype("<f8").tobytes())
+    write_atomic(path, [
+        _VVOL_MAGIC,
+        struct.pack("<III", _VVOL_VERSION, dtype, volume.class_count),
+        struct.pack("<4I", *t.shape),
+        struct.pack("<3d", *volume.spacing),
+        t.flat.astype("<u1" if dtype == _DTYPE_LABELS else "<f8", copy=False),
+    ])
 
 
 def read_vvol(path) -> Volume:
@@ -99,6 +99,8 @@ def read_vvol(path) -> Volume:
     if dtype not in (_DTYPE_IMAGE, _DTYPE_LABELS):
         raise VvolError(f"{path}: unknown dtype code {dtype}")
     shape = Shape4(*struct.unpack_from("<4I", raw, 16))
+    if min(shape) < 1:
+        raise VvolError(f"{path}: extents {tuple(shape)} must all be >= 1")
     spacing = struct.unpack_from("<3d", raw, 32)
     payload = raw[56:]
     count = shape.element_count
@@ -113,8 +115,13 @@ def read_vvol(path) -> Volume:
     else:
         data = np.frombuffer(payload, dtype="<f8")
         kind = "image"
+        if not np.isfinite(data).all():
+            raise VvolError(f"{path}: image payload holds NaN or infinite values")
     tensor = Tensor4.from_flat(shape, data)
-    return Volume(tensor, spacing, kind, class_count)
+    try:
+        return Volume(tensor, spacing, kind, class_count)
+    except ValueError as exc:
+        raise VvolError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

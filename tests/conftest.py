@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
 
 from voxseg.nn import backward, constant
 from voxseg.tensor import Tensor4
@@ -35,6 +36,21 @@ def fd_gradient_error(build_loss, leaf_tensors, eps=1e-5):
         denom = np.abs(ga).max() + np.abs(gn).max() + 1e-300
         worst = max(worst, float(np.abs(ga - gn.reshape(ga.shape)).max() / denom))
     return worst
+
+
+@st.composite
+def mutated(draw, files):
+    """One of ``files`` with some bytes overwritten, then possibly cut or zero-extended."""
+    raw = bytearray(draw(st.sampled_from(files)))
+    for _ in range(draw(st.integers(1, 4))):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(raw) + 8))
+    return bytes(raw[:cut]) + bytes(max(0, cut - len(raw)))
+
+
+# reader fuzzing: each example rewrites one file under the test's tmp_path
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from voxseg.cli.config import (ConfigError, TrainConfig, apply_overrides,
                                parse_config, serialize_config)
-from voxseg.cli.main import main
+from voxseg.cli.main import EXIT_NUMERIC, main
+from voxseg.nn import build_backbone, save_checkpoint
+from voxseg.tensor import Rng
 from voxseg.volume import read_vvol
 
 
@@ -276,3 +279,18 @@ class TestExitCodes:
         bad = tmp_path / "bad.vvol"
         bad.write_bytes(b"NOPE" + bytes(64))
         assert main(["eval", "--prediction", str(bad), "--reference", str(bad)]) == 2
+
+    def test_non_finite_checkpoint_is_numeric_failure(self, tiny_workspace, tmp_path):
+        _, data, _ = tiny_workspace
+        args = common_net_args(data, tmp_path)
+        cfg = apply_overrides(TrainConfig(), dict(k="4", widths="4,8", class_count="2"))
+        params = build_backbone(cfg.backbone_spec(), Rng(cfg.seed).spawn(7)).parameters()
+        params["head.bias"].value.zyxc[0, 0, 0, 0] = math.nan
+        save_checkpoint(tmp_path / "nan.vckp", params)
+        rc = main(["infer"] + args + [
+            "--checkpoint", str(tmp_path / "nan.vckp"),
+            "--input", str(data / "vol_000_img.vvol"),
+            "--out-prob", str(tmp_path / "p.vvol"),
+            "--out-labels", str(tmp_path / "l.vvol")])
+        assert rc == EXIT_NUMERIC
+        assert not (tmp_path / "p.vvol").exists()

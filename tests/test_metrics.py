@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from voxseg.metrics import (BinaryMask, EmptyMaskError, asd, dice, extract_surface,
-                            hausdorff, per_class_metrics)
+from voxseg.metrics import (BinaryMask, EmptyMaskError, _directed_distances, asd, dice,
+                            extract_surface, hausdorff, per_class_metrics)
 from voxseg.tensor import Rng, Tensor4
-from voxseg.volume import Volume
+from voxseg.volume import (Volume, elastic_augment, gen_synthetic,
+                           random_deformation)
 
 SIX_NEIGHBORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -59,6 +62,28 @@ def brute_asd_hd(a, b):
     mean = math.fsum(d_ab + d_ba) / (len(sa) + len(sb))
     peak = max(max(d_ab), max(d_ba))
     return mean, peak
+
+
+# -- vectorised all-pairs reference (the metric before the kd-tree bound) -----
+
+def all_pairs_directed(src, dst, spacing, chunk=512):
+    """Nearest-surface distance per source voxel, minimized over every pair."""
+    sp = np.asarray(spacing)
+    out = np.empty(len(src))
+    for start in range(0, len(src), chunk):
+        block = src[start : start + chunk]
+        delta = (block[:, None, :] - dst[None, :, :]).astype(np.float64) * sp
+        d2 = (delta * delta).sum(axis=2)
+        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
+    return out
+
+
+def all_pairs_asd_hd(a, b):
+    sa, sb = extract_surface(a), extract_surface(b)
+    d_ab = all_pairs_directed(sa, sb, a.spacing)
+    d_ba = all_pairs_directed(sb, sa, a.spacing)
+    mean = math.fsum(d_ab.tolist() + d_ba.tolist()) / (len(sa) + len(sb))
+    return mean, float(max(d_ab.max(), d_ba.max()))
 
 
 class TestDice:
@@ -193,6 +218,49 @@ class TestOracleEquivalence:
             assert hausdorff(a, b) == ref_peak
 
 
+SPACINGS = [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (0.374, 0.363, 1.078), (1.0, 1.0, 3.0)]
+
+
+@st.composite
+def mask_pair(draw):
+    shape = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    spacing = draw(st.sampled_from(SPACINGS))
+    a = draw(arrays(bool, shape).filter(np.any))
+    b = draw(arrays(bool, shape).filter(np.any))
+    return BinaryMask(a, spacing), BinaryMask(b, spacing)
+
+
+class TestBoundedSearch:
+    """The kd-tree bounded minimum equals the all-pairs minimum bit for bit."""
+
+    @given(mask_pair())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_equals_all_pairs_and_brute_force(self, pair):
+        a, b = pair
+        sa, sb = extract_surface(a), extract_surface(b)
+        for src, dst in ((sa, sb), (sb, sa)):
+            assert np.array_equal(_directed_distances(src, dst, a.spacing),
+                                  all_pairs_directed(src, dst, a.spacing))
+        expected = all_pairs_asd_hd(a, b)
+        assert (asd(a, b), hausdorff(a, b)) == expected
+        assert brute_asd_hd(a, b) == expected
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_equidistant_destinations(self, spacing):
+        # the center voxel sees the two voxels at offset -3 and +3 along each
+        # axis at one distance; with isotropic spacing all six tie
+        center = (3, 3, 3)
+        ring = [(0, 3, 3), (6, 3, 3), (3, 0, 3), (3, 6, 3), (3, 3, 0), (3, 3, 6)]
+        a = mask_from_voxels((7, 7, 7), [center], spacing)
+        b = mask_from_voxels((7, 7, 7), ring, spacing)
+        src = np.array([center])
+        dst = extract_surface(b)
+        assert np.array_equal(_directed_distances(src, dst, spacing),
+                              all_pairs_directed(src, dst, spacing))
+        assert (asd(a, b), hausdorff(a, b)) == brute_asd_hd(a, b)
+        assert hausdorff(a, b) == 3 * max(spacing)
+
+
 class TestPerClassMetrics:
     def vol_from(self, arr, classes):
         t = Tensor4.from_zyxc(np.asarray(arr, dtype=float)[..., None])
@@ -235,3 +303,14 @@ class TestPerClassMetrics:
             rm = BinaryMask.from_labels(ref, row["class"])
             assert row["asd"] == asd(pm, rm)
             assert row["hausdorff"] == hausdorff(pm, rm)
+
+    def test_rows_equal_all_pairs_on_warped_phantom(self):
+        image, labels = gen_synthetic(8, 1, (48, 48, 48), 3,
+                                      spacing=(0.374, 0.363, 1.078))[0]
+        _, warped = elastic_augment(image, labels, random_deformation(Rng(9), sigma=2.0))
+        rows = per_class_metrics(warped, labels)
+        assert [row["class"] for row in rows] == [1, 2]
+        for row in rows:
+            pm = BinaryMask.from_labels(warped, row["class"])
+            rm = BinaryMask.from_labels(labels, row["class"])
+            assert (row["asd"], row["hausdorff"]) == all_pairs_asd_hd(pm, rm)

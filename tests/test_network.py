@@ -1,13 +1,16 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import fd_gradient_error
+from conftest import FUZZ, fd_gradient_error, mutated
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
-                       DownShuffleConv, activation, build_backbone,
-                       ce_dice_loss, constant, down_shuffle_op, load_checkpoint,
-                       load_into_network, save_checkpoint, up_shuffle_op)
+                       DownShuffleConv, NonFiniteWeightsError, activation,
+                       build_backbone, ce_dice_loss, constant, down_shuffle_op,
+                       load_checkpoint, load_into_network, save_checkpoint,
+                       up_shuffle_op)
 from voxseg.shuffle import ShuffleFactors
 from voxseg.tensor import Rng, Shape4, Tensor4
 
@@ -257,9 +260,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_into_network(other, load_checkpoint(path))
 
-    def _one_record(self, name: bytes) -> bytes:
+    def _one_record(self, name: bytes, value: float = 0.5) -> bytes:
         return (struct.pack("<I", len(name)) + name + struct.pack("<4I", 1, 1, 1, 1)
-                + struct.pack("<d", 0.5))
+                + struct.pack("<d", value))
 
     def test_non_utf8_name_rejected(self, tmp_path):
         path = tmp_path / "model.vckp"
@@ -273,3 +276,54 @@ class TestCheckpoint:
         path.write_bytes(b"VCKP" + struct.pack("<I", 1) + record + record)
         with pytest.raises(CheckpointError, match="duplicate"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, value):
+        path = tmp_path / "model.vckp"
+        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + self._one_record(b"stem.bias")
+                         + self._one_record(b"head.bias", value))
+        with pytest.raises(NonFiniteWeightsError, match="'head.bias'"):
+            load_checkpoint(path)
+
+    def test_zero_extent_rejected(self, tmp_path):
+        path = tmp_path / "model.vckp"
+        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<4I", 1, 0, 1, 1))
+        with pytest.raises(CheckpointError, match="extents"):
+            load_checkpoint(path)
+
+
+def _checkpoint_bytes(records):
+    raw = b"VCKP" + struct.pack("<I", 1)
+    for name, extents, values in records:
+        raw += (struct.pack("<I", len(name)) + name + struct.pack("<4I", *extents)
+                + np.asarray(values, dtype="<f8").tobytes())
+    return raw
+
+
+VALID_CHECKPOINT = _checkpoint_bytes([(b"w", (1, 1, 1, 2), [0.25, -1.0]),
+                                      (b"b", (2, 1, 1, 1), [3.0, 0.0])])
+
+
+class TestCheckpointFuzz:
+    """Whatever the bytes, load_checkpoint returns tensors or raises CheckpointError."""
+
+    @given(raw=st.one_of(st.binary(max_size=128),
+                         st.binary(max_size=128).map(lambda b: b"VCKP\x01\0\0\0" + b)))
+    @FUZZ
+    def test_arbitrary_bytes(self, tmp_path, raw):
+        self._load(tmp_path, raw)
+
+    @given(raw=mutated([VALID_CHECKPOINT]))
+    @FUZZ
+    def test_mutated_valid_file(self, tmp_path, raw):
+        self._load(tmp_path, raw)
+
+    @staticmethod
+    def _load(tmp_path, raw):
+        path = tmp_path / "fuzz.vckp"
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

@@ -1,6 +1,15 @@
+import errno
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import FUZZ, mutated
+import voxseg.atomic as atomic
+from voxseg.cli.main import EXIT_DATA, main
+from voxseg.nn import save_checkpoint
 from voxseg.tensor import Rng, Shape4, Tensor4
 from voxseg.volume import (DeformationField, PatchSpec, Volume, VvolError,
                            augment_dataset, elastic_augment, gen_synthetic,
@@ -94,6 +103,133 @@ class TestVvolRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(VvolError):
             read_vvol(path)
+
+
+def vvol_bytes(dtype, classes, extents, spacing, values):
+    """A VVOL file assembled field by field, without write_vvol's checks."""
+    payload = np.asarray(values, dtype="<u1" if dtype == 1 else "<f8").tobytes()
+    return (b"VVOL" + struct.pack("<III", 1, dtype, classes)
+            + struct.pack("<4I", *extents) + struct.pack("<3d", *spacing) + payload)
+
+
+MALFORMED_VVOL = {
+    "zero_extent": vvol_bytes(0, 0, (0, 2, 2, 1), (1, 1, 1), []),
+    "zero_channel_labels": vvol_bytes(1, 2, (2, 2, 2, 0), (1, 1, 1), []),
+    "zero_channel_image": vvol_bytes(0, 0, (2, 2, 2, 0), (1, 1, 1), []),
+    "nan_spacing": vvol_bytes(0, 0, (2, 1, 1, 1), (math.nan, 1, 1), [0.0, 1.0]),
+    "infinite_spacing": vvol_bytes(0, 0, (2, 1, 1, 1), (1, math.inf, 1), [0.0, 1.0]),
+    "nan_image_payload": vvol_bytes(0, 0, (2, 1, 1, 1), (1, 1, 1), [0.0, math.nan]),
+    "infinite_image_payload": vvol_bytes(0, 0, (2, 1, 1, 1), (1, 1, 1), [-math.inf, 1.0]),
+    "label_out_of_range": vvol_bytes(1, 2, (2, 1, 1, 1), (1, 1, 1), [0, 2]),
+}
+
+
+class TestVvolMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VVOL))
+    def test_typed_error(self, tmp_path, case):
+        path = tmp_path / "bad.vvol"
+        path.write_bytes(MALFORMED_VVOL[case])
+        with pytest.raises(VvolError):
+            read_vvol(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VVOL))
+    def test_cli_exits_with_data_error(self, tmp_path, case):
+        path = tmp_path / "bad.vvol"
+        path.write_bytes(MALFORMED_VVOL[case])
+        out = tmp_path / "out.vvol"
+        assert main(["shuffle", "--input", str(path), "--output", str(out),
+                     "--factors", "1,1,1", "--direction", "down"]) == EXIT_DATA
+        assert not out.exists()
+
+    def test_well_formed_bytes_read(self, tmp_path):
+        path = tmp_path / "ok.vvol"
+        path.write_bytes(vvol_bytes(1, 3, (2, 1, 1, 1), (0.5, 1, 2), [0, 2]))
+        vol = read_vvol(path)
+        assert vol.kind == "labels" and vol.spacing == (0.5, 1.0, 2.0)
+        assert vol.tensor.flat.tolist() == [0.0, 2.0]
+
+
+def _valid_vvol_files():
+    return [vvol_bytes(0, 0, (2, 2, 1, 2), (0.5, 1, 2), np.linspace(-1, 1, 8)),
+            vvol_bytes(1, 3, (2, 2, 2, 1), (1, 1, 1), [0, 1, 2, 0, 1, 2, 0, 1])]
+
+
+class TestVvolFuzz:
+    """Whatever the bytes, read_vvol returns a Volume or raises VvolError."""
+
+    @given(raw=st.one_of(st.binary(max_size=128),
+                         st.binary(max_size=128).map(lambda b: b"VVOL" + b)))
+    @FUZZ
+    def test_arbitrary_bytes(self, tmp_path, raw):
+        self._read(tmp_path, raw)
+
+    @given(raw=mutated(_valid_vvol_files()))
+    @FUZZ
+    def test_mutated_valid_files(self, tmp_path, raw):
+        self._read(tmp_path, raw)
+
+    @staticmethod
+    def _read(tmp_path, raw):
+        path = tmp_path / "fuzz.vvol"
+        path.write_bytes(raw)
+        try:
+            read_vvol(path)
+        except VvolError:
+            pass
+
+
+class _FailsHalfway:
+    """File stand-in whose first write over 64 bytes stores half, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, chunk):
+        data = memoryview(chunk).cast("B")
+        if len(data) > 64:
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return self._fh.write(data)
+
+
+def _write_volume(path, seed):
+    write_vvol(random_image(seed), path)
+
+
+def _write_checkpoint(path, seed):
+    save_checkpoint(path, {"w": Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(seed)),
+                           "b": Tensor4.full(Shape4(1, 1, 1, 2), float(seed))})
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", [_write_volume, _write_checkpoint])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        writer(path, 1)
+        before = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(atomic, "open",
+                            lambda *a, **k: _FailsHalfway(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            writer(path, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    @pytest.mark.parametrize("writer", [_write_volume, _write_checkpoint])
+    def test_overwrite_replaces_contents(self, tmp_path, writer):
+        path, fresh = tmp_path / "artifact", tmp_path / "fresh"
+        writer(path, 1)
+        writer(path, 2)
+        writer(fresh, 2)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact", "fresh"]
 
 
 class TestSynthetic:
