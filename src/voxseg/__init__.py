@@ -8,12 +8,11 @@ surface-distance metrics, and a CLI for end-to-end runs on synthetic phantoms.
 """
 
 from .tensor import Rng, Shape4, Tensor4, dot
-from .shuffle import (ShuffleFactors, down_shuffle, down_shuffle_adjoint,
-                      down_shuffle_reference, up_shuffle, up_shuffle_adjoint)
+from .shuffle import ShuffleFactors, down_shuffle, down_shuffle_reference, up_shuffle
 from .nn import (BackboneSpec, Conv3d, ConvUpShuffle, DownShuffleConv, Node,
                  ShuffleUNet3d, activation, backward, build_backbone, ce_dice_loss,
                  concat_channels, constant, conv3d, down_shuffle_op, load_checkpoint,
-                 load_into_network, maxpool3, relu, save_checkpoint, softmax_channels,
+                 load_into_network, maxpool3, save_checkpoint, softmax_channels,
                  up_shuffle_op)
 from .optim import (INITIAL_LR_BY_FACTORS, LrSchedule, SgdState, lr_at, sgd_step,
                     suggested_initial_lr)

@@ -1,8 +1,11 @@
-"""Command-line interface: configuration, training loop, benchmark, entry point."""
+"""Command-line interface: configuration, training loop, benchmark, entry point.
+
+The entry point is ``voxseg.cli.main:main``. It is not imported here, so that
+``python -m voxseg.cli.main`` runs the module once.
+"""
 
 from .config import ConfigError, TrainConfig, load_config, parse_config, serialize_config
 from .train import NumericError, RunResult, run_training
-from .main import main
 
 __all__ = [
     "ConfigError",
@@ -13,5 +16,4 @@ __all__ = [
     "NumericError",
     "RunResult",
     "run_training",
-    "main",
 ]

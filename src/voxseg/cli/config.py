@@ -7,8 +7,11 @@ widths may have any length ("32,64,128").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import get_type_hints
+import math
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields, replace
+from itertools import chain
+from typing import get_args, get_origin, get_type_hints
 
 from ..nn import BackboneSpec
 from ..optim import suggested_initial_lr
@@ -80,41 +83,38 @@ class TrainConfig:
         return None if self.stride == (0, 0, 0) else self.stride
 
     def validate(self) -> "TrainConfig":
-        def bad(msg: str) -> ConfigError:
-            return ConfigError(msg)
-
         if self.seed < 0:
-            raise bad("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         if self.train_split < 1 or self.volumes <= self.train_split:
-            raise bad("need volumes > train_split >= 1 for a held-out split")
+            raise ConfigError("need volumes > train_split >= 1 for a held-out split")
         if min(self.extents) < 1 or min(self.patch) < 1:
-            raise bad("extents and patch must be positive")
+            raise ConfigError("extents and patch must be positive")
         if any(p > e for p, e in zip(self.patch, self.extents)):
-            raise bad(f"patch {self.patch} exceeds volume extents {self.extents}")
+            raise ConfigError(f"patch {self.patch} exceeds volume extents {self.extents}")
         if self.noise_sigma < 0 or self.init_sigma < 0 or self.augment_sigma < 0:
-            raise bad("sigmas must be >= 0")
+            raise ConfigError("sigmas must be >= 0")
         if not (0.0 <= self.fg_lo < self.fg_hi <= 1.0):
-            raise bad("need 0 <= fg_lo < fg_hi <= 1")
+            raise ConfigError("need 0 <= fg_lo < fg_hi <= 1")
         if any(s <= 0 for s in self.spacing):
-            raise bad("spacing must be positive")
+            raise ConfigError("spacing must be positive")
         if self.batch_size < 1:
-            raise bad("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.iterations < 0:
-            raise bad("iterations must be >= 0")
+            raise ConfigError("iterations must be >= 0")
         if self.val_interval < 1:
-            raise bad("val_interval must be >= 1")
+            raise ConfigError("val_interval must be >= 1")
         if not (0.0 <= self.momentum < 1.0):
-            raise bad("momentum must be in [0, 1)")
+            raise ConfigError("momentum must be in [0, 1)")
         if self.weight_decay < 0 or self.lambda_ce < 0 or self.lambda_dice < 0:
-            raise bad("weight_decay and loss weights must be >= 0")
+            raise ConfigError("weight_decay and loss weights must be >= 0")
         if self.lr_halving_period < 1:
-            raise bad("lr_halving_period must be >= 1")
+            raise ConfigError("lr_halving_period must be >= 1")
         if self.augment_count < 0:
-            raise bad("augment_count must be >= 0")
+            raise ConfigError("augment_count must be >= 0")
         if self.initial_lr < 0:
-            raise bad("initial_lr must be >= 0 (0 selects the tabulated rate)")
+            raise ConfigError("initial_lr must be >= 0 (0 selects the tabulated rate)")
         if min(self.stride) < 0:
-            raise bad("stride components must be >= 0")
+            raise ConfigError("stride components must be >= 0")
         try:
             spec = self.backbone_spec().validate()
             spec.check_input_extents(self.patch)
@@ -124,43 +124,35 @@ class TrainConfig:
                         f"volume extent {e} not divisible by shuffle factor {f}"
                     )
         except ValueError as exc:
-            raise bad(str(exc)) from None
+            raise ConfigError(str(exc)) from None
         self.resolved_initial_lr()
         return self
 
 
-_TUPLE_INT3 = {"extents", "patch", "factors", "pool", "stride"}
-_TUPLE_FLOAT3 = {"spacing"}
-_TUPLE_INT_VAR = {"widths"}
+_HINTS = get_type_hints(TrainConfig)
+
+
+def _scalar(kind: type, raw: str):
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
 
 
 def _parse_value(name: str, raw: str):
-    hints = get_type_hints(TrainConfig)
-    if name not in hints:
+    if name not in _HINTS:
         raise ConfigError(f"unknown configuration key {name!r}")
+    target = _HINTS[name]
     try:
-        if name in _TUPLE_INT3 or name in _TUPLE_INT_VAR:
-            parts = tuple(int(p.strip()) for p in raw.split(","))
-            if name in _TUPLE_INT3 and len(parts) != 3:
-                raise ValueError(f"expected 3 components, got {len(parts)}")
-            if not parts:
-                raise ValueError("expected at least one component")
-            return parts
-        if name in _TUPLE_FLOAT3:
-            parts = tuple(float(p.strip()) for p in raw.split(","))
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 components, got {len(parts)}")
-            return parts
-        target = hints[name]
-        if target is int:
-            return int(raw)
-        if target is float:
-            return float(raw)
-        if target is str:
-            return raw
+        if get_origin(target) is not tuple:
+            return _scalar(target, raw)
+        kinds = get_args(target)  # (int, int, int), (float, float, float) or (int, ...)
+        parts = tuple(_scalar(kinds[0], p.strip()) for p in raw.split(","))
+        if kinds[-1] is not Ellipsis and len(parts) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} components, got {len(parts)}")
+        return parts
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {exc}") from None
-    raise ConfigError(f"key {name!r} has unsupported type")  # pragma: no cover
 
 
 def _format_value(value) -> str:
@@ -171,10 +163,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse key=value lines over defaults (or ``base``). Validates the result."""
-    cfg = TrainConfig() if base is None else base
-    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+def _lines(text: str) -> Iterator[tuple[str, str]]:
+    """(key, raw value) per key=value line; blank lines and # comments skipped."""
     for ln, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -182,15 +172,21 @@ def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = _parse_value(key.strip(), raw.strip())
-    return TrainConfig(**values).validate()
+        yield key.strip(), raw.strip()
+
+
+def _merge(cfg: TrainConfig, pairs: Iterable[tuple[str, str]]) -> TrainConfig:
+    """``cfg`` with each (key, raw value) parsed over it, later pairs winning; validated."""
+    return replace(cfg, **{key: _parse_value(key, raw) for key, raw in pairs}).validate()
+
+
+def parse_config(text: str) -> TrainConfig:
+    """Parse key=value lines over the defaults. Validates the result."""
+    return _merge(TrainConfig(), _lines(text))
 
 
 def apply_overrides(cfg: TrainConfig, overrides: dict[str, str]) -> TrainConfig:
-    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-    for key, raw in overrides.items():
-        values[key] = _parse_value(key, raw)
-    return TrainConfig(**values).validate()
+    return _merge(cfg, overrides.items())
 
 
 def serialize_config(cfg: TrainConfig) -> str:
@@ -199,15 +195,14 @@ def serialize_config(cfg: TrainConfig) -> str:
 
 
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> TrainConfig:
-    if path is None:
-        cfg = TrainConfig()
-    else:
+    """Defaults, then the file's lines, then ``overrides``; validated once at the end."""
+    text = ""
+    if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        cfg = parse_config(text)
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg.validate()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc}") from None
+    return _merge(TrainConfig(), chain(_lines(text), (overrides or {}).items()))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..inference import decode_labels, predict_volume
 from ..metrics import BinaryMask, dice
 from ..nn import backward, build_backbone, ce_dice_loss, scale, save_checkpoint
@@ -177,7 +178,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
     checkpoint_path = out_dir / "model.vckp"
     save_checkpoint(checkpoint_path, params)
     log_path = out_dir / "runlog.csv"
-    log_path.write_text("\n".join(log_rows) + "\n", encoding="utf-8")
+    write_atomic(log_path, [("\n".join(log_rows) + "\n").encode("utf-8")])
 
     # peak/total from the most recent forward pass, if any
     counts = net.last_activation_counts

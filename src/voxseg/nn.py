@@ -142,10 +142,6 @@ def activation(x: Node, kind: str = "relu") -> Node:
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def relu(x: Node) -> Node:
-    return activation(x, "relu")
-
-
 def concat_channels(a: Node, b: Node) -> Node:
     value = a.value.concat_channels(b.value)
     ca = a.value.shape.c
@@ -545,9 +541,6 @@ class ShuffleUNet3d:
             put(f"dec{i}", layer)
         put("head", self.head)
         return params
-
-    def parameter_count(self) -> int:
-        return sum(node.value.size for node in self.parameters().values())
 
     def zero_grad(self) -> None:
         for node in self.parameters().values():

@@ -14,14 +14,14 @@ Equivalently, writing c' = c + C*(i + n_x*(j + n_y*k)) with block offsets
 the x offset, then y, then z. Up-shuffling is defined as the exact inverse
 permutation, so a down/up round trip is the identity element for element.
 
-The fast paths apply a single gather through flat index tables cached per
-(shape, factors); ``down_shuffle_reference`` keeps a deliberately naive
+Both directions split each spatial axis into (coarse, block offset), move the
+offsets next to the channel axis with one transpose, and copy once; nothing is
+kept per shape. ``down_shuffle_reference`` keeps a deliberately naive
 transcription of the index map for cross-checking.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,34 +55,16 @@ def _check_divisible(shape: Shape4, factors: ShuffleFactors) -> tuple[int, int, 
     return shape.x // nx, shape.y // ny, shape.z // nz
 
 
-@lru_cache(maxsize=256)
-def _down_perm(x: int, y: int, z: int, c: int, nx: int, ny: int, nz: int) -> np.ndarray:
-    """Flat gather table: output offset o reads input offset table[o]."""
-    d, h, w = x // nx, y // ny, z // nz
-    offsets = np.arange(x * y * z * c, dtype=np.int64).reshape(z, y, x, c)
-    # split each spatial axis into (coarse, block offset), then order the
-    # output channel axis as (k, j, i, c) slowest to fastest
-    blocks = offsets.reshape(w, nz, h, ny, d, nx, c)
-    gathered = blocks.transpose(0, 2, 4, 1, 3, 5, 6)
-    return np.ascontiguousarray(gathered).reshape(-1)
-
-
-@lru_cache(maxsize=256)
-def _up_perm(x: int, y: int, z: int, c: int, nx: int, ny: int, nz: int) -> np.ndarray:
-    """Inverse of the down table for the same high-resolution geometry."""
-    forward = _down_perm(x, y, z, c, nx, ny, nz)
-    inverse = np.empty_like(forward)
-    inverse[forward] = np.arange(forward.size, dtype=np.int64)
-    return inverse
-
-
 def down_shuffle(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
     """Periodic down-shuffle: (n_x*d, n_y*h, n_z*w, C) -> (d, h, w, C*n_x*n_y*n_z)."""
     factors = ShuffleFactors(*factors).validate()
     d, h, w = _check_divisible(t.shape, factors)
-    perm = _down_perm(*t.shape, *factors)
-    out_shape = Shape4(d, h, w, t.shape.c * factors.product)
-    return Tensor4(t.flat[perm].reshape(out_shape.z, out_shape.y, out_shape.x, out_shape.c))
+    nx, ny, nz = factors
+    c = t.shape.c
+    # (z, y, x, c) -> (w, nz, h, ny, d, nx, c) -> (w, h, d, nz, ny, nx, c);
+    # the copy also keeps the output off the input's memory at factors (1, 1, 1)
+    blocks = t.zyxc.reshape(w, nz, h, ny, d, nx, c).transpose(0, 2, 4, 1, 3, 5, 6)
+    return Tensor4(blocks.copy().reshape(w, h, d, c * factors.product))
 
 
 def up_shuffle(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
@@ -92,25 +74,17 @@ def up_shuffle(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
         raise ValueError(
             f"channel count {t.shape.c} not divisible by factor product {factors.product}"
         )
+    nx, ny, nz = factors
+    d, h, w, _ = t.shape
     c = t.shape.c // factors.product
-    x, y, z = t.shape.x * factors.nx, t.shape.y * factors.ny, t.shape.z * factors.nz
-    perm = _up_perm(x, y, z, c, *factors)
-    return Tensor4(t.flat[perm].reshape(z, y, x, c))
-
-
-def down_shuffle_adjoint(grad_out: Tensor4, factors: ShuffleFactors) -> Tensor4:
-    """Backward map of down_shuffle; a permutation's adjoint is its inverse."""
-    return up_shuffle(grad_out, factors)
-
-
-def up_shuffle_adjoint(grad_out: Tensor4, factors: ShuffleFactors) -> Tensor4:
-    return down_shuffle(grad_out, factors)
+    blocks = t.zyxc.reshape(w, h, d, nz, ny, nx, c).transpose(0, 3, 1, 4, 2, 5, 6)
+    return Tensor4(blocks.copy().reshape(w * nz, h * ny, d * nx, c))
 
 
 def down_shuffle_reference(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
     """Naive per-element transcription of the index map. Oracle only.
 
-    Kept loop-shaped and separate from the gather path on purpose; do not
+    Kept loop-shaped and separate from the transpose path on purpose; do not
     "optimize" this function.
     """
     factors = ShuffleFactors(*factors).validate()

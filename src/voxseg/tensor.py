@@ -14,7 +14,7 @@ the package goes through this one layout; there are no hidden transposes.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,11 +77,6 @@ class Tensor4:
     def zeros(cls, shape: Shape4) -> "Tensor4":
         shape = Shape4(*shape).validate(min_channels=1)
         return cls(np.zeros((shape.z, shape.y, shape.x, shape.c)))
-
-    @classmethod
-    def full(cls, shape: Shape4, value: float) -> "Tensor4":
-        shape = Shape4(*shape).validate(min_channels=1)
-        return cls(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
 
     @classmethod
     def gaussian(cls, shape: Shape4, mu: float, sigma: float, rng: "Rng") -> "Tensor4":
@@ -148,23 +143,11 @@ class Tensor4:
     def add(self, other: "Tensor4") -> "Tensor4":
         return self._binary(other, np.add)
 
-    def sub(self, other: "Tensor4") -> "Tensor4":
-        return self._binary(other, np.subtract)
-
     def mul(self, other: "Tensor4") -> "Tensor4":
         return self._binary(other, np.multiply)
 
     def scale(self, factor: float) -> "Tensor4":
         return Tensor4(self._zyxc * float(factor))
-
-    def map(self, fn: Callable[[float], float]) -> "Tensor4":
-        """Apply a python scalar function elementwise."""
-        out = np.vectorize(fn, otypes=[np.float64])(self._zyxc)
-        return Tensor4(np.ascontiguousarray(out))
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
 
     # -- structure ----------------------------------------------------------
 
@@ -188,25 +171,11 @@ class Tensor4:
             )
         return Tensor4(self._zyxc[oz : oz + sz, oy : oy + sy, ox : ox + sx, :].copy())
 
-    # -- reductions and comparisons ------------------------------------------
-
-    def sum(self) -> float:
-        return float(self._zyxc.sum())
-
-    def min(self) -> float:
-        return float(self._zyxc.min())
-
-    def max(self) -> float:
-        return float(self._zyxc.max())
+    # -- comparisons ----------------------------------------------------------
 
     def equal(self, other: "Tensor4") -> bool:
         return self.shape == other.shape and bool(
             np.array_equal(self._zyxc, other._zyxc)
-        )
-
-    def allclose(self, other: "Tensor4", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-        return self.shape == other.shape and bool(
-            np.allclose(self._zyxc, other._zyxc, rtol=rtol, atol=atol)
         )
 
     def __repr__(self) -> str:
@@ -270,10 +239,6 @@ class Rng:
     def seed(self) -> int:
         return int(self._seed)
 
-    @property
-    def counter(self) -> int:
-        return self._counter
-
     def _block(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("block size must be >= 0")
@@ -282,9 +247,6 @@ class Rng:
         with np.errstate(over="ignore"):
             state = self._seed + idx * _GAMMA
         return _mix64(state)
-
-    def next_u64(self) -> int:
-        return int(self._block(1)[0])
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -310,10 +272,6 @@ class Rng:
         count = 1 if n is None else n
         vals = lo + np.floor(self.uniform(count) * (hi - lo)).astype(np.int64)
         return int(vals[0]) if n is None else vals
-
-    def shuffled_indices(self, n: int) -> np.ndarray:
-        """Deterministic permutation of range(n) (sort by random keys)."""
-        return np.argsort(self._block(n), kind="stable")
 
     def spawn(self, key: int) -> "Rng":
         """Independent child stream derived from (seed, key)."""

@@ -241,7 +241,6 @@ class DeformationField:
 
     grid: tuple[int, int, int]
     displacements: np.ndarray
-    degree: int = 1
 
     def __post_init__(self):
         gx, gy, gz = self.grid
@@ -252,8 +251,6 @@ class DeformationField:
                 f"displacements shape {self.displacements.shape} does not match "
                 f"grid {self.grid}"
             )
-        if self.degree != 1:
-            raise ValueError("only degree-1 (trilinear) interpolation is supported")
 
 
 def random_deformation(rng: Rng, grid: tuple[int, int, int] = (2, 2, 2),
@@ -333,9 +330,7 @@ def elastic_augment(image: Volume, labels: Volume, field: DeformationField
 
 
 def augment_dataset(dataset: list[tuple[Volume, Volume]], per_sample_count: int,
-                    rng: Rng, sigma: float = 15.0,
-                    grid: tuple[int, int, int] = (2, 2, 2),
-                    ) -> list[tuple[Volume, Volume]]:
+                    rng: Rng, sigma: float = 15.0) -> list[tuple[Volume, Volume]]:
     """Original samples plus ``per_sample_count`` deformed copies of each."""
     if per_sample_count < 0:
         raise ValueError("per_sample_count must be >= 0")
@@ -343,7 +338,7 @@ def augment_dataset(dataset: list[tuple[Volume, Volume]], per_sample_count: int,
     for idx, (image, labels) in enumerate(dataset):
         out.append((image, labels))
         for a in range(per_sample_count):
-            field = random_deformation(rng.spawn(idx * 1000 + a), grid=grid, sigma=sigma)
+            field = random_deformation(rng.spawn(idx * 1000 + a), sigma=sigma)
             out.append(elastic_augment(image, labels, field))
     return out
 
@@ -365,6 +360,8 @@ def read_manifest(path) -> list[tuple[str, str]]:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise VvolError(f"cannot read manifest: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise VvolError(f"{path}: manifest is not UTF-8: {exc}") from exc
     for ln, line in enumerate(lines, 1):
         if not line.strip():
             continue

@@ -1,9 +1,16 @@
+import errno
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from voxseg.nn import backward, constant
-from voxseg.tensor import Tensor4
+from voxseg.tensor import Shape4, Tensor4
+
+
+def full(shape: Shape4, value: float) -> Tensor4:
+    """Tensor of the given shape with every element equal to ``value``."""
+    return Tensor4.from_zyxc(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
 
 
 def fd_gradient_error(build_loss, leaf_tensors, eps=1e-5):
@@ -46,6 +53,27 @@ def mutated(draw, files):
         raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
     cut = draw(st.integers(0, len(raw) + 8))
     return bytes(raw[:cut]) + bytes(max(0, cut - len(raw)))
+
+
+class FailsHalfway:
+    """File stand-in whose first write over ``limit`` bytes stores half, then fails."""
+
+    def __init__(self, fh, limit: int = 64):
+        self._fh = fh
+        self._limit = limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, chunk):
+        data = memoryview(chunk).cast("B")
+        if len(data) > self._limit:
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return self._fh.write(data)
 
 
 # reader fuzzing: each example rewrites one file under the test's tmp_path

@@ -19,8 +19,8 @@ from voxseg.cli.main import main
 from voxseg.cli.train import run_training
 from voxseg.inference import predict_volume
 from voxseg.metrics import BinaryMask, asd, dice, hausdorff
-from voxseg.nn import (BackboneSpec, ce_dice_loss, conv3d, build_backbone, constant,
-                       maxpool3, mul, relu, softmax_channels, sum_all)
+from voxseg.nn import (BackboneSpec, activation, ce_dice_loss, conv3d, build_backbone,
+                       constant, maxpool3, mul, softmax_channels, sum_all)
 from voxseg.shuffle import (ShuffleFactors, down_shuffle, down_shuffle_reference,
                             up_shuffle)
 from voxseg.tensor import Rng, Shape4, Tensor4, dot
@@ -99,7 +99,7 @@ class TestGradientSuite:
         relu_in = Rng(304).normal(16)
         relu_in += np.sign(relu_in) * 0.25
         errors["activation"] = fd_gradient_error(
-            self.projected(lambda l: relu(l[0]), Shape4(2, 2, 2, 2), 2),
+            self.projected(lambda l: activation(l[0], "relu"), Shape4(2, 2, 2, 2), 2),
             [Tensor4.from_flat(Shape4(2, 2, 2, 2), relu_in)])
 
         errors["maxpool"] = fd_gradient_error(

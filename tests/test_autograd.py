@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_gradient_error
+from conftest import fd_gradient_error, full
 from voxseg.nn import (Conv3d, activation, add, backward, ce_dice_loss,
                        concat_channels, constant, conv3d, down_shuffle_op, maxpool3,
-                       mul, relu, scale, softmax_channels, sum_all, up_shuffle_op)
+                       mul, scale, softmax_channels, sum_all, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 GRAD_TOL = 1e-6
@@ -57,12 +57,12 @@ class TestEngine:
 class TestActivation:
     def test_relu_values(self):
         t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
-        assert relu(constant(t)).value.flat.tolist() == [0.0, 2.0]
+        assert activation(constant(t), "relu").value.flat.tolist() == [0.0, 2.0]
 
     def test_relu_gradient_signs(self):
         t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
         x = constant(t)
-        backward(sum_all(relu(x)))
+        backward(sum_all(activation(x, "relu")))
         assert x.grad.reshape(-1).tolist() == [0.0, 1.0]
 
     def test_identity_kind(self):
@@ -80,7 +80,7 @@ class TestActivation:
         proj = random_projection(t.shape, 5)
 
         def build(leaves):
-            return sum_all(mul(relu(leaves[0]), proj))
+            return sum_all(mul(activation(leaves[0], "relu"), proj))
 
         assert fd_gradient_error(build, [t]) < GRAD_TOL
 
@@ -88,14 +88,14 @@ class TestActivation:
 class TestConv3d:
     def test_one_by_one_identity(self):
         layer = Conv3d(1, 1, kernel=(1, 1, 1), padding=(0, 0, 0))
-        layer.weight.value = Tensor4.full(Shape4(1, 1, 1, 1), 1.0)
+        layer.weight.value = full(Shape4(1, 1, 1, 1), 1.0)
         t = Tensor4.gaussian(Shape4(3, 4, 2, 1), 0, 1, Rng(6))
         assert layer(constant(t)).value.equal(t)
 
     def test_all_ones_sum(self):
         layer = Conv3d(1, 1, kernel=(3, 3, 3), padding=(0, 0, 0))
-        layer.weight.value = Tensor4.full(Shape4(3, 3, 3, 1), 1.0)
-        out = layer(constant(Tensor4.full(Shape4(3, 3, 3, 1), 1.0)))
+        layer.weight.value = full(Shape4(3, 3, 3, 1), 1.0)
+        out = layer(constant(full(Shape4(3, 3, 3, 1), 1.0)))
         assert out.value.shape == Shape4(1, 1, 1, 1)
         assert out.value.at(0, 0, 0, 0) == 27.0
 
@@ -229,7 +229,7 @@ class TestConv3dOracle:
 
 class TestMaxpool:
     def test_constant_input(self):
-        out = maxpool3(constant(Tensor4.full(Shape4(4, 4, 4, 1), 2.5)), (2, 2, 2))
+        out = maxpool3(constant(full(Shape4(4, 4, 4, 1), 2.5)), (2, 2, 2))
         assert (out.value.zyxc == 2.5).all()
 
     def test_window_max(self):
@@ -243,7 +243,7 @@ class TestMaxpool:
         assert maxpool3(constant(t), (1, 1, 1)).value.equal(t)
 
     def test_tie_routes_to_first_in_layout_order(self):
-        x = constant(Tensor4.full(Shape4(2, 2, 2, 1), 1.0))
+        x = constant(full(Shape4(2, 2, 2, 1), 1.0))
         backward(sum_all(maxpool3(x, (2, 2, 2))))
         grads = x.grad.reshape(-1)
         assert grads[0] == 1.0 and not grads[1:].any()
@@ -326,19 +326,19 @@ class TestCeDiceLoss:
         assert loss.value.at(0, 0, 0, 0) == 0.0
 
     def test_uniform_ce_is_ln2(self):
-        probs = Tensor4.full(Shape4(2, 2, 2, 2), 0.5)
+        probs = full(Shape4(2, 2, 2, 2), 0.5)
         idx = Rng(26).randint(0, 2, 8).reshape(2, 2, 2)
         labels = one_hot_from(np.asarray(idx), 2)
         loss = ce_dice_loss(constant(probs), labels, lam_ce=1.0, lam_dice=0.0)
         assert abs(loss.value.at(0, 0, 0, 0) - math.log(2.0)) < 1e-12
 
     def test_non_one_hot_rejected(self):
-        probs = Tensor4.full(Shape4(2, 2, 2, 2), 0.5)
+        probs = full(Shape4(2, 2, 2, 2), 0.5)
         with pytest.raises(ValueError):
             ce_dice_loss(constant(probs), probs)
 
     def test_shape_mismatch(self):
-        probs = Tensor4.full(Shape4(2, 2, 2, 2), 0.5)
+        probs = full(Shape4(2, 2, 2, 2), 0.5)
         labels = one_hot_from(np.zeros((2, 2, 4), dtype=np.int64), 2)
         with pytest.raises(ValueError):
             ce_dice_loss(constant(probs), labels)

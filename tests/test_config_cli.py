@@ -1,15 +1,30 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from voxseg.cli.config import (ConfigError, TrainConfig, apply_overrides,
+import voxseg
+import voxseg.atomic as atomic
+from conftest import FUZZ, FailsHalfway, mutated
+from voxseg.cli.config import (ConfigError, TrainConfig, apply_overrides, load_config,
                                parse_config, serialize_config)
-from voxseg.cli.main import EXIT_NUMERIC, main
+from voxseg.cli.main import EXIT_NUMERIC, EXIT_USAGE, main
+from voxseg.cli.train import run_training
 from voxseg.nn import build_backbone, save_checkpoint
 from voxseg.tensor import Rng
 from voxseg.volume import read_vvol
+
+
+FLOAT_KEYS = [f.name for f in fields(TrainConfig)
+              if isinstance(f.default, float)
+              or (isinstance(f.default, tuple) and isinstance(f.default[0], float))]
 
 
 class TestConfigParsing:
@@ -61,6 +76,55 @@ class TestConfigParsing:
     def test_lookup_rate_used_when_unset(self):
         cfg = apply_overrides(TrainConfig(), {"factors": "4,4,2"})
         assert cfg.resolved_initial_lr() == 2.0e-3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value, tmp_path):
+        raw = value if key != "spacing" else f"1,{value},1"
+        with pytest.raises(ConfigError):
+            apply_overrides(TrainConfig(), {key: raw})
+        with pytest.raises(ConfigError):
+            parse_config(f"{key}={raw}\n")
+        data = tmp_path / "data"
+        assert main(["gen-data", f"--{key.replace('_', '-')}={raw}",
+                     "--data-dir", str(data)]) == EXIT_USAGE
+        assert not data.exists()
+
+    def test_file_then_overrides(self, tmp_path):
+        # the file alone fails (patch 34 is not divisible by 4); the override fixes it
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=4\npatch=34,32,32\nfactors=4,4,2\n")
+        cfg = load_config(str(path), {"patch": "32,32,32", "seed": "6"})
+        assert (cfg.seed, cfg.patch, cfg.factors) == (6, (32, 32, 32), (4, 4, 2))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+
+class TestConfigFuzz:
+    """Whatever the bytes, load_config returns a TrainConfig or raises ConfigError."""
+
+    @given(raw=st.binary(max_size=128))
+    @FUZZ
+    def test_arbitrary_bytes(self, tmp_path, raw):
+        self._load(tmp_path, raw)
+
+    @given(raw=mutated([serialize_config(TrainConfig()).encode(),
+                        b"# desk net\nseed=7\npatch=16,16,16\nwidths=8,16\nk=8\n"
+                        b"extents=32,32,32\ninitial_lr=0.002\nspacing=0.5,0.5,1.5\n"]))
+    @FUZZ
+    def test_mutated_valid_files(self, tmp_path, raw):
+        self._load(tmp_path, raw)
+
+    @staticmethod
+    def _load(tmp_path, raw):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(raw)
+        try:
+            cfg = load_config(str(path))
+        except ConfigError:
+            return
+        assert all(math.isfinite(v) for v in (cfg.initial_lr, cfg.weight_decay,
+                                              cfg.noise_sigma, *cfg.spacing))
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +339,23 @@ class TestExitCodes:
         bad.write_text("not_a_key=1\n")
         assert main(["train", "--config", str(bad)]) == 1
 
+    def test_non_utf8_config(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed=3\ndata_dir=d\xe9\n")
+        with pytest.raises(ConfigError):
+            load_config(str(bad))
+        assert main(["train", "--config", str(bad)]) == EXIT_USAGE
+
+    def test_module_entry_point_prints_no_runtime_warning(self):
+        src = str(Path(voxseg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "voxseg.cli.main", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "usage: voxseg" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_bad_vvol_magic(self, tmp_path):
         bad = tmp_path / "bad.vvol"
         bad.write_bytes(b"NOPE" + bytes(64))
@@ -294,3 +375,35 @@ class TestExitCodes:
             "--out-labels", str(tmp_path / "l.vvol")])
         assert rc == EXIT_NUMERIC
         assert not (tmp_path / "p.vvol").exists()
+
+
+class TestRunlog:
+    """runlog.csv goes through the atomic writer, like the checkpoint."""
+
+    @staticmethod
+    def _config(data, out):
+        return TrainConfig(volumes=4, train_split=3, extents=(16, 16, 16), patch=(8, 8, 8),
+                           class_count=2, seed=5, k=4, widths=(4, 8), iterations=0,
+                           augment_count=0, data_dir=str(data), out_dir=str(out))
+
+    def test_failed_write_keeps_previous_log(self, tiny_workspace, tmp_path, monkeypatch):
+        _, data, _ = tiny_workspace
+        log = tmp_path / "runlog.csv"
+        log.write_bytes(b"record,iteration,lr,loss,dice_1\ntrain,1,0.001,0.5,\n")
+        before = log.read_bytes()
+        real_open = open
+
+        def failing_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FailsHalfway(fh, limit=0) if "runlog.csv" in str(path) else fh
+
+        monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            run_training(self._config(data, tmp_path))
+        assert log.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.vckp", "runlog.csv"]
+
+        monkeypatch.undo()
+        run_training(self._config(data, tmp_path))
+        assert log.read_bytes() == b"record,iteration,lr,loss,dice_1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.vckp", "runlog.csv"]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxseg.shuffle import (ShuffleFactors, down_shuffle, down_shuffle_adjoint,
-                            down_shuffle_reference, up_shuffle, up_shuffle_adjoint)
+from voxseg.shuffle import ShuffleFactors, down_shuffle, down_shuffle_reference, up_shuffle
 from voxseg.tensor import Rng, Shape4, Tensor4, dot
 
 
@@ -86,10 +85,22 @@ class TestUpShuffle:
             up_shuffle(t, ShuffleFactors(2, 2, 2))
 
 
+class TestFreshOutput:
+    @pytest.mark.parametrize("factors", [(1, 1, 1), (2, 2, 2), (2, 3, 1)])
+    def test_output_does_not_share_memory(self, factors):
+        f = ShuffleFactors(*factors)
+        t = Tensor4.gaussian(Shape4(2 * f.nx, 2 * f.ny, 2 * f.nz, 2), 0, 1, Rng(11))
+        down = down_shuffle(t, f)
+        up = up_shuffle(down, f)
+        assert not np.shares_memory(down.zyxc, t.zyxc)
+        assert not np.shares_memory(up.zyxc, down.zyxc)
+
+
 class TestAdjoint:
     def test_identity_factors(self):
         t = Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(6))
-        assert down_shuffle_adjoint(t, ShuffleFactors(1, 1, 1)).equal(t)
+        # a permutation's adjoint is its inverse: down_shuffle's is up_shuffle
+        assert up_shuffle(t, ShuffleFactors(1, 1, 1)).equal(t)
 
     def test_inner_product_exact(self):
         rng = Rng(7)
@@ -104,8 +115,8 @@ class TestAdjoint:
     def test_adjoint_of_forward_is_identity(self):
         t = Tensor4.gaussian(Shape4(4, 2, 2, 1), 0, 1, Rng(8))
         f = ShuffleFactors(2, 2, 2)
-        assert down_shuffle_adjoint(down_shuffle(t, f), f).equal(t)
-        assert up_shuffle_adjoint(up_shuffle(down_shuffle(t, f), f), f).equal(
+        assert up_shuffle(down_shuffle(t, f), f).equal(t)
+        assert down_shuffle(up_shuffle(down_shuffle(t, f), f), f).equal(
             down_shuffle(t, f))
 
 

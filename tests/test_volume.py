@@ -1,4 +1,3 @@
-import errno
 import math
 import struct
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ, mutated
+from conftest import FUZZ, FailsHalfway, full, mutated
 import voxseg.atomic as atomic
 from voxseg.cli.main import EXIT_DATA, main
 from voxseg.nn import save_checkpoint
@@ -33,12 +32,12 @@ def random_labels(seed, extents=(6, 5, 4), classes=3):
 
 class TestVolumeType:
     def test_label_range_enforced(self):
-        t = Tensor4.full(Shape4(2, 2, 2, 1), 3.0)
+        t = full(Shape4(2, 2, 2, 1), 3.0)
         with pytest.raises(ValueError):
             Volume(t, (1, 1, 1), "labels", 2)
 
     def test_non_integer_labels_rejected(self):
-        t = Tensor4.full(Shape4(2, 2, 2, 1), 0.5)
+        t = full(Shape4(2, 2, 2, 1), 0.5)
         with pytest.raises(ValueError):
             Volume(t, (1, 1, 1), "labels", 2)
 
@@ -178,33 +177,13 @@ class TestVvolFuzz:
             pass
 
 
-class _FailsHalfway:
-    """File stand-in whose first write over 64 bytes stores half, then fails."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-    def write(self, chunk):
-        data = memoryview(chunk).cast("B")
-        if len(data) > 64:
-            self._fh.write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "no space left on device")
-        return self._fh.write(data)
-
-
 def _write_volume(path, seed):
     write_vvol(random_image(seed), path)
 
 
 def _write_checkpoint(path, seed):
     save_checkpoint(path, {"w": Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(seed)),
-                           "b": Tensor4.full(Shape4(1, 1, 1, 2), float(seed))})
+                           "b": full(Shape4(1, 1, 1, 2), float(seed))})
 
 
 class TestAtomicWrite:
@@ -215,7 +194,7 @@ class TestAtomicWrite:
         before = path.read_bytes()
         real_open = open
         monkeypatch.setattr(atomic, "open",
-                            lambda *a, **k: _FailsHalfway(real_open(*a, **k)),
+                            lambda *a, **k: FailsHalfway(real_open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError):
             writer(path, 2)
@@ -271,7 +250,7 @@ class TestPatchSampling:
         assert abs(a.var() - 1.0) < 1e-8
 
     def test_constant_patch_becomes_zero(self):
-        t = Tensor4.full(Shape4(4, 4, 4, 1), 7.0)
+        t = full(Shape4(4, 4, 4, 1), 7.0)
         assert not normalize_patch(t).zyxc.any()
 
     def test_alignment(self):
@@ -371,6 +350,12 @@ class TestManifest:
         with pytest.raises(VvolError):
             read_manifest(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_bytes(b"a_img.vvol\ta_lab\xff.vvol\n")
+        with pytest.raises(VvolError):
+            read_manifest(path)
+
     def test_load_volumes(self, tmp_path):
         img, lab = random_image(51), random_labels(52)
         write_vvol(img, tmp_path / "i.vvol")
@@ -380,3 +365,28 @@ class TestManifest:
         assert len(pairs) == 1
         assert pairs[0][0].tensor.equal(img.tensor)
         assert pairs[0][1].tensor.equal(lab.tensor)
+
+
+class TestManifestFuzz:
+    """Whatever the bytes, read_manifest returns (image, labels) pairs or raises VvolError."""
+
+    @given(raw=st.binary(max_size=128))
+    @FUZZ
+    def test_arbitrary_bytes(self, tmp_path, raw):
+        self._read(tmp_path, raw)
+
+    @given(raw=mutated([b"vol_000_img.vvol\tvol_000_lab.vvol\n",
+                        "a\u00e9_img.vvol\tb_lab.vvol\n\nc_img.vvol\tc_lab.vvol\n".encode()]))
+    @FUZZ
+    def test_mutated_valid_files(self, tmp_path, raw):
+        self._read(tmp_path, raw)
+
+    @staticmethod
+    def _read(tmp_path, raw):
+        path = tmp_path / "fuzz.manifest"
+        path.write_bytes(raw)
+        try:
+            pairs = read_manifest(path)
+        except VvolError:
+            return
+        assert all(isinstance(a, str) and isinstance(b, str) for a, b in pairs)
