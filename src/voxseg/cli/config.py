@@ -70,7 +70,6 @@ class TrainConfig:
     def backbone_spec(self) -> BackboneSpec:
         return BackboneSpec(
             class_count=self.class_count,
-            in_channels=1,
             factors=self.factors,
             stem_channels=self.k,
             widths=self.widths,
@@ -83,6 +82,11 @@ class TrainConfig:
         return None if self.stride == (0, 0, 0) else self.stride
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.train_split < 1 or self.volumes <= self.train_split:
@@ -132,22 +136,15 @@ class TrainConfig:
 _HINTS = get_type_hints(TrainConfig)
 
 
-def _scalar(kind: type, raw: str):
-    value = kind(raw)
-    if kind is float and not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not a finite number")
-    return value
-
-
 def _parse_value(name: str, raw: str):
     if name not in _HINTS:
         raise ConfigError(f"unknown configuration key {name!r}")
     target = _HINTS[name]
     try:
         if get_origin(target) is not tuple:
-            return _scalar(target, raw)
+            return target(raw)
         kinds = get_args(target)  # (int, int, int), (float, float, float) or (int, ...)
-        parts = tuple(_scalar(kinds[0], p.strip()) for p in raw.split(","))
+        parts = tuple(kinds[0](p.strip()) for p in raw.split(","))
         if kinds[-1] is not Ellipsis and len(parts) != len(kinds):
             raise ValueError(f"expected {len(kinds)} components, got {len(parts)}")
         return parts

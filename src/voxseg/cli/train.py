@@ -12,7 +12,7 @@ import numpy as np
 from ..atomic import write_atomic
 from ..inference import decode_labels, predict_volume
 from ..metrics import BinaryMask, dice
-from ..nn import backward, build_backbone, ce_dice_loss, scale, save_checkpoint
+from ..nn import backward, build_backbone, ce_dice_loss, save_checkpoint
 from ..optim import LrSchedule, SgdState, lr_at, sgd_step
 from ..tensor import Rng, Tensor4
 from ..volume import (PatchSpec, augment_dataset, load_manifest_volumes,
@@ -44,8 +44,6 @@ class RunResult:
     final_train_loss: float
     final_val_loss: float
     final_val_dice: list[float]
-    peak_backbone_elements: int
-    total_backbone_elements: int
     wall_seconds: float
 
 
@@ -138,9 +136,8 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
             if not math.isfinite(loss_value):
                 raise NumericError(f"non-finite training loss at iteration {it}")
             batch_losses.append(loss_value)
-            backward(scale(loss, 1.0 / cfg.batch_size))
-        grads = {name: node.grad for name, node in params.items()}
-        sgd_step(params, grads, state)
+            backward(loss, 1.0 / cfg.batch_size)
+        sgd_step(params, state)
         last_train_loss = float(np.mean(batch_losses))
         iterations_run = it
         log_rows.append(
@@ -180,8 +177,6 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
     log_path = out_dir / "runlog.csv"
     write_atomic(log_path, [("\n".join(log_rows) + "\n").encode("utf-8")])
 
-    # peak/total from the most recent forward pass, if any
-    counts = net.last_activation_counts
     return RunResult(
         checkpoint_path=checkpoint_path,
         log_path=log_path,
@@ -189,7 +184,5 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
         final_train_loss=last_train_loss,
         final_val_loss=last_val_loss,
         final_val_dice=last_val_dice,
-        peak_backbone_elements=max((n for _, n in counts), default=0),
-        total_backbone_elements=sum(n for _, n in counts),
         wall_seconds=time.perf_counter() - started,
     )

@@ -2,14 +2,17 @@
 
 The graph is micrograd-style: every operation returns a Node holding its
 Tensor4 value, references to its parents, and a closure that scatters the
-node's gradient back to them. ``backward`` runs the closures once each in
-reverse topological order. Everything is float64.
+node's gradient back to them. ``backward(root, seed)`` sets the root's
+gradient to ``seed`` (1.0 for a scalar root by default, or an array of the
+root's shape, which projects a tensor-valued root) and runs the closures once
+each in reverse topological order. Everything is float64.
 
-Convolution is cross-correlation (no kernel flip) with zero padding and the
-output-extent formula floor((in + 2*pad - kernel) / stride) + 1 per axis.
+Convolution is cross-correlation (no kernel flip) at stride 1 with zero
+padding and the output-extent formula in + 2*pad - kernel + 1 per axis; the
+net downsamples only by shuffling and pooling, never by a strided convolution.
 Kernel weights live in a Tensor4 of shape (kx, ky, kz, c_in*c_out) whose
 channel index is ci * c_out + co. ``conv3d`` adds one GEMM per kernel tap, in
-place, into a stride-1 output grid laid over the flattened zero-padded input:
+place, into an output grid laid over the flattened zero-padded input:
 tap (dz, dy, dx) reads the rows from offset dz*Y*X + dy*X + dx on. All its
 GEMMs are scipy's ``dgemm``, because numpy's separate OpenBLAS thread pool
 contends with scipy's when both are used.
@@ -34,29 +37,31 @@ from .tensor import Rng, Shape4, Tensor4
 class Node:
     """One value in the computation record."""
 
-    __slots__ = ("value", "grad", "op", "_parents", "_backprop", "_backward_done")
+    __slots__ = ("value", "grad", "_parents", "_backprop", "_backward_done")
 
-    def __init__(self, value: Tensor4, parents: tuple = (), op: str = "leaf",
+    def __init__(self, value: Tensor4, parents: tuple = (),
                  backprop: Callable[["Node"], None] | None = None):
         self.value = value
         self.grad = np.zeros_like(value.zyxc)
-        self.op = op
         self._parents = parents
         self._backprop = backprop
         self._backward_done = False
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
 
 
 def constant(t: Tensor4) -> Node:
     return Node(t)
 
 
-def backward(root: Node) -> None:
-    """Accumulate gradients of ``root`` (a scalar) into every reachable node."""
-    if root.value.size != 1:
-        raise ValueError(f"backward root must be scalar, has {root.value.size} elements")
+def backward(root: Node, seed=None) -> None:
+    """Accumulate the gradients of <root, seed> into every reachable node.
+
+    ``seed`` is a float for a scalar root (default 1.0) or an array of the
+    root's (z, y, x, c) shape.
+    """
+    seed = 1.0 if seed is None else seed
+    if np.shape(seed) != root.grad.shape and (np.ndim(seed) or root.value.size != 1):
+        raise ValueError(f"seed of shape {np.shape(seed)} does not fit a root of "
+                         f"shape {root.grad.shape}")
     if root._backward_done:
         raise RuntimeError("backward already ran for this node; rebuild the graph")
     root._backward_done = True
@@ -77,7 +82,7 @@ def backward(root: Node) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    root.grad.fill(1.0)
+    root.grad[...] = seed
     for node in reversed(order):
         if node._backprop is not None:
             node._backprop(node)
@@ -87,59 +92,28 @@ def backward(root: Node) -> None:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def add(a: Node, b: Node) -> Node:
-    value = a.value.add(b.value)
-
-    def backprop(out: Node) -> None:
-        a.grad += out.grad
-        b.grad += out.grad
-
-    return Node(value, (a, b), "add", backprop)
+_ACTIVATIONS = ("relu", "identity")
 
 
-def mul(a: Node, b: Node) -> Node:
-    value = a.value.mul(b.value)
-
-    def backprop(out: Node) -> None:
-        a.grad += out.grad * b.value.zyxc
-        b.grad += out.grad * a.value.zyxc
-
-    return Node(value, (a, b), "mul", backprop)
-
-
-def scale(a: Node, factor: float) -> Node:
-    value = a.value.scale(factor)
-
-    def backprop(out: Node) -> None:
-        a.grad += out.grad * factor
-
-    return Node(value, (a,), "scale", backprop)
-
-
-def sum_all(a: Node) -> Node:
-    value = Tensor4.from_zyxc(np.array([[[[a.value.zyxc.sum()]]]]))
-
-    def backprop(out: Node) -> None:
-        a.grad += out.grad[0, 0, 0, 0]
-
-    return Node(value, (a,), "sum", backprop)
+def _check_activation(kind: str) -> None:
+    if kind not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def activation(x: Node, kind: str = "relu") -> Node:
     """Elementwise nonlinearity. Kinds: relu (max(0, v)), identity."""
+    _check_activation(kind)
     if kind == "identity":
         def backprop_id(out: Node) -> None:
             x.grad += out.grad
 
-        return Node(x.value, (x,), "identity", backprop_id)
-    if kind == "relu":
-        value = Tensor4.from_zyxc(np.maximum(x.value.zyxc, 0.0))
+        return Node(x.value, (x,), backprop_id)
+    value = Tensor4.from_zyxc(np.maximum(x.value.zyxc, 0.0))
 
-        def backprop(out: Node) -> None:
-            x.grad += out.grad * (x.value.zyxc > 0.0)
+    def backprop(out: Node) -> None:
+        x.grad += out.grad * (x.value.zyxc > 0.0)
 
-        return Node(value, (x,), "relu", backprop)
-    raise ValueError(f"unknown activation kind {kind!r}")
+    return Node(value, (x,), backprop)
 
 
 def concat_channels(a: Node, b: Node) -> Node:
@@ -150,7 +124,7 @@ def concat_channels(a: Node, b: Node) -> Node:
         a.grad += out.grad[:, :, :, :ca]
         b.grad += out.grad[:, :, :, ca:]
 
-    return Node(value, (a, b), "concat", backprop)
+    return Node(value, (a, b), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +138,7 @@ def down_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
     def backprop(out: Node) -> None:
         x.grad += up_shuffle(Tensor4.from_zyxc(out.grad, copy=False), factors).zyxc
 
-    return Node(value, (x,), "down_shuffle", backprop)
+    return Node(value, (x,), backprop)
 
 
 def up_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
@@ -174,30 +148,28 @@ def up_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
     def backprop(out: Node) -> None:
         x.grad += down_shuffle(Tensor4.from_zyxc(out.grad, copy=False), factors).zyxc
 
-    return Node(value, (x,), "up_shuffle", backprop)
+    return Node(value, (x,), backprop)
 
 
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_geometry(shape: Shape4, kernel, stride, padding) -> tuple[int, int, int]:
+def _conv_geometry(shape: Shape4, kernel, padding) -> tuple[int, int, int]:
     out = []
-    for extent, k, s, p in zip(shape.spatial, kernel, stride, padding):
-        o = (extent + 2 * p - k) // s + 1
+    for extent, k, p in zip(shape.spatial, kernel, padding):
+        o = extent + 2 * p - k + 1
         if o < 1:
             raise ValueError(
-                f"degenerate convolution output: extent {extent}, kernel {k}, "
-                f"stride {s}, padding {p}"
+                f"degenerate convolution output: extent {extent}, kernel {k}, padding {p}"
             )
         out.append(o)
     return tuple(out)
 
 
 def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
-           stride: tuple[int, int, int] = (1, 1, 1),
            padding: tuple[int, int, int] = (0, 0, 0)) -> Node:
-    """Cross-correlate ``x`` with a filter bank.
+    """Cross-correlate ``x`` with a filter bank at stride 1.
 
     ``weight`` has Tensor4 shape (kx, ky, kz, c_in*c_out) with channel index
     ci * c_out + co; ``bias`` has shape (1, 1, 1, c_out).
@@ -211,8 +183,8 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
         raise ValueError(
             f"channel mismatch: input has {x.value.shape.c}, filter expects {c_in}"
         )
-    oxyz = _conv_geometry(x.value.shape, kernel, stride, padding)
-    valid = tuple(slice(0, s * (o - 1) + 1, s) for s, o in zip(stride[::-1], oxyz[::-1]))
+    ox, oy, _ = _conv_geometry(x.value.shape, kernel, padding)
+    valid = np.s_[:, :oy, :ox]
     px, py, pz = padding
 
     xp = np.pad(x.value.zyxc, ((pz, pz), (py, py), (px, px), (0, 0)))
@@ -220,7 +192,7 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
     flat = xp.reshape(-1, c_in)
     taps = weight.value.zyxc.reshape(kz * ky * kx, c_in, c_out)
     offsets = [(dz * Y + dy) * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
-    # stride-1 outputs over the padded grid; rows past a row end wrap and are dropped
+    # outputs over the padded grid; rows past a row end wrap and are dropped
     grid = (Z - kz + 1, Y, X)
     n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
     acc = np.tile(bias.value.zyxc[0, 0, 0], (grid[0] * Y * X, 1))
@@ -246,7 +218,7 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
         weight.grad += gw.reshape(weight.grad.shape)
         x.grad += gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
 
-    return Node(value, (x, weight, bias), "conv3d", backprop)
+    return Node(value, (x, weight, bias), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +253,7 @@ def maxpool3(x: Node, factors: tuple[int, int, int]) -> Node:
         gwin = gwin.reshape(oz, oy, ox, C, fz, fy, fx).transpose(0, 4, 1, 5, 2, 6, 3)
         x.grad += gwin.reshape(Z, Y, X, C)
 
-    return Node(value, (x,), "maxpool", backprop)
+    return Node(value, (x,), backprop)
 
 
 def softmax_channels(x: Node) -> Node:
@@ -296,7 +268,7 @@ def softmax_channels(x: Node) -> Node:
         inner = (out.grad * p).sum(axis=3, keepdims=True)
         x.grad += p * (out.grad - inner)
 
-    return Node(value, (x,), "softmax", backprop)
+    return Node(value, (x,), backprop)
 
 
 def _check_one_hot(labels: Tensor4) -> None:
@@ -305,15 +277,18 @@ def _check_one_hot(labels: Tensor4) -> None:
         raise ValueError("labels must be one-hot over the channel axis")
 
 
+_DICE_SMOOTH = 1e-5
+_PROB_FLOOR = 1e-12
+
+
 def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
-                 lam_dice: float = 1.0, smooth: float = 1e-5,
-                 prob_floor: float = 1e-12) -> Node:
+                 lam_dice: float = 1.0) -> Node:
     """Weighted sum of mean voxelwise cross-entropy and soft-Dice losses.
 
     Soft Dice per foreground class is (2*sum(p*g) + smooth) /
-    (sum(p) + sum(g) + smooth); the Dice loss is one minus the mean over
-    foreground classes (channel 0 is background). Probabilities are floored
-    at ``prob_floor`` inside the log only.
+    (sum(p) + sum(g) + smooth) with smooth = 1e-5; the Dice loss is one minus
+    the mean over foreground classes (channel 0 is background). Probabilities
+    are floored at 1e-12 inside the log only.
     """
     if probs.value.shape != labels.shape:
         raise ValueError(f"shape mismatch: {probs.value.shape} vs {labels.shape}")
@@ -325,7 +300,7 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
     p = probs.value.zyxc
     g = labels.zyxc
     n_vox = p.shape[0] * p.shape[1] * p.shape[2]
-    p_safe = np.maximum(p, prob_floor)
+    p_safe = np.maximum(p, _PROB_FLOOR)
     ce = -(g * np.log(p_safe)).sum() / n_vox
 
     fg = range(1, K)
@@ -333,7 +308,7 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
     sums_p = [p[..., c].sum() for c in fg]
     sums_g = [g[..., c].sum() for c in fg]
     dices = [
-        (2.0 * spg + smooth) / (sp + sg + smooth)
+        (2.0 * spg + _DICE_SMOOTH) / (sp + sg + _DICE_SMOOTH)
         for spg, sp, sg in zip(sums_pg, sums_p, sums_g)
     ]
     dice_mean = sum(dices) / len(dices)
@@ -344,15 +319,15 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
         gl = out.grad[0, 0, 0, 0]
         grad = np.zeros_like(p)
         # cross-entropy: -g/p per element where the floor is inactive
-        grad += lam_ce * (-(g / p_safe) * (p > prob_floor)) / n_vox
+        grad += lam_ce * (-(g / p_safe) * (p > _PROB_FLOOR)) / n_vox
         # soft Dice, foreground channels only
         for c, spg, sp, sg in zip(fg, sums_pg, sums_p, sums_g):
-            denom = sp + sg + smooth
-            ddice = (2.0 * g[..., c] * denom - (2.0 * spg + smooth)) / (denom * denom)
+            denom = sp + sg + _DICE_SMOOTH
+            ddice = (2.0 * g[..., c] * denom - (2.0 * spg + _DICE_SMOOTH)) / (denom * denom)
             grad[..., c] -= lam_dice * ddice / len(dices)
         probs.grad += gl * grad
 
-    return Node(value, (probs,), "ce_dice", backprop)
+    return Node(value, (probs,), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +335,7 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
 # ---------------------------------------------------------------------------
 
 class Conv3d:
-    """Filter bank + bias with fixed stride/padding; owns its parameter nodes.
+    """Stride-1 filter bank + bias with fixed padding; owns its parameter nodes.
 
     Default padding "same" keeps spatial extents (odd kernels only);
     weights are sampled N(0, sigma) and biases start at zero. Without an
@@ -368,7 +343,6 @@ class Conv3d:
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int, int] = (3, 3, 3),
-                 stride: tuple[int, int, int] = (1, 1, 1),
                  padding: tuple[int, int, int] | str = "same",
                  rng: Rng | None = None, sigma: float = 0.01):
         if c_in < 1 or c_out < 1:
@@ -378,7 +352,6 @@ class Conv3d:
                 raise ValueError(f"'same' padding requires odd kernel extents, got {kernel}")
             padding = tuple(k // 2 for k in kernel)
         self.kernel = tuple(kernel)
-        self.stride = tuple(stride)
         self.padding = tuple(padding)
         self.c_in = c_in
         self.c_out = c_out
@@ -387,11 +360,11 @@ class Conv3d:
             weight_value = Tensor4.zeros(wshape)
         else:
             weight_value = Tensor4.gaussian(wshape, 0.0, sigma, rng)
-        self.weight = Node(weight_value, op="param")
-        self.bias = Node(Tensor4.zeros(Shape4(1, 1, 1, c_out)), op="param")
+        self.weight = Node(weight_value)
+        self.bias = Node(Tensor4.zeros(Shape4(1, 1, 1, c_out)))
 
     def __call__(self, x: Node) -> Node:
-        return conv3d(x, self.weight, self.bias, self.kernel, self.stride, self.padding)
+        return conv3d(x, self.weight, self.bias, self.kernel, self.padding)
 
     def parameters(self) -> list[tuple[str, Node]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -426,7 +399,6 @@ class ConvUpShuffle:
     def __init__(self, c_in: int, c_out: int, factors: ShuffleFactors, rng: Rng,
                  kernel: tuple[int, int, int] = (3, 3, 3), sigma: float = 0.01):
         self.factors = ShuffleFactors(*factors).validate()
-        self.c_out = c_out
         self.conv = Conv3d(c_in, c_out * self.factors.product, kernel=kernel,
                            rng=rng, sigma=sigma)
 
@@ -451,7 +423,6 @@ class BackboneSpec:
     """
 
     class_count: int
-    in_channels: int = 1
     factors: tuple[int, int, int] = (1, 1, 1)
     stem_channels: int = 64
     widths: tuple[int, ...] = (32, 64, 128)
@@ -462,13 +433,14 @@ class BackboneSpec:
     def validate(self) -> "BackboneSpec":
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
-        if self.in_channels < 1 or self.stem_channels < 1:
-            raise ValueError("channel counts must be >= 1")
+        if self.stem_channels < 1:
+            raise ValueError("stem_channels must be >= 1")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError(f"bad encoder widths {self.widths}")
         ShuffleFactors(*self.factors).validate()
         if min(self.pool) < 1:
             raise ValueError(f"pool factors must be >= 1, got {self.pool}")
+        _check_activation(self.act)
         return self
 
     @property
@@ -493,7 +465,7 @@ class BackboneSpec:
 
 class ShuffleUNet3d:
     """Down-shuffle stem, U-net style encoder/decoder with skip concatenation,
-    conv+up-shuffle head, softmax output.
+    conv+up-shuffle head, softmax output. Input patches have one channel.
 
     With factors (1, 1, 1) at both ends this is a plain U-net baseline.
     Each forward pass records the element count of every backbone activation
@@ -506,7 +478,7 @@ class ShuffleUNet3d:
         self.spec = spec
         factors = ShuffleFactors(*spec.factors)
         widths = spec.widths
-        self.stem = DownShuffleConv(spec.in_channels, spec.stem_channels, factors,
+        self.stem = DownShuffleConv(1, spec.stem_channels, factors,
                                     rng.spawn(0), act=spec.act, sigma=spec.init_sigma)
         self.enc: list[Conv3d] = []
         prev = spec.stem_channels
@@ -544,16 +516,14 @@ class ShuffleUNet3d:
 
     def zero_grad(self) -> None:
         for node in self.parameters().values():
-            node.zero_grad()
+            node.grad.fill(0.0)
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, patch: Tensor4 | Node) -> Node:
+    def forward(self, patch: Tensor4) -> Node:
         """Class probability map for one patch (softmax over channels)."""
-        self.spec.check_input_extents(
-            patch.shape.spatial if isinstance(patch, Tensor4) else patch.value.shape.spatial
-        )
-        x = constant(patch) if isinstance(patch, Tensor4) else patch
+        self.spec.check_input_extents(patch.shape.spatial)
+        x = constant(patch)
         acts: list[tuple[str, int]] = []
 
         def track(label: str, node: Node) -> Node:

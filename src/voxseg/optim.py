@@ -77,23 +77,22 @@ class SgdState:
         self.iteration = 0
 
 
-def sgd_step(params: Mapping[str, Node], grads: Mapping[str, np.ndarray],
-             state: SgdState) -> bool:
-    """Apply one update in place. Returns False (and skips) on non-finite grads."""
-    if set(params) != set(grads) or set(params) != set(state.velocity):
-        raise ValueError("parameter, gradient, and velocity names must match")
+def sgd_step(params: Mapping[str, Node], state: SgdState) -> bool:
+    """Apply one update from each node's ``grad``, in place.
+
+    Returns False (and skips) on non-finite grads.
+    """
+    if set(params) != set(state.velocity):
+        raise ValueError("parameter and velocity names must match")
     for name, node in params.items():
-        if grads[name].shape != node.value.zyxc.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-    for name in params:
-        if not np.isfinite(grads[name]).all():
+        if not np.isfinite(node.grad).all():
             warnings.warn(f"non-finite gradient for {name}; step skipped", RuntimeWarning)
             return False
     for name, node in params.items():
         v = state.velocity[name]
         w = node.value.zyxc
         v *= state.momentum
-        v += grads[name]
+        v += node.grad
         if state.weight_decay:
             v += state.weight_decay * w
         w -= state.lr * v

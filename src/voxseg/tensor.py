@@ -133,22 +133,6 @@ class Tensor4:
     def copy(self) -> "Tensor4":
         return Tensor4(self._zyxc.copy())
 
-    # -- elementwise arithmetic --------------------------------------------
-
-    def _binary(self, other: "Tensor4", fn) -> "Tensor4":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Tensor4(fn(self._zyxc, other._zyxc))
-
-    def add(self, other: "Tensor4") -> "Tensor4":
-        return self._binary(other, np.add)
-
-    def mul(self, other: "Tensor4") -> "Tensor4":
-        return self._binary(other, np.multiply)
-
-    def scale(self, factor: float) -> "Tensor4":
-        return Tensor4(self._zyxc * float(factor))
-
     # -- structure ----------------------------------------------------------
 
     def concat_channels(self, other: "Tensor4") -> "Tensor4":

@@ -13,15 +13,19 @@ def full(shape: Shape4, value: float) -> Tensor4:
     return Tensor4.from_zyxc(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
 
 
-def fd_gradient_error(build_loss, leaf_tensors, eps=1e-5):
+def fd_gradient_error(build, leaf_tensors, seed=1.0):
     """Worst relative error between backprop and central finite differences.
 
-    ``build_loss`` maps a list of leaf Nodes to a scalar Node; every leaf is
-    perturbed coordinate by coordinate. The relative error for a leaf is
+    ``build`` maps a list of leaf Nodes to an output Node. The analytic side
+    is ``backward(out, seed)``; the numeric side differentiates the projection
+    ``(out.value.zyxc * seed).sum()``, perturbing every leaf coordinate by
+    coordinate. ``seed`` is 1.0 for a scalar output or an array of the
+    output's (z, y, x, c) shape. The relative error for a leaf is
     max|ga - gn| / (max|ga| + max|gn|).
     """
+    eps = 1e-5
     leaves = [constant(t) for t in leaf_tensors]
-    backward(build_loss(leaves))
+    backward(build(leaves), seed)
     analytic = [leaf.grad.copy() for leaf in leaves]
     worst = 0.0
     for li, tensor in enumerate(leaf_tensors):
@@ -38,7 +42,7 @@ def fd_gradient_error(build_loss, leaf_tensors, eps=1e-5):
                     else constant(Tensor4.from_flat(t.shape, buf))
                     for j, t in enumerate(leaf_tensors)
                 ]
-                probes.append(build_loss(mod).value.at(0, 0, 0, 0))
+                probes.append((build(mod).value.zyxc * seed).sum())
             gn[i] = (probes[0] - probes[1]) / (2.0 * eps)
         denom = np.abs(ga).max() + np.abs(gn).max() + 1e-300
         worst = max(worst, float(np.abs(ga - gn.reshape(ga.shape)).max() / denom))

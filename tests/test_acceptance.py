@@ -20,7 +20,7 @@ from voxseg.cli.train import run_training
 from voxseg.inference import predict_volume
 from voxseg.metrics import BinaryMask, asd, dice, hausdorff
 from voxseg.nn import (BackboneSpec, activation, ce_dice_loss, conv3d, build_backbone,
-                       constant, maxpool3, mul, softmax_channels, sum_all)
+                       maxpool3, softmax_channels)
 from voxseg.shuffle import (ShuffleFactors, down_shuffle, down_shuffle_reference,
                             up_shuffle)
 from voxseg.tensor import Rng, Shape4, Tensor4, dot
@@ -75,40 +75,37 @@ class TestGradientSuite:
     TOL = 1e-6
     BACKBONE_TOL = 1e-5
 
-    def projected(self, op, shape_out, seed):
-        proj = constant(Tensor4.gaussian(shape_out, 0.0, 1.0, Rng(seed)))
-
-        def build(leaves):
-            return sum_all(mul(op(leaves), proj))
-
-        return build
-
     def test_all_operations(self):
         started = time.perf_counter()
         rng = Rng(303)
         errors = {}
 
+        def projection(shape, seed):  # the seed that projects an output to a scalar
+            return Tensor4.gaussian(shape, 0.0, 1.0, Rng(seed)).zyxc
+
         x = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, rng)
         w = Tensor4.gaussian(Shape4(3, 3, 3, 4), 0, 0.5, rng)
         b = Tensor4.gaussian(Shape4(1, 1, 1, 2), 0, 0.5, rng)
         errors["conv3d"] = fd_gradient_error(
-            self.projected(lambda l: conv3d(l[0], l[1], l[2], (3, 3, 3), (1, 1, 1),
-                                            (1, 1, 1)), Shape4(3, 3, 3, 2), 1),
-            [x, w, b])
+            lambda l: conv3d(l[0], l[1], l[2], (3, 3, 3), (1, 1, 1)),
+            [x, w, b], projection(Shape4(3, 3, 3, 2), 1))
 
         relu_in = Rng(304).normal(16)
         relu_in += np.sign(relu_in) * 0.25
         errors["activation"] = fd_gradient_error(
-            self.projected(lambda l: activation(l[0], "relu"), Shape4(2, 2, 2, 2), 2),
-            [Tensor4.from_flat(Shape4(2, 2, 2, 2), relu_in)])
+            lambda l: activation(l[0], "relu"),
+            [Tensor4.from_flat(Shape4(2, 2, 2, 2), relu_in)],
+            projection(Shape4(2, 2, 2, 2), 2))
 
         errors["maxpool"] = fd_gradient_error(
-            self.projected(lambda l: maxpool3(l[0], (2, 2, 2)), Shape4(2, 2, 1, 2), 3),
-            [Tensor4.gaussian(Shape4(4, 4, 2, 2), 0, 1, rng)])
+            lambda l: maxpool3(l[0], (2, 2, 2)),
+            [Tensor4.gaussian(Shape4(4, 4, 2, 2), 0, 1, rng)],
+            projection(Shape4(2, 2, 1, 2), 3))
 
         errors["softmax"] = fd_gradient_error(
-            self.projected(lambda l: softmax_channels(l[0]), Shape4(2, 2, 2, 3), 4),
-            [Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, rng)])
+            lambda l: softmax_channels(l[0]),
+            [Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, rng)],
+            projection(Shape4(2, 2, 2, 3), 4))
 
         idx = Rng(305).randint(0, 2, 64).reshape(4, 4, 4)
         hot = np.zeros((4, 4, 4, 2))
@@ -127,9 +124,10 @@ class TestGradientSuite:
             return stem(leaves[0])
 
         errors["down-shuffle-conv"] = fd_gradient_error(
-            self.projected(stem_op, Shape4(2, 2, 2, 3), 5),
+            stem_op,
             [Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, rng),
-             stem.conv.weight.value.copy(), stem.conv.bias.value.copy()])
+             stem.conv.weight.value.copy(), stem.conv.bias.value.copy()],
+            projection(Shape4(2, 2, 2, 3), 5))
 
         head = ConvUpShuffle(2, 1, ShuffleFactors(2, 2, 2), Rng(307), sigma=0.3)
 
@@ -138,9 +136,10 @@ class TestGradientSuite:
             return head(leaves[0])
 
         errors["conv-up-shuffle"] = fd_gradient_error(
-            self.projected(head_op, Shape4(4, 4, 4, 1), 6),
+            head_op,
             [Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, rng),
-             head.conv.weight.value.copy(), head.conv.bias.value.copy()])
+             head.conv.weight.value.copy(), head.conv.bias.value.copy()],
+            projection(Shape4(4, 4, 4, 1), 6))
 
         ok = all(err < self.TOL for err in errors.values())
         elapsed = time.perf_counter() - started

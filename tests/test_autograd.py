@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient_error, full
-from voxseg.nn import (Conv3d, activation, add, backward, ce_dice_loss,
-                       concat_channels, constant, conv3d, down_shuffle_op, maxpool3,
-                       mul, scale, softmax_channels, sum_all, up_shuffle_op)
+from voxseg.nn import (BackboneSpec, Conv3d, activation, backward, build_backbone,
+                       ce_dice_loss, concat_channels, constant, conv3d, down_shuffle_op,
+                       maxpool3, softmax_channels, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 GRAD_TOL = 1e-6
@@ -16,14 +16,11 @@ def scalar(v):
     return constant(Tensor4.from_flat(Shape4(1, 1, 1, 1), [v]))
 
 
-def random_projection(shape, seed):
-    return constant(Tensor4.gaussian(shape, 0.0, 1.0, Rng(seed)))
-
-
 class TestEngine:
     def test_product_rule_on_scalars(self):
+        # a 1x1x1 convolution of one voxel and one channel is the product x * y
         x, y = scalar(3.0), scalar(4.0)
-        backward(mul(x, y))
+        backward(conv3d(x, y, scalar(0.0), (1, 1, 1)))
         assert x.grad[0, 0, 0, 0] == 4.0
         assert y.grad[0, 0, 0, 0] == 3.0
 
@@ -37,21 +34,47 @@ class TestEngine:
             backward(node)
 
     def test_double_backward_rejected(self):
-        root = sum_all(scalar(2.0))
+        root = activation(scalar(2.0), "identity")
         backward(root)
         with pytest.raises(RuntimeError):
             backward(root)
 
     def test_shared_node_accumulates(self):
-        x = scalar(5.0)
-        backward(add(mul(x, x), x))  # d(x^2 + x)/dx = 2x + 1
-        assert x.grad[0, 0, 0, 0] == 11.0
+        x = constant(Tensor4.gaussian(Shape4(2, 3, 2, 2), 0, 1, Rng(2)))
+        g = Tensor4.gaussian(Shape4(2, 3, 2, 4), 0, 1, Rng(3)).zyxc
+        backward(concat_channels(x, x), g)
+        assert np.array_equal(x.grad, g[..., :2] + g[..., 2:])
 
     def test_scale_and_sum(self):
+        # seeding with 3 everywhere backpropagates 3 * sum(x)
         t = Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(2))
         x = constant(t)
-        backward(scale(sum_all(x), 3.0))
+        backward(x, full(t.shape, 3.0).zyxc)
         assert (x.grad == 3.0).all()
+
+    def test_half_seed_halves_every_gradient_exactly(self):
+        spec = BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=2,
+                            widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
+        x = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(40))
+        idx = np.asarray(Rng(41).randint(0, 2, 8 ** 3)).reshape(8, 8, 8)
+        labels = one_hot_from(idx, 2)
+        grads = []
+        for seed in (None, 0.5):
+            net = build_backbone(spec, Rng(42))
+            backward(ce_dice_loss(net.forward(x), labels), seed)
+            grads.append({name: node.grad for name, node in net.parameters().items()})
+        full_grads, half_grads = grads
+        for name, g in full_grads.items():
+            assert g.any(), name
+            assert np.array_equal(half_grads[name], 0.5 * g), name
+
+    @pytest.mark.parametrize("seed_shape", [(1, 1, 1, 2), (2, 1, 1, 1, 1), (2,)])
+    def test_seed_shape_must_fit_root(self, seed_shape):
+        root = constant(Tensor4.zeros(Shape4(2, 1, 1, 1)))
+        with pytest.raises(ValueError):
+            backward(root, np.ones(seed_shape))
+        with pytest.raises(ValueError):
+            backward(scalar(1.0), np.ones(seed_shape))
 
 
 class TestActivation:
@@ -62,7 +85,7 @@ class TestActivation:
     def test_relu_gradient_signs(self):
         t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
         x = constant(t)
-        backward(sum_all(activation(x, "relu")))
+        backward(activation(x, "relu"), np.ones(x.grad.shape))
         assert x.grad.reshape(-1).tolist() == [0.0, 1.0]
 
     def test_identity_kind(self):
@@ -77,12 +100,8 @@ class TestActivation:
         vals = Rng(4).normal(16)
         vals += np.sign(vals) * 0.25  # keep clear of the origin
         t = Tensor4.from_flat(Shape4(2, 2, 2, 2), vals)
-        proj = random_projection(t.shape, 5)
-
-        def build(leaves):
-            return sum_all(mul(activation(leaves[0], "relu"), proj))
-
-        assert fd_gradient_error(build, [t]) < GRAD_TOL
+        proj = Tensor4.gaussian(t.shape, 0, 1, Rng(5)).zyxc
+        assert fd_gradient_error(lambda l: activation(l[0], "relu"), [t], proj) < GRAD_TOL
 
 
 class TestConv3d:
@@ -123,43 +142,29 @@ class TestConv3d:
         x = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, rng)
         w = Tensor4.gaussian(Shape4(3, 3, 3, 4), 0, 0.5, rng)
         b = Tensor4.gaussian(Shape4(1, 1, 1, 2), 0, 0.5, rng)
-        proj = random_projection(Shape4(3, 3, 3, 2), 11)
+        proj = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, Rng(11)).zyxc
 
         def build(leaves):
-            out = conv3d(leaves[0], leaves[1], leaves[2], (3, 3, 3), (1, 1, 1), (1, 1, 1))
-            return sum_all(mul(out, proj))
+            return conv3d(leaves[0], leaves[1], leaves[2], (3, 3, 3), (1, 1, 1))
 
-        assert fd_gradient_error(build, [x, w, b]) < GRAD_TOL
-
-    def test_fd_strided(self):
-        rng = Rng(12)
-        x = Tensor4.gaussian(Shape4(5, 4, 5, 1), 0, 1, rng)
-        w = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 0.5, rng)
-        b = Tensor4.gaussian(Shape4(1, 1, 1, 2), 0, 0.5, rng)
-        proj = random_projection(Shape4(3, 2, 5, 2), 13)
-
-        def build(leaves):
-            out = conv3d(leaves[0], leaves[1], leaves[2], (3, 3, 3), (2, 2, 1), (1, 1, 1))
-            return sum_all(mul(out, proj))
-
-        assert fd_gradient_error(build, [x, w, b]) < GRAD_TOL
+        assert fd_gradient_error(build, [x, w, b], proj) < GRAD_TOL
 
 
-def conv_oracle(x, w, b, kernel, stride, padding):
+def conv_oracle(x, w, b, kernel, padding):
     """Direct nested-sum cross-correlation on zyxc arrays; also returns the
     weight gradient for an output gradient ``g`` via the same index map."""
     kx, ky, kz = kernel
     c_in, c_out = x.shape[3], b.shape[3]
     w5 = w.reshape(kz, ky, kx, c_in, c_out)
     Z, Y, X = x.shape[:3]
-    oz, oy, ox = ((e + 2 * p - k) // s + 1 for e, k, s, p in
-                  zip((Z, Y, X), (kz, ky, kx), stride[::-1], padding[::-1]))
+    oz, oy, ox = (e + 2 * p - k + 1 for e, k, p in
+                  zip((Z, Y, X), (kz, ky, kx), padding[::-1]))
     pairs = []  # (output index, input index, tap index) of every in-bounds product
     for z, y, xx in np.ndindex(oz, oy, ox):
         for dz, dy, dx in np.ndindex(kz, ky, kx):
-            iz = z * stride[2] + dz - padding[2]
-            iy = y * stride[1] + dy - padding[1]
-            ix = xx * stride[0] + dx - padding[0]
+            iz = z + dz - padding[2]
+            iy = y + dy - padding[1]
+            ix = xx + dx - padding[0]
             if 0 <= iz < Z and 0 <= iy < Y and 0 <= ix < X:
                 pairs.append(((z, y, xx), (iz, iy, ix), (dz, dy, dx)))
     out = np.zeros((oz, oy, ox, c_out)) + b[0, 0, 0]
@@ -181,32 +186,32 @@ def assert_rel_close(got, want, rtol=1e-12):
 
 
 CONV_CASES = [
-    # (input extents x,y,z), c_in, c_out, kernel, stride, padding
-    ((5, 4, 6), 1, 3, (3, 3, 3), (1, 1, 1), (1, 1, 1)),
-    ((4, 5, 3), 2, 1, (3, 3, 3), (1, 1, 1), (0, 0, 0)),
-    ((3, 4, 5), 3, 2, (1, 1, 1), (1, 1, 1), (0, 0, 0)),
-    ((3, 2, 4), 2, 2, (1, 1, 1), (1, 1, 1), (1, 1, 1)),
-    ((5, 4, 5), 2, 3, (3, 3, 3), (2, 2, 1), (1, 1, 1)),
-    ((6, 5, 4), 1, 1, (3, 3, 3), (2, 2, 1), (0, 0, 0)),
-    ((4, 6, 5), 2, 2, (2, 3, 1), (1, 1, 1), (1, 0, 0)),
+    # (input extents x,y,z), c_in, c_out, kernel, padding
+    ((5, 4, 6), 1, 3, (3, 3, 3), (1, 1, 1)),
+    ((4, 5, 3), 2, 1, (3, 3, 3), (0, 0, 0)),
+    ((3, 4, 5), 3, 2, (1, 1, 1), (0, 0, 0)),
+    ((3, 2, 4), 2, 2, (1, 1, 1), (1, 1, 1)),
+    ((5, 4, 5), 2, 3, (3, 3, 3), (1, 1, 1)),
+    ((6, 5, 4), 1, 1, (3, 3, 3), (0, 0, 0)),
+    ((4, 6, 5), 2, 2, (2, 3, 1), (1, 0, 0)),
 ]
 
 
 class TestConv3dOracle:
-    @pytest.mark.parametrize("extents,c_in,c_out,kernel,stride,padding", CONV_CASES)
+    @pytest.mark.parametrize("extents,c_in,c_out,kernel,padding", CONV_CASES)
     def test_forward_and_backward_match_direct_sums(self, extents, c_in, c_out, kernel,
-                                                    stride, padding):
+                                                    padding):
         rng = Rng(30 + sum(extents) + 7 * c_in + c_out)
         x = constant(Tensor4.gaussian(Shape4(*extents, c_in), 0, 1, rng))
         w = constant(Tensor4.gaussian(Shape4(*kernel, c_in * c_out), 0, 1, rng))
         b = constant(Tensor4.gaussian(Shape4(1, 1, 1, c_out), 0, 1, rng))
-        out = conv3d(x, w, b, kernel, stride, padding)
+        out = conv3d(x, w, b, kernel, padding)
         want, weight_grad = conv_oracle(x.value.zyxc, w.value.zyxc, b.value.zyxc,
-                                        kernel, stride, padding)
+                                        kernel, padding)
         assert_rel_close(out.value.zyxc, want)
 
         g = Tensor4.gaussian(out.value.shape, 0, 1, rng)
-        backward(sum_all(mul(out, constant(g))))
+        backward(out, g.zyxc)
         # adjoint identity for the linear part: <conv(x) - b, g> = <x, dX(g)>
         lhs = ((out.value.zyxc - b.value.zyxc[0, 0, 0]) * g.zyxc).sum()
         rhs = (x.value.zyxc * x.grad).sum()
@@ -220,9 +225,10 @@ class TestConv3dOracle:
         x = constant(Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, rng))
         w = constant(Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 1, rng))
         b = constant(Tensor4.zeros(Shape4(1, 1, 1, 3)))
-        backward(sum_all(conv3d(x, w, b, (3, 3, 3), (1, 1, 1), (1, 1, 1))))
+        ones = np.ones((4, 4, 4, 3))
+        backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), ones)
         once_x, once_w = x.grad.copy(), w.grad.copy()
-        backward(sum_all(conv3d(x, w, b, (3, 3, 3), (1, 1, 1), (1, 1, 1))))
+        backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), ones)
         assert_rel_close(x.grad, 2 * once_x)
         assert_rel_close(w.grad, 2 * once_w)
 
@@ -244,7 +250,7 @@ class TestMaxpool:
 
     def test_tie_routes_to_first_in_layout_order(self):
         x = constant(full(Shape4(2, 2, 2, 1), 1.0))
-        backward(sum_all(maxpool3(x, (2, 2, 2))))
+        backward(maxpool3(x, (2, 2, 2)))
         grads = x.grad.reshape(-1)
         assert grads[0] == 1.0 and not grads[1:].any()
 
@@ -254,12 +260,8 @@ class TestMaxpool:
 
     def test_fd(self):
         t = Tensor4.gaussian(Shape4(4, 4, 2, 2), 0, 1, Rng(15))
-        proj = random_projection(Shape4(2, 2, 1, 2), 16)
-
-        def build(leaves):
-            return sum_all(mul(maxpool3(leaves[0], (2, 2, 2)), proj))
-
-        assert fd_gradient_error(build, [t]) < GRAD_TOL
+        proj = Tensor4.gaussian(Shape4(2, 2, 1, 2), 0, 1, Rng(16)).zyxc
+        assert fd_gradient_error(lambda l: maxpool3(l[0], (2, 2, 2)), [t], proj) < GRAD_TOL
 
 
 class TestConcat:
@@ -268,22 +270,21 @@ class TestConcat:
         b = constant(Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(18)))
         cat = concat_channels(a, b)
         assert cat.value.shape.c == 3
-        proj = Tensor4.gaussian(cat.value.shape, 0, 1, Rng(19))
-        backward(sum_all(mul(cat, constant(proj))))
-        assert np.array_equal(a.grad, proj.zyxc[..., :2])
-        assert np.array_equal(b.grad, proj.zyxc[..., 2:])
+        proj = Tensor4.gaussian(cat.value.shape, 0, 1, Rng(19)).zyxc
+        backward(cat, proj)
+        assert np.array_equal(a.grad, proj[..., :2])
+        assert np.array_equal(b.grad, proj[..., 2:])
 
 
 class TestShuffleOps:
     def test_fd_down_up(self):
         t = Tensor4.gaussian(Shape4(4, 4, 2, 1), 0, 1, Rng(20))
-        proj = random_projection(t.shape, 21)
+        proj = Tensor4.gaussian(t.shape, 0, 1, Rng(21)).zyxc
 
         def build(leaves):
-            d = down_shuffle_op(leaves[0], (2, 2, 2))
-            return sum_all(mul(up_shuffle_op(d, (2, 2, 2)), proj))
+            return up_shuffle_op(down_shuffle_op(leaves[0], (2, 2, 2)), (2, 2, 2))
 
-        assert fd_gradient_error(build, [t]) < GRAD_TOL
+        assert fd_gradient_error(build, [t], proj) < GRAD_TOL
 
 
 class TestSoftmax:
@@ -304,12 +305,8 @@ class TestSoftmax:
 
     def test_fd(self):
         t = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(23))
-        proj = random_projection(t.shape, 24)
-
-        def build(leaves):
-            return sum_all(mul(softmax_channels(leaves[0]), proj))
-
-        assert fd_gradient_error(build, [t]) < GRAD_TOL
+        proj = Tensor4.gaussian(t.shape, 0, 1, Rng(24)).zyxc
+        assert fd_gradient_error(lambda l: softmax_channels(l[0]), [t], proj) < GRAD_TOL
 
 
 def one_hot_from(idx, class_count):

@@ -90,6 +90,14 @@ class TestConfigParsing:
                      "--data-dir", str(data)]) == EXIT_USAGE
         assert not data.exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected_in_code_built_config(self, key, value):
+        default = getattr(TrainConfig(), key)
+        bad = (default[0], value, default[2]) if isinstance(default, tuple) else value
+        with pytest.raises(ConfigError):
+            TrainConfig(**{key: bad}).validate()
+
     def test_file_then_overrides(self, tmp_path):
         # the file alone fails (patch 34 is not divisible by 4); the override fixes it
         path = tmp_path / "run.cfg"
@@ -330,6 +338,16 @@ class TestExitCodes:
                       + ["--iterations", "400", "--val-interval", "400",
                          "--augment-count", "0", "--initial-lr", "1000000.0"])
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_unknown_activation_is_config_error(self, tiny_workspace, tmp_path, command,
+                                                capsys):
+        _, data, _ = tiny_workspace
+        data_dir = data if command == "train" else tmp_path / "data"
+        args = common_net_args(data_dir, tmp_path / "run") + ["--activation", "tanh"]
+        assert main([command] + args) == EXIT_USAGE
+        assert "unknown activation kind 'tanh'" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

@@ -52,18 +52,16 @@ class TestStemLayer:
     def test_fd_gradients(self):
         layer = DownShuffleConv(1, 3, ShuffleFactors(2, 2, 2), Rng(7))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(8))
-        proj = constant(Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(9)))
+        proj = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(9)).zyxc
         w0 = layer.conv.weight.value.copy()
         b0 = layer.conv.bias.value.copy()
-
-        from voxseg.nn import mul, sum_all
 
         def build(leaves):
             layer.conv.weight = leaves[1]
             layer.conv.bias = leaves[2]
-            return sum_all(mul(layer(leaves[0]), proj))
+            return layer(leaves[0])
 
-        assert fd_gradient_error(build, [t, w0, b0]) < 1e-6
+        assert fd_gradient_error(build, [t, w0, b0], proj) < 1e-6
 
 
 class TestHeadLayer:
@@ -90,16 +88,15 @@ class TestHeadLayer:
     def test_fd_gradients(self):
         layer = ConvUpShuffle(2, 1, ShuffleFactors(2, 2, 1), Rng(17))
         t = Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(18))
-        proj = constant(Tensor4.gaussian(Shape4(4, 4, 2, 1), 0, 1, Rng(19)))
-        from voxseg.nn import mul, sum_all
+        proj = Tensor4.gaussian(Shape4(4, 4, 2, 1), 0, 1, Rng(19)).zyxc
 
         def build(leaves):
             layer.conv.weight = leaves[1]
             layer.conv.bias = leaves[2]
-            return sum_all(mul(layer(leaves[0]), proj))
+            return layer(leaves[0])
 
         assert fd_gradient_error(
-            build, [t, layer.conv.weight.value.copy(), layer.conv.bias.value.copy()]
+            build, [t, layer.conv.weight.value.copy(), layer.conv.bias.value.copy()], proj
         ) < 1e-6
 
 
@@ -137,6 +134,10 @@ class TestBackbone:
         with pytest.raises(ValueError):
             BackboneSpec(class_count=2, widths=()).validate()
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation kind 'tanh'"):
+            BackboneSpec(class_count=2, act="tanh").validate()
+
     def test_input_divisibility_checked(self):
         net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(27))
         with pytest.raises(ValueError):
@@ -158,7 +159,7 @@ class TestFullScaleGeometry:
         assert shuffled.shape == Shape4(100, 100, 40, 32)
         from voxseg.nn import _conv_geometry
 
-        out_extents = _conv_geometry(shuffled.shape, (3, 3, 3), (1, 1, 1), (1, 1, 1))
+        out_extents = _conv_geometry(shuffled.shape, (3, 3, 3), (1, 1, 1))
         assert out_extents == (100, 100, 40)
         layer = DownShuffleConv(1, 64, ShuffleFactors(4, 4, 2), Rng(50))
         assert layer.conv.c_in == 32 and layer.conv.c_out == 64

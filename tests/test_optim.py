@@ -11,16 +11,18 @@ def param(values):
     return constant(Tensor4.from_flat(Shape4(len(values), 1, 1, 1), values))
 
 
-def grads_of(params, arrays):
-    return {k: np.asarray(a, dtype=float).reshape(p.value.zyxc.shape)
-            for (k, p), a in zip(params.items(), arrays)}
+def step(params, state, *grads):
+    """Set each parameter's ``grad`` to the matching array, then take one step."""
+    for node, g in zip(params.values(), grads):
+        node.grad[...] = np.asarray(g, dtype=float).reshape(node.grad.shape)
+    return sgd_step(params, state)
 
 
 class TestSgdStep:
     def test_plain_gradient_step(self):
         p = {"w": param([1.0])}
         state = SgdState(p, lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_step(p, grads_of(p, [[1.0]]), state)
+        step(p, state, [1.0])
         assert p["w"].value.flat.tolist() == [0.9]
         assert state.iteration == 1
 
@@ -28,21 +30,21 @@ class TestSgdStep:
         # v1 = 1, w1 = -0.1; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
         p = {"w": param([0.0])}
         state = SgdState(p, lr=0.1, momentum=0.9, weight_decay=0.0)
-        sgd_step(p, grads_of(p, [[1.0]]), state)
+        step(p, state, [1.0])
         assert abs(p["w"].value.flat[0] - (-0.1)) < 1e-15
-        sgd_step(p, grads_of(p, [[1.0]]), state)
+        step(p, state, [1.0])
         assert abs(p["w"].value.flat[0] - (-0.29)) < 1e-15
 
     def test_zero_gradient_zero_velocity_is_noop(self):
         p = {"w": param([2.0, -3.0])}
         state = SgdState(p, lr=0.5, momentum=0.9, weight_decay=0.0)
-        sgd_step(p, grads_of(p, [[0.0, 0.0]]), state)
+        step(p, state, [0.0, 0.0])
         assert p["w"].value.flat.tolist() == [2.0, -3.0]
 
     def test_weight_decay_pulls_to_zero(self):
         p = {"w": param([1.0])}
         state = SgdState(p, lr=0.1, momentum=0.0, weight_decay=0.5)
-        sgd_step(p, grads_of(p, [[0.0]]), state)
+        step(p, state, [0.0])
         # v = 0.5 * 1.0; w = 1 - 0.1 * 0.5
         assert abs(p["w"].value.flat[0] - 0.95) < 1e-15
 
@@ -50,16 +52,15 @@ class TestSgdStep:
         p = {"w": param([1.0])}
         state = SgdState(p, lr=0.1, momentum=0.0, weight_decay=0.0)
         with pytest.warns(RuntimeWarning):
-            applied = sgd_step(p, grads_of(p, [[float("nan")]]), state)
+            applied = step(p, state, [float("nan")])
         assert applied is False
         assert p["w"].value.flat.tolist() == [1.0]
         assert state.iteration == 0
 
-    def test_shape_mismatch_rejected(self):
-        p = {"w": param([1.0])}
-        state = SgdState(p, lr=0.1)
+    def test_state_of_other_parameters_rejected(self):
+        state = SgdState({"w": param([1.0])}, lr=0.1)
         with pytest.raises(ValueError):
-            sgd_step(p, {"w": np.zeros((1, 1, 1, 2))}, state)
+            sgd_step({"v": param([1.0])}, state)
 
     def test_matches_closed_form_without_momentum(self):
         rng = Rng(1)
@@ -67,7 +68,7 @@ class TestSgdStep:
         g = Tensor4.gaussian(Shape4(3, 2, 1, 2), 0, 1, rng)
         before = p["w"].value.copy()
         state = SgdState(p, lr=0.05, momentum=0.0, weight_decay=0.0)
-        sgd_step(p, {"w": g.zyxc}, state)
+        step(p, state, g.zyxc)
         assert np.array_equal(p["w"].value.zyxc, before.zyxc - 0.05 * g.zyxc)
 
     def test_converges_on_convex_quadratic(self):
@@ -79,7 +80,7 @@ class TestSgdStep:
         for _ in range(500):
             w = p["w"].value.flat
             grad = diag * (w - target)
-            sgd_step(p, grads_of(p, [grad]), state)
+            step(p, state, grad)
         assert np.abs(p["w"].value.flat - target).max() < 1e-8
 
 
