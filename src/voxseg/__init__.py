@@ -11,14 +11,14 @@ from .tensor import Rng, Shape4, Tensor4, dot
 from .shuffle import ShuffleFactors, down_shuffle, down_shuffle_reference, up_shuffle
 from .nn import (BackboneSpec, Conv3d, ConvUpShuffle, DownShuffleConv, Node,
                  ShuffleUNet3d, activation, backward, build_backbone, ce_dice_loss,
-                 concat_channels, constant, conv3d, down_shuffle_op, load_checkpoint,
+                 concat_channels, conv3d, down_shuffle_op, load_checkpoint,
                  load_into_network, maxpool3, save_checkpoint, softmax_channels,
                  up_shuffle_op)
 from .optim import (INITIAL_LR_BY_FACTORS, LrSchedule, SgdState, lr_at, sgd_step,
                     suggested_initial_lr)
-from .volume import (DeformationField, PatchSpec, Volume, VvolError, augment_dataset,
-                     elastic_augment, gen_synthetic, normalize_patch, random_deformation,
-                     read_vvol, sample_patch, write_vvol)
+from .volume import (Volume, VvolError, augment_dataset, elastic_augment, gen_synthetic,
+                     normalize_patch, random_deformation, read_vvol, sample_patch,
+                     write_vvol)
 from .inference import TilingPlan, decode_labels, plan_tiling, predict_volume
 from .metrics import (BinaryMask, EmptyMaskError, asd, dice, extract_surface,
                       hausdorff, per_class_metrics)

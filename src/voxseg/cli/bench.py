@@ -1,4 +1,4 @@
-"""Memory and throughput benchmark across shuffle factors.
+"""Cost benchmark across shuffle factors: train-step time and backbone size.
 
 Element counts are exact; wall times are medians over the requested
 repetitions and depend on the machine.
@@ -10,10 +10,7 @@ import statistics
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from ..nn import backward, build_backbone, ce_dice_loss
-from ..shuffle import ShuffleFactors, down_shuffle
 from ..tensor import Rng, Shape4, Tensor4
 from .config import TrainConfig
 from .train import one_hot_labels
@@ -21,7 +18,7 @@ from .train import one_hot_labels
 
 def bench_factors(cfg: TrainConfig, factors: tuple[int, int, int],
                   repetitions: int) -> dict:
-    """One benchmark row: step time, activation counts, shuffle throughput."""
+    """One benchmark row: median train-step time and backbone activation counts."""
     run_cfg = replace(cfg, factors=tuple(factors), initial_lr=1e-3)
     run_cfg.validate()
     rng = Rng(cfg.seed)
@@ -29,10 +26,7 @@ def bench_factors(cfg: TrainConfig, factors: tuple[int, int, int],
     px, py, pz = cfg.patch
     patch = Tensor4.gaussian(Shape4(px, py, pz, 1), 0.0, 1.0, rng.spawn(13))
     label_values = rng.spawn(17).randint(0, cfg.class_count, px * py * pz)
-    labels = one_hot_labels(
-        Tensor4.from_zyxc(label_values.astype(np.float64).reshape(pz, py, px, 1)),
-        cfg.class_count,
-    )
+    labels = one_hot_labels(Tensor4(label_values.reshape(pz, py, px, 1)), cfg.class_count)
 
     step_times = []
     for _ in range(repetitions):
@@ -43,38 +37,22 @@ def bench_factors(cfg: TrainConfig, factors: tuple[int, int, int],
         backward(loss)
         step_times.append(time.perf_counter() - t0)
 
-    shuffle_times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        down_shuffle(patch, ShuffleFactors(*factors))
-        shuffle_times.append(time.perf_counter() - t0)
-
+    counts = [n for _, n in net.last_activation_counts]
     return {
         "nx": factors[0],
         "ny": factors[1],
         "nz": factors[2],
         "fwd_bwd_seconds": statistics.median(step_times),
-        "backbone_elements_total": net.backbone_elements_total,
-        "backbone_elements_peak": net.backbone_elements_peak,
-        "shuffle_elements_per_second": patch.size / max(statistics.median(shuffle_times), 1e-12),
+        "backbone_elements_total": sum(counts),
+        "backbone_elements_peak": max(counts),
     }
 
 
-def run_bench(cfg: TrainConfig, factors_list: list[tuple[int, int, int]],
-              repetitions: int) -> list[dict]:
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    return [bench_factors(cfg, f, repetitions) for f in factors_list]
-
-
 def bench_csv(rows: list[dict]) -> str:
-    header = ("nx,ny,nz,fwd_bwd_seconds,backbone_elements_total,"
-              "backbone_elements_peak,shuffle_elements_per_second")
-    lines = [header]
+    lines = ["nx,ny,nz,fwd_bwd_seconds,backbone_elements_total,backbone_elements_peak"]
     for r in rows:
         lines.append(
             f"{r['nx']},{r['ny']},{r['nz']},{r['fwd_bwd_seconds']!r},"
-            f"{r['backbone_elements_total']},{r['backbone_elements_peak']},"
-            f"{r['shuffle_elements_per_second']!r}"
+            f"{r['backbone_elements_total']},{r['backbone_elements_peak']}"
         )
     return "\n".join(lines) + "\n"

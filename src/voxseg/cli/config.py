@@ -84,9 +84,13 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            hint = _HINTS[f.name]
+            kind = get_args(hint)[0] if get_origin(hint) is tuple else hint
+            for v in (value if isinstance(value, tuple) else (value,)):
+                if kind is int and (not isinstance(v, int) or isinstance(v, bool)):
+                    raise ConfigError(f"{f.name} must be integer, got {value!r}")
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.train_split < 1 or self.volumes <= self.train_split:

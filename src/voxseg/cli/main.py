@@ -18,7 +18,7 @@ from ..nn import (CheckpointError, NonFiniteWeightsError, build_backbone, load_c
 from ..shuffle import ShuffleFactors, down_shuffle, up_shuffle
 from ..tensor import Rng
 from ..volume import Volume, VvolError, gen_synthetic, read_vvol, write_manifest, write_vvol
-from .bench import bench_csv, run_bench
+from .bench import bench_csv, bench_factors
 from .config import ConfigError, TrainConfig, load_config
 from .train import NumericError, run_training
 
@@ -141,10 +141,11 @@ def cmd_shuffle(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise UsageError("--repetitions must be >= 1")
     cfg = _collect_config(args)
     factors_list = [_parse_triple(part) for part in args.factors_list.split(";")]
-    rows = run_bench(cfg, factors_list, args.repetitions)
-    text = bench_csv(rows)
+    text = bench_csv([bench_factors(cfg, f, args.repetitions) for f in factors_list])
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote benchmark to {args.out}")

@@ -15,8 +15,7 @@ from ..metrics import BinaryMask, dice
 from ..nn import backward, build_backbone, ce_dice_loss, save_checkpoint
 from ..optim import LrSchedule, SgdState, lr_at, sgd_step
 from ..tensor import Rng, Tensor4
-from ..volume import (PatchSpec, augment_dataset, load_manifest_volumes,
-                      normalize_patch, sample_patch)
+from ..volume import augment_dataset, load_manifest_volumes, normalize_patch, sample_patch
 from .config import TrainConfig
 
 
@@ -33,7 +32,7 @@ def one_hot_labels(labels: Tensor4, class_count: int) -> Tensor4:
         raise ValueError(f"label values outside [0, {class_count})")
     hot = np.zeros(idx.shape + (class_count,))
     np.put_along_axis(hot, idx[..., None], 1.0, axis=3)
-    return Tensor4.from_zyxc(hot, copy=False)
+    return Tensor4(hot)
 
 
 @dataclass
@@ -106,7 +105,6 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
     schedule = LrSchedule(lr0, cfg.lr_halving_period)
     state = SgdState(params, lr0, cfg.momentum, cfg.weight_decay)
     sampler = root.spawn(11)
-    patch_spec = PatchSpec(cfg.patch, normalize=True)
 
     log_rows: list[str] = []
     dice_cols = ",".join(f"dice_{c}" for c in range(1, cfg.class_count))
@@ -128,7 +126,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
         for _ in range(cfg.batch_size):
             vol_idx = sampler.randint(0, len(train_pairs))
             image, labels = train_pairs[vol_idx]
-            img, lab = sample_patch(image, labels, patch_spec, sampler)
+            img, lab = sample_patch(image, labels, cfg.patch, sampler)
             probs = net.forward(img)
             loss = ce_dice_loss(probs, one_hot_labels(lab, cfg.class_count),
                                 cfg.lambda_ce, cfg.lambda_dice)

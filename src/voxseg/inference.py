@@ -67,8 +67,7 @@ def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
     work = volume
     if any(pad):
         padded = np.pad(volume.tensor.zyxc, ((0, pad[2]), (0, pad[1]), (0, pad[0]), (0, 0)))
-        work = Volume(Tensor4.from_zyxc(padded, copy=False), volume.spacing,
-                      volume.kind, volume.class_count)
+        work = Volume(Tensor4(padded), volume.spacing, volume.kind, volume.class_count)
     plan = plan_tiling(work.extents, patch, stride)
 
     wx, wy, wz = work.extents
@@ -87,13 +86,11 @@ def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
         raise AssertionError("tiling plan left voxels uncovered")
     mean = prob_sum / cover
     mean = mean[:Z, :Y, :X, :]
-    return Volume(Tensor4.from_zyxc(np.ascontiguousarray(mean), copy=False),
-                  volume.spacing, "image")
+    return Volume(Tensor4(mean), volume.spacing, "image")
 
 
 def decode_labels(prob_volume: Volume) -> Volume:
     """Per-voxel argmax over channels; ties go to the lowest class index."""
     probs = prob_volume.tensor.zyxc
     labels = probs.argmax(axis=3).astype(np.float64)[..., None]
-    return Volume(Tensor4.from_zyxc(labels, copy=False), prob_volume.spacing,
-                  "labels", probs.shape[3])
+    return Volume(Tensor4(labels), prob_volume.spacing, "labels", probs.shape[3])

@@ -48,10 +48,6 @@ class Node:
         self._backward_done = False
 
 
-def constant(t: Tensor4) -> Node:
-    return Node(t)
-
-
 def backward(root: Node, seed=None) -> None:
     """Accumulate the gradients of <root, seed> into every reachable node.
 
@@ -108,7 +104,7 @@ def activation(x: Node, kind: str = "relu") -> Node:
             x.grad += out.grad
 
         return Node(x.value, (x,), backprop_id)
-    value = Tensor4.from_zyxc(np.maximum(x.value.zyxc, 0.0))
+    value = Tensor4(np.maximum(x.value.zyxc, 0.0))
 
     def backprop(out: Node) -> None:
         x.grad += out.grad * (x.value.zyxc > 0.0)
@@ -136,7 +132,7 @@ def down_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
     value = down_shuffle(x.value, factors)
 
     def backprop(out: Node) -> None:
-        x.grad += up_shuffle(Tensor4.from_zyxc(out.grad, copy=False), factors).zyxc
+        x.grad += up_shuffle(Tensor4(out.grad), factors).zyxc
 
     return Node(value, (x,), backprop)
 
@@ -146,7 +142,7 @@ def up_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
     value = up_shuffle(x.value, factors)
 
     def backprop(out: Node) -> None:
-        x.grad += down_shuffle(Tensor4.from_zyxc(out.grad, copy=False), factors).zyxc
+        x.grad += down_shuffle(Tensor4(out.grad), factors).zyxc
 
     return Node(value, (x,), backprop)
 
@@ -198,7 +194,7 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
     acc = np.tile(bias.value.zyxc[0, 0, 0], (grid[0] * Y * X, 1))
     for t, o in enumerate(offsets):  # acc[:n] += flat[o:o+n] @ taps[t], in place
         dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
-    value = Tensor4.from_zyxc(np.ascontiguousarray(acc.reshape(*grid, c_out)[valid]), copy=False)
+    value = Tensor4(acc.reshape(*grid, c_out)[valid])
 
     def backprop(out_node: Node) -> None:
         g = out_node.grad  # (oz, oy, ox, c_out)
@@ -242,10 +238,7 @@ def maxpool3(x: Node, factors: tuple[int, int, int]) -> Node:
     blocks = x.value.zyxc.reshape(oz, fz, oy, fy, ox, fx, C)
     blocks = blocks.transpose(0, 2, 4, 6, 1, 3, 5).reshape(oz, oy, ox, C, win)
     idx = blocks.argmax(axis=4)
-    value = Tensor4.from_zyxc(
-        np.ascontiguousarray(np.take_along_axis(blocks, idx[..., None], axis=4)[..., 0]),
-        copy=False,
-    )
+    value = Tensor4(np.take_along_axis(blocks, idx[..., None], axis=4)[..., 0])
 
     def backprop(out: Node) -> None:
         gwin = np.zeros((oz, oy, ox, C, win))
@@ -262,7 +255,7 @@ def softmax_channels(x: Node) -> Node:
     shifted = a - a.max(axis=3, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=3, keepdims=True)
-    value = Tensor4.from_zyxc(p, copy=False)
+    value = Tensor4(p)
 
     def backprop(out: Node) -> None:
         inner = (out.grad * p).sum(axis=3, keepdims=True)
@@ -313,7 +306,7 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
     ]
     dice_mean = sum(dices) / len(dices)
     total = lam_ce * ce + lam_dice * (1.0 - dice_mean)
-    value = Tensor4.from_zyxc(np.array([[[[total]]]]))
+    value = Tensor4(np.array([[[[total]]]]))
 
     def backprop(out: Node) -> None:
         gl = out.grad[0, 0, 0, 0]
@@ -338,13 +331,12 @@ class Conv3d:
     """Stride-1 filter bank + bias with fixed padding; owns its parameter nodes.
 
     Default padding "same" keeps spatial extents (odd kernels only);
-    weights are sampled N(0, sigma) and biases start at zero. Without an
-    rng the weights start at zero too (for hand-set filters in tests).
+    weights are sampled N(0, sigma) and biases start at zero.
     """
 
-    def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int, int] = (3, 3, 3),
-                 padding: tuple[int, int, int] | str = "same",
-                 rng: Rng | None = None, sigma: float = 0.01):
+    def __init__(self, c_in: int, c_out: int, rng: Rng,
+                 kernel: tuple[int, int, int] = (3, 3, 3),
+                 padding: tuple[int, int, int] | str = "same", sigma: float = 0.01):
         if c_in < 1 or c_out < 1:
             raise ValueError("channel counts must be >= 1")
         if padding == "same":
@@ -356,11 +348,7 @@ class Conv3d:
         self.c_in = c_in
         self.c_out = c_out
         wshape = Shape4(kernel[0], kernel[1], kernel[2], c_in * c_out)
-        if rng is None:
-            weight_value = Tensor4.zeros(wshape)
-        else:
-            weight_value = Tensor4.gaussian(wshape, 0.0, sigma, rng)
-        self.weight = Node(weight_value)
+        self.weight = Node(Tensor4.gaussian(wshape, 0.0, sigma, rng))
         self.bias = Node(Tensor4.zeros(Shape4(1, 1, 1, c_out)))
 
     def __call__(self, x: Node) -> Node:
@@ -523,7 +511,7 @@ class ShuffleUNet3d:
     def forward(self, patch: Tensor4) -> Node:
         """Class probability map for one patch (softmax over channels)."""
         self.spec.check_input_extents(patch.shape.spatial)
-        x = constant(patch)
+        x = Node(patch)
         acts: list[tuple[str, int]] = []
 
         def track(label: str, node: Node) -> Node:
@@ -550,14 +538,6 @@ class ShuffleUNet3d:
 
     def predict(self, patch: Tensor4) -> Tensor4:
         return self.forward(patch).value
-
-    @property
-    def backbone_elements_total(self) -> int:
-        return sum(n for _, n in self.last_activation_counts)
-
-    @property
-    def backbone_elements_peak(self) -> int:
-        return max(n for _, n in self.last_activation_counts)
 
 
 def build_backbone(spec: BackboneSpec, rng: Rng) -> ShuffleUNet3d:

@@ -9,6 +9,9 @@ then z slowest, i.e.
 Internally the buffer is held as a C-contiguous numpy array with axes
 ``(z, y, x, c)``, which realizes exactly that offset law. Every operation in
 the package goes through this one layout; there are no hidden transposes.
+``Tensor4(zyxc)`` wraps such an array without a copy when it is already
+C-contiguous float64 (converting it otherwise); the caller hands the array
+over and must not modify it afterwards.
 """
 
 from __future__ import annotations
@@ -97,14 +100,6 @@ class Tensor4:
                 f"buffer length {buf.size} != element count {shape.element_count}"
             )
         return cls(buf.reshape(shape.z, shape.y, shape.x, shape.c).copy())
-
-    @classmethod
-    def from_zyxc(cls, zyxc: np.ndarray, copy: bool = True) -> "Tensor4":
-        if copy:
-            arr = np.array(zyxc, dtype=np.float64, order="C")
-        else:
-            arr = np.asarray(zyxc, dtype=np.float64)  # copies only if it must
-        return cls(arr)
 
     # -- views and lookups -------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Volume type, VVOL serialization, synthetic data, patches, elastic deformation.
 
+Elastic deformation displaces the eight volume corners by random vectors and
+warps by the trilinear field they span.
+
 VVOL file layout (all little-endian):
 
     magic   4 bytes  "VVOL"
@@ -174,8 +177,8 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
         image = levels[labels.astype(np.int64)]
         image = image + noise_sigma * rng.normal(image.size).reshape(image.shape)
         dataset.append((
-            Volume(Tensor4.from_zyxc(image), spacing, "image"),
-            Volume(Tensor4.from_zyxc(labels), spacing, "labels", class_count),
+            Volume(Tensor4(image), spacing, "image"),
+            Volume(Tensor4(labels), spacing, "labels", class_count),
         ))
     return dataset
 
@@ -183,18 +186,6 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
 # ---------------------------------------------------------------------------
 # patch sampling
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PatchSpec:
-    """Fixed patch extents, uniform random origins, optional normalization."""
-
-    extents: tuple[int, int, int]
-    normalize: bool = True
-
-    def __post_init__(self):
-        if min(self.extents) < 1:
-            raise ValueError(f"patch extents must be >= 1, got {self.extents}")
-
 
 def normalize_patch(patch: Tensor4, sigma_floor: float = 1e-8) -> Tensor4:
     """Shift to zero mean and scale to unit variance.
@@ -204,109 +195,47 @@ def normalize_patch(patch: Tensor4, sigma_floor: float = 1e-8) -> Tensor4:
     a = patch.zyxc
     mean = a.mean()
     std = a.std()
-    return Tensor4.from_zyxc((a - mean) / max(std, sigma_floor), copy=False)
+    return Tensor4((a - mean) / max(std, sigma_floor))
 
 
-def sample_patch(image: Volume, labels: Volume, spec: PatchSpec, rng: Rng,
+def sample_patch(image: Volume, labels: Volume, extents: tuple[int, int, int], rng: Rng,
                  ) -> tuple[Tensor4, Tensor4]:
-    """Crop an aligned (image, labels) patch pair at a uniform random origin."""
+    """Crop an aligned (image, labels) patch pair at a uniform random origin.
+
+    The image patch is normalized with ``normalize_patch``; labels are not.
+    """
     if image.extents != labels.extents:
         raise ValueError(f"extents differ: {image.extents} vs {labels.extents}")
-    px, py, pz = spec.extents
+    px, py, pz = extents
     X, Y, Z = image.extents
-    if px > X or py > Y or pz > Z:
-        raise ValueError(f"patch {spec.extents} larger than volume {image.extents}")
+    if min(extents) < 1 or px > X or py > Y or pz > Z:
+        raise ValueError(f"patch {extents} must be >= 1 and fit volume {image.extents}")
     ox = rng.randint(0, X - px + 1)
     oy = rng.randint(0, Y - py + 1)
     oz = rng.randint(0, Z - pz + 1)
-    img = image.tensor.crop((ox, oy, oz), spec.extents)
-    lab = labels.tensor.crop((ox, oy, oz), spec.extents)
-    if spec.normalize:
-        img = normalize_patch(img)
-    return img, lab
+    img = image.tensor.crop((ox, oy, oz), extents)
+    lab = labels.tensor.crop((ox, oy, oz), extents)
+    return normalize_patch(img), lab
 
 
 # ---------------------------------------------------------------------------
 # elastic deformation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DeformationField:
-    """Displacement vectors (in voxels) on a coarse control grid.
+def random_deformation(rng: Rng, sigma: float = 15.0) -> np.ndarray:
+    """I.i.d. normal displacements (voxels) of the eight volume corners.
 
-    ``displacements`` is indexed (gz, gy, gx, axis) with axis order (x, y, z).
-    Densified with degree-1 B-spline (trilinear) interpolation; a 2x2x2 grid
-    spans the volume corners.
+    The result is indexed (z, y, x, axis) with corner indices 0/1 for the
+    low/high end of each spatial axis and axis order (x, y, z).
     """
-
-    grid: tuple[int, int, int]
-    displacements: np.ndarray
-
-    def __post_init__(self):
-        gx, gy, gz = self.grid
-        if min(self.grid) < 2:
-            raise ValueError(f"control grid extents must be >= 2, got {self.grid}")
-        if self.displacements.shape != (gz, gy, gx, 3):
-            raise ValueError(
-                f"displacements shape {self.displacements.shape} does not match "
-                f"grid {self.grid}"
-            )
+    return rng.normal(24, mu=0.0, sigma=sigma).reshape(2, 2, 2, 3)
 
 
-def random_deformation(rng: Rng, grid: tuple[int, int, int] = (2, 2, 2),
-                       sigma: float = 15.0) -> DeformationField:
-    """I.i.d. normal control-point displacements with the given std in voxels."""
-    gx, gy, gz = grid
-    disp = rng.normal(gx * gy * gz * 3, mu=0.0, sigma=sigma).reshape(gz, gy, gx, 3)
-    return DeformationField(grid, disp)
-
-
-def _axis_lattice(extent: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower control index and fractional offset for each voxel along one axis."""
-    if extent == 1:
-        coords = np.zeros(1)
-    else:
-        coords = np.arange(extent) * ((grid_points - 1) / (extent - 1))
-    lo = np.minimum(coords.astype(np.int64), grid_points - 2)
-    return lo, coords - lo
-
-
-def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # a + f*(b - a) so constant control fields densify exactly
-    return a + f * (b - a)
-
-
-def _dense_displacement(field: DeformationField, extents: tuple[int, int, int]
-                        ) -> list[np.ndarray]:
-    """Per-axis dense displacement arrays, each indexed (z, y, x).
-
-    Degree-1 B-spline (trilinear) interpolation of the control grid, written
-    in lerp form.
-    """
-    X, Y, Z = extents
-    gx, gy, gz = field.grid
-    ix, fx = _axis_lattice(X, gx)
-    iy, fy = _axis_lattice(Y, gy)
-    iz, fz = _axis_lattice(Z, gz)
-    iz3, iy3, ix3 = iz[:, None, None], iy[None, :, None], ix[None, None, :]
-    fz3, fy3, fx3 = fz[:, None, None], fy[None, :, None], fx[None, None, :]
-    dense = []
-    for axis in range(3):
-        grid = field.displacements[..., axis]
-        c00 = _lerp(grid[iz3, iy3, ix3], grid[iz3, iy3, ix3 + 1], fx3)
-        c10 = _lerp(grid[iz3, iy3 + 1, ix3], grid[iz3, iy3 + 1, ix3 + 1], fx3)
-        c01 = _lerp(grid[iz3 + 1, iy3, ix3], grid[iz3 + 1, iy3, ix3 + 1], fx3)
-        c11 = _lerp(grid[iz3 + 1, iy3 + 1, ix3], grid[iz3 + 1, iy3 + 1, ix3 + 1], fx3)
-        c0 = _lerp(c00, c10, fy3)
-        c1 = _lerp(c01, c11, fy3)
-        dense.append(_lerp(c0, c1, fz3))
-    return dense
-
-
-def elastic_augment(image: Volume, labels: Volume, field: DeformationField
+def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
                     ) -> tuple[Volume, Volume]:
-    """Warp an aligned pair by one displacement field.
+    """Warp an aligned pair by a trilinear field spanned by eight corner vectors.
 
+    ``corners`` is a (2, 2, 2, 3) array as ``random_deformation`` returns.
     Output voxel v samples the input at v + displacement(v): the image with
     trilinear interpolation, labels with nearest neighbor; reads outside the
     volume clamp to the edge. Zero displacement is the exact identity.
@@ -315,17 +244,26 @@ def elastic_augment(image: Volume, labels: Volume, field: DeformationField
         raise ValueError(f"extents differ: {image.extents} vs {labels.extents}")
     if image.tensor.shape.c != 1 or labels.tensor.shape.c != 1:
         raise ValueError("deformation expects single-channel volumes")
+    if np.shape(corners) != (2, 2, 2, 3):
+        raise ValueError(f"corners must have shape (2, 2, 2, 3), got {np.shape(corners)}")
     X, Y, Z = image.extents
-    dx, dy, dz = _dense_displacement(field, image.extents)
-    zz, yy, xx = np.meshgrid(np.arange(Z), np.arange(Y), np.arange(X), indexing="ij")
-    src = [(zz + dz).reshape(-1), (yy + dy).reshape(-1), (xx + dx).reshape(-1)]
+    # separable lerp a + f*(b - a), so constant corners densify exactly:
+    # x gives (axis, 2, 2, X), then y gives (axis, 2, Y, X), then z (axis, Z, Y, X)
+    d = np.moveaxis(np.asarray(corners, dtype=np.float64), 3, 0)
+    for dim, n in ((3, X), (2, Y), (1, Z)):
+        ramp = np.arange(n) * (1.0 / (n - 1)) if n > 1 else np.zeros(1)
+        a, b = np.split(d, 2, axis=dim)
+        d = a + ramp.reshape((n,) + (1,) * (3 - dim)) * (b - a)
+    dx, dy, dz = d
+    src = [(np.arange(Z)[:, None, None] + dz).reshape(-1),
+           (np.arange(Y)[:, None] + dy).reshape(-1),
+           (np.arange(X) + dx).reshape(-1)]
     img_out = map_coordinates(image.tensor.zyxc[..., 0], src, order=1, mode="nearest")
     lab_out = map_coordinates(labels.tensor.zyxc[..., 0], src, order=0, mode="nearest")
-    img_t = Tensor4.from_zyxc(img_out.reshape(Z, Y, X, 1), copy=False)
-    lab_t = Tensor4.from_zyxc(lab_out.reshape(Z, Y, X, 1), copy=False)
     return (
-        Volume(img_t, image.spacing, "image"),
-        Volume(lab_t, labels.spacing, "labels", labels.class_count),
+        Volume(Tensor4(img_out.reshape(Z, Y, X, 1)), image.spacing, "image"),
+        Volume(Tensor4(lab_out.reshape(Z, Y, X, 1)), labels.spacing, "labels",
+               labels.class_count),
     )
 
 
@@ -338,8 +276,8 @@ def augment_dataset(dataset: list[tuple[Volume, Volume]], per_sample_count: int,
     for idx, (image, labels) in enumerate(dataset):
         out.append((image, labels))
         for a in range(per_sample_count):
-            field = random_deformation(rng.spawn(idx * 1000 + a), sigma=sigma)
-            out.append(elastic_augment(image, labels, field))
+            corners = random_deformation(rng.spawn(idx * 1000 + a), sigma=sigma)
+            out.append(elastic_augment(image, labels, corners))
     return out
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from voxseg.nn import backward, constant
+from voxseg.nn import Node, backward
 from voxseg.tensor import Shape4, Tensor4
 
 
 def full(shape: Shape4, value: float) -> Tensor4:
     """Tensor of the given shape with every element equal to ``value``."""
-    return Tensor4.from_zyxc(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
+    return Tensor4(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
 
 
 def fd_gradient_error(build, leaf_tensors, seed=1.0):
@@ -24,7 +24,7 @@ def fd_gradient_error(build, leaf_tensors, seed=1.0):
     max|ga - gn| / (max|ga| + max|gn|).
     """
     eps = 1e-5
-    leaves = [constant(t) for t in leaf_tensors]
+    leaves = [Node(t) for t in leaf_tensors]
     backward(build(leaves), seed)
     analytic = [leaf.grad.copy() for leaf in leaves]
     worst = 0.0
@@ -38,8 +38,8 @@ def fd_gradient_error(build, leaf_tensors, seed=1.0):
                 buf = base.copy()
                 buf[i] += sign * eps
                 mod = [
-                    constant(t) if j != li
-                    else constant(Tensor4.from_flat(t.shape, buf))
+                    Node(t) if j != li
+                    else Node(Tensor4.from_flat(t.shape, buf))
                     for j, t in enumerate(leaf_tensors)
                 ]
                 probes.append((build(mod).value.zyxc * seed).sum())

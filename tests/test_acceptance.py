@@ -110,7 +110,7 @@ class TestGradientSuite:
         idx = Rng(305).randint(0, 2, 64).reshape(4, 4, 4)
         hot = np.zeros((4, 4, 4, 2))
         np.put_along_axis(hot, np.asarray(idx)[..., None], 1.0, axis=3)
-        labels = Tensor4.from_zyxc(hot)
+        labels = Tensor4(hot)
         errors["ce-dice-loss"] = fd_gradient_error(
             lambda l: ce_dice_loss(softmax_channels(l[0]), labels),
             [Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, rng)])
@@ -156,7 +156,7 @@ class TestGradientSuite:
         idx = Rng(310).randint(0, 2, 8 ** 3).reshape(8, 8, 8)
         hot = np.zeros((8, 8, 8, 2))
         np.put_along_axis(hot, np.asarray(idx)[..., None], 1.0, axis=3)
-        labels = Tensor4.from_zyxc(hot)
+        labels = Tensor4(hot)
 
         params = net.parameters()
         names = list(params)
@@ -342,12 +342,12 @@ class TestInferenceStitching:
                 arr = np.empty((z, y, x, 2))
                 arr[..., 0] = v
                 arr[..., 1] = 1.0 - v
-                return Tensor4.from_zyxc(arr)
+                return Tensor4(arr)
 
         marker = np.zeros((4, 4, 6, 1))
         marker[0, 0, 0, 0] = -1.0  # first tile sees a negative corner
         marker[0, 0, 2, 0] = +1.0  # second tile sees a positive corner
-        vol2 = Volume(Tensor4.from_zyxc(marker), (1.0, 1.0, 1.0), "image")
+        vol2 = Volume(Tensor4(marker), (1.0, 1.0, 1.0), "image")
         out = predict_volume(TwoValueNet(), vol2, (4, 4, 4), (2, 2, 2),
                              normalize=False)
         got = out.tensor.zyxc

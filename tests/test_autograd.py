@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient_error, full
-from voxseg.nn import (BackboneSpec, Conv3d, activation, backward, build_backbone,
-                       ce_dice_loss, concat_channels, constant, conv3d, down_shuffle_op,
+from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward, build_backbone,
+                       ce_dice_loss, concat_channels, conv3d, down_shuffle_op,
                        maxpool3, softmax_channels, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
 
@@ -13,7 +13,7 @@ GRAD_TOL = 1e-6
 
 
 def scalar(v):
-    return constant(Tensor4.from_flat(Shape4(1, 1, 1, 1), [v]))
+    return Node(Tensor4.from_flat(Shape4(1, 1, 1, 1), [v]))
 
 
 class TestEngine:
@@ -25,11 +25,11 @@ class TestEngine:
         assert y.grad[0, 0, 0, 0] == 3.0
 
     def test_grads_start_at_zero(self):
-        node = constant(Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(1)))
+        node = Node(Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(1)))
         assert not node.grad.any()
 
     def test_non_scalar_root_rejected(self):
-        node = constant(Tensor4.zeros(Shape4(2, 1, 1, 1)))
+        node = Node(Tensor4.zeros(Shape4(2, 1, 1, 1)))
         with pytest.raises(ValueError):
             backward(node)
 
@@ -40,7 +40,7 @@ class TestEngine:
             backward(root)
 
     def test_shared_node_accumulates(self):
-        x = constant(Tensor4.gaussian(Shape4(2, 3, 2, 2), 0, 1, Rng(2)))
+        x = Node(Tensor4.gaussian(Shape4(2, 3, 2, 2), 0, 1, Rng(2)))
         g = Tensor4.gaussian(Shape4(2, 3, 2, 4), 0, 1, Rng(3)).zyxc
         backward(concat_channels(x, x), g)
         assert np.array_equal(x.grad, g[..., :2] + g[..., 2:])
@@ -48,7 +48,7 @@ class TestEngine:
     def test_scale_and_sum(self):
         # seeding with 3 everywhere backpropagates 3 * sum(x)
         t = Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(2))
-        x = constant(t)
+        x = Node(t)
         backward(x, full(t.shape, 3.0).zyxc)
         assert (x.grad == 3.0).all()
 
@@ -70,7 +70,7 @@ class TestEngine:
 
     @pytest.mark.parametrize("seed_shape", [(1, 1, 1, 2), (2, 1, 1, 1, 1), (2,)])
     def test_seed_shape_must_fit_root(self, seed_shape):
-        root = constant(Tensor4.zeros(Shape4(2, 1, 1, 1)))
+        root = Node(Tensor4.zeros(Shape4(2, 1, 1, 1)))
         with pytest.raises(ValueError):
             backward(root, np.ones(seed_shape))
         with pytest.raises(ValueError):
@@ -80,17 +80,17 @@ class TestEngine:
 class TestActivation:
     def test_relu_values(self):
         t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
-        assert activation(constant(t), "relu").value.flat.tolist() == [0.0, 2.0]
+        assert activation(Node(t), "relu").value.flat.tolist() == [0.0, 2.0]
 
     def test_relu_gradient_signs(self):
         t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
-        x = constant(t)
+        x = Node(t)
         backward(activation(x, "relu"), np.ones(x.grad.shape))
         assert x.grad.reshape(-1).tolist() == [0.0, 1.0]
 
     def test_identity_kind(self):
         t = Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(3))
-        assert activation(constant(t), "identity").value.equal(t)
+        assert activation(Node(t), "identity").value.equal(t)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -106,36 +106,36 @@ class TestActivation:
 
 class TestConv3d:
     def test_one_by_one_identity(self):
-        layer = Conv3d(1, 1, kernel=(1, 1, 1), padding=(0, 0, 0))
+        layer = Conv3d(1, 1, rng=Rng(0), kernel=(1, 1, 1), padding=(0, 0, 0))
         layer.weight.value = full(Shape4(1, 1, 1, 1), 1.0)
         t = Tensor4.gaussian(Shape4(3, 4, 2, 1), 0, 1, Rng(6))
-        assert layer(constant(t)).value.equal(t)
+        assert layer(Node(t)).value.equal(t)
 
     def test_all_ones_sum(self):
-        layer = Conv3d(1, 1, kernel=(3, 3, 3), padding=(0, 0, 0))
+        layer = Conv3d(1, 1, rng=Rng(0), kernel=(3, 3, 3), padding=(0, 0, 0))
         layer.weight.value = full(Shape4(3, 3, 3, 1), 1.0)
-        out = layer(constant(full(Shape4(3, 3, 3, 1), 1.0)))
+        out = layer(Node(full(Shape4(3, 3, 3, 1), 1.0)))
         assert out.value.shape == Shape4(1, 1, 1, 1)
         assert out.value.at(0, 0, 0, 0) == 27.0
 
     def test_same_padding_keeps_extents(self):
         layer = Conv3d(2, 3, rng=Rng(7))
-        out = layer(constant(Tensor4.gaussian(Shape4(4, 5, 6, 2), 0, 1, Rng(8))))
+        out = layer(Node(Tensor4.gaussian(Shape4(4, 5, 6, 2), 0, 1, Rng(8))))
         assert out.value.shape == Shape4(4, 5, 6, 3)
 
     def test_even_kernel_same_padding_rejected(self):
         with pytest.raises(ValueError):
-            Conv3d(1, 1, kernel=(2, 3, 3))
+            Conv3d(1, 1, rng=Rng(0), kernel=(2, 3, 3))
 
     def test_channel_mismatch(self):
         layer = Conv3d(2, 1, rng=Rng(9))
         with pytest.raises(ValueError):
-            layer(constant(Tensor4.zeros(Shape4(4, 4, 4, 3))))
+            layer(Node(Tensor4.zeros(Shape4(4, 4, 4, 3))))
 
     def test_degenerate_output_extent(self):
-        layer = Conv3d(1, 1, kernel=(3, 3, 3), padding=(0, 0, 0))
+        layer = Conv3d(1, 1, rng=Rng(0), kernel=(3, 3, 3), padding=(0, 0, 0))
         with pytest.raises(ValueError):
-            layer(constant(Tensor4.zeros(Shape4(2, 4, 4, 1))))
+            layer(Node(Tensor4.zeros(Shape4(2, 4, 4, 1))))
 
     def test_fd_same_padding(self):
         rng = Rng(10)
@@ -202,9 +202,9 @@ class TestConv3dOracle:
     def test_forward_and_backward_match_direct_sums(self, extents, c_in, c_out, kernel,
                                                     padding):
         rng = Rng(30 + sum(extents) + 7 * c_in + c_out)
-        x = constant(Tensor4.gaussian(Shape4(*extents, c_in), 0, 1, rng))
-        w = constant(Tensor4.gaussian(Shape4(*kernel, c_in * c_out), 0, 1, rng))
-        b = constant(Tensor4.gaussian(Shape4(1, 1, 1, c_out), 0, 1, rng))
+        x = Node(Tensor4.gaussian(Shape4(*extents, c_in), 0, 1, rng))
+        w = Node(Tensor4.gaussian(Shape4(*kernel, c_in * c_out), 0, 1, rng))
+        b = Node(Tensor4.gaussian(Shape4(1, 1, 1, c_out), 0, 1, rng))
         out = conv3d(x, w, b, kernel, padding)
         want, weight_grad = conv_oracle(x.value.zyxc, w.value.zyxc, b.value.zyxc,
                                         kernel, padding)
@@ -222,9 +222,9 @@ class TestConv3dOracle:
 
     def test_backward_accumulates_into_existing_gradients(self):
         rng = Rng(31)
-        x = constant(Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, rng))
-        w = constant(Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 1, rng))
-        b = constant(Tensor4.zeros(Shape4(1, 1, 1, 3)))
+        x = Node(Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, rng))
+        w = Node(Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 1, rng))
+        b = Node(Tensor4.zeros(Shape4(1, 1, 1, 3)))
         ones = np.ones((4, 4, 4, 3))
         backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), ones)
         once_x, once_w = x.grad.copy(), w.grad.copy()
@@ -235,28 +235,28 @@ class TestConv3dOracle:
 
 class TestMaxpool:
     def test_constant_input(self):
-        out = maxpool3(constant(full(Shape4(4, 4, 4, 1), 2.5)), (2, 2, 2))
+        out = maxpool3(Node(full(Shape4(4, 4, 4, 1), 2.5)), (2, 2, 2))
         assert (out.value.zyxc == 2.5).all()
 
     def test_window_max(self):
         sh = Shape4(2, 2, 2, 1)
         t = Tensor4.from_flat(sh, np.arange(8.0))
-        out = maxpool3(constant(t), (2, 2, 2))
+        out = maxpool3(Node(t), (2, 2, 2))
         assert out.value.at(0, 0, 0, 0) == 7.0
 
     def test_identity_factors(self):
         t = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, Rng(14))
-        assert maxpool3(constant(t), (1, 1, 1)).value.equal(t)
+        assert maxpool3(Node(t), (1, 1, 1)).value.equal(t)
 
     def test_tie_routes_to_first_in_layout_order(self):
-        x = constant(full(Shape4(2, 2, 2, 1), 1.0))
+        x = Node(full(Shape4(2, 2, 2, 1), 1.0))
         backward(maxpool3(x, (2, 2, 2)))
         grads = x.grad.reshape(-1)
         assert grads[0] == 1.0 and not grads[1:].any()
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
-            maxpool3(constant(Tensor4.zeros(Shape4(3, 4, 4, 1))), (2, 2, 2))
+            maxpool3(Node(Tensor4.zeros(Shape4(3, 4, 4, 1))), (2, 2, 2))
 
     def test_fd(self):
         t = Tensor4.gaussian(Shape4(4, 4, 2, 2), 0, 1, Rng(15))
@@ -266,8 +266,8 @@ class TestMaxpool:
 
 class TestConcat:
     def test_values_and_gradient_split(self):
-        a = constant(Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(17)))
-        b = constant(Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(18)))
+        a = Node(Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(17)))
+        b = Node(Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(18)))
         cat = concat_channels(a, b)
         assert cat.value.shape.c == 3
         proj = Tensor4.gaussian(cat.value.shape, 0, 1, Rng(19)).zyxc
@@ -289,18 +289,18 @@ class TestShuffleOps:
 
 class TestSoftmax:
     def test_uniform_two_classes(self):
-        out = softmax_channels(constant(Tensor4.zeros(Shape4(2, 2, 2, 2))))
+        out = softmax_channels(Node(Tensor4.zeros(Shape4(2, 2, 2, 2))))
         assert np.allclose(out.value.zyxc, 0.5, atol=0, rtol=0)
 
     def test_closed_form(self):
         t = Tensor4.from_flat(Shape4(1, 1, 1, 2), [0.0, math.log(3.0)])
-        out = softmax_channels(constant(t)).value
+        out = softmax_channels(Node(t)).value
         assert abs(out.at(0, 0, 0, 0) - 0.25) < 1e-15
         assert abs(out.at(0, 0, 0, 1) - 0.75) < 1e-15
 
     def test_channel_sums_one(self):
         t = Tensor4.gaussian(Shape4(4, 3, 2, 5), 0, 10, Rng(22))
-        sums = softmax_channels(constant(t)).value.zyxc.sum(axis=3)
+        sums = softmax_channels(Node(t)).value.zyxc.sum(axis=3)
         assert np.abs(sums - 1.0).max() < 1e-12
 
     def test_fd(self):
@@ -312,33 +312,33 @@ class TestSoftmax:
 def one_hot_from(idx, class_count):
     hot = np.zeros(idx.shape + (class_count,))
     np.put_along_axis(hot, idx[..., None], 1.0, axis=3)
-    return Tensor4.from_zyxc(hot)
+    return Tensor4(hot)
 
 
 class TestCeDiceLoss:
     def test_perfect_prediction_is_zero(self):
         idx = Rng(25).randint(0, 2, 8).reshape(2, 2, 2)
         labels = one_hot_from(np.asarray(idx), 2)
-        loss = ce_dice_loss(constant(labels), labels)
+        loss = ce_dice_loss(Node(labels), labels)
         assert loss.value.at(0, 0, 0, 0) == 0.0
 
     def test_uniform_ce_is_ln2(self):
         probs = full(Shape4(2, 2, 2, 2), 0.5)
         idx = Rng(26).randint(0, 2, 8).reshape(2, 2, 2)
         labels = one_hot_from(np.asarray(idx), 2)
-        loss = ce_dice_loss(constant(probs), labels, lam_ce=1.0, lam_dice=0.0)
+        loss = ce_dice_loss(Node(probs), labels, lam_ce=1.0, lam_dice=0.0)
         assert abs(loss.value.at(0, 0, 0, 0) - math.log(2.0)) < 1e-12
 
     def test_non_one_hot_rejected(self):
         probs = full(Shape4(2, 2, 2, 2), 0.5)
         with pytest.raises(ValueError):
-            ce_dice_loss(constant(probs), probs)
+            ce_dice_loss(Node(probs), probs)
 
     def test_shape_mismatch(self):
         probs = full(Shape4(2, 2, 2, 2), 0.5)
         labels = one_hot_from(np.zeros((2, 2, 4), dtype=np.int64), 2)
         with pytest.raises(ValueError):
-            ce_dice_loss(constant(probs), labels)
+            ce_dice_loss(Node(probs), labels)
 
     def test_fd_through_softmax(self):
         logits = Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, Rng(27))
@@ -355,7 +355,7 @@ class TestCeDiceLoss:
         probs = np.full((2, 2, 2, 2), 0.5)
         probs[0, 0, 0] = [0.0, 1.0]
         labels = one_hot_from(np.zeros((2, 2, 2), dtype=np.int64), 2)
-        loss = ce_dice_loss(constant(Tensor4.from_zyxc(probs)), labels)
+        loss = ce_dice_loss(Node(Tensor4(probs)), labels)
         assert math.isfinite(loss.value.at(0, 0, 0, 0))
 
     def test_fd_direct_probs(self):

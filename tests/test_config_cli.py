@@ -98,6 +98,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             TrainConfig(**{key: bad}).validate()
 
+    @pytest.mark.parametrize("key, bad", [
+        ("iterations", 2.5), ("seed", 1.5), ("k", 4.0), ("batch_size", True),
+        ("patch", (32.0, 32, 32)), ("widths", (32, 64.0, 128)),
+    ])
+    def test_non_int_in_int_field_rejected(self, key, bad, tmp_path):
+        cfg = TrainConfig(out_dir=str(tmp_path / "run"), **{key: bad})
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_training(cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_file_then_overrides(self, tmp_path):
         # the file alone fails (patch 34 is not divisible by 4); the override fixes it
         path = tmp_path / "run.cfg"
@@ -289,7 +301,7 @@ class TestShuffleCommand:
                 for z in range(2):
                     vals[z, y, x, 0] = x + 2 * y + 4 * z
         src = tmp_path / "arange.vvol"
-        write_vvol(Volume(Tensor4.from_zyxc(vals), (1, 1, 1), "image"), src)
+        write_vvol(Volume(Tensor4(vals), (1, 1, 1), "image"), src)
         out = tmp_path / "down.vvol"
         assert main(["shuffle", "--input", str(src), "--output", str(out),
                      "--factors", "2,2,2", "--direction", "down"]) == 0
@@ -315,7 +327,8 @@ class TestBenchCommand:
                    "--out", str(out)])
         assert rc == 0
         rows = out.read_text().splitlines()
-        assert rows[0].startswith("nx,ny,nz,")
+        assert rows[0] == ("nx,ny,nz,fwd_bwd_seconds,backbone_elements_total,"
+                           "backbone_elements_peak")
         totals = {}
         peaks = {}
         for line in rows[1:]:
@@ -327,6 +340,15 @@ class TestBenchCommand:
         assert totals[(1, 1, 1)] == 32 * totals[(4, 4, 2)]
         assert peaks[(1, 1, 1)] == 8 * peaks[(2, 2, 2)]
         assert peaks[(1, 1, 1)] == 32 * peaks[(4, 4, 2)]
+
+    def test_zero_repetitions_is_usage_error(self, tiny_workspace, tmp_path):
+        _, data, _ = tiny_workspace
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--patch", "16,16,16", "--extents", "16,16,16",
+                   "--k", "4", "--widths", "4,8", "--data-dir", str(data),
+                   "--repetitions", "0", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -393,6 +415,31 @@ class TestExitCodes:
             "--out-labels", str(tmp_path / "l.vvol")])
         assert rc == EXIT_NUMERIC
         assert not (tmp_path / "p.vvol").exists()
+
+
+class TestDeterminism:
+    def test_train_bytes_independent_of_blas_threads(self, tmp_path):
+        # conv3d's GEMMs must not change a bit with the BLAS thread count; the
+        # desk widths make them large enough for OpenBLAS to split across threads
+        data = tmp_path / "data"
+        net = ["--volumes", "3", "--train-split", "2", "--extents", "16,16,16",
+               "--patch", "16,16,16", "--factors", "1,1,1", "--k", "16",
+               "--widths", "16,32", "--seed", "8", "--data-dir", str(data)]
+        assert main(["gen-data"] + net) == 0
+        src = str(Path(voxseg.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "voxseg.cli.main", "train", "--quiet"] + net
+                + ["--out-dir", str(out), "--iterations", "4", "--val-interval", "2",
+                   "--augment-count", "1"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / n).read_bytes() for n in ("model.vckp", "runlog.csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestRunlog:

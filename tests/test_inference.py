@@ -24,7 +24,7 @@ def constant_net(probs_vector):
     def fn(patch):
         x, y, z = patch.shape.spatial
         out = np.broadcast_to(probs_vector, (z, y, x, len(probs_vector)))
-        return Tensor4.from_zyxc(np.ascontiguousarray(out))
+        return Tensor4(np.ascontiguousarray(out))
 
     return FakeNet(len(probs_vector), fn)
 
@@ -107,7 +107,7 @@ class TestPredictVolume:
                     arr = np.empty((z, y, x, 2))
                     arr[..., 0] = p0
                     arr[..., 1] = 1.0 - p0
-                    return Tensor4.from_zyxc(arr)
+                    return Tensor4(arr)
 
                 super().__init__(2, fn)
 
@@ -169,20 +169,20 @@ class TestDecodeLabels:
     def test_one_hot_exact(self):
         arr = np.zeros((2, 2, 2, 3))
         arr[..., 2] = 1.0
-        vol = Volume(Tensor4.from_zyxc(arr), (1, 1, 1), "image")
+        vol = Volume(Tensor4(arr), (1, 1, 1), "image")
         out = decode_labels(vol)
         assert (out.tensor.zyxc == 2.0).all()
         assert out.class_count == 3
 
     def test_tie_breaks_to_lowest_class(self):
         arr = np.full((1, 1, 1, 2), 0.5)
-        vol = Volume(Tensor4.from_zyxc(arr), (1, 1, 1), "image")
+        vol = Volume(Tensor4(arr), (1, 1, 1), "image")
         assert decode_labels(vol).tensor.at(0, 0, 0, 0) == 0.0
 
     def test_matches_bruteforce_argmax(self):
         rng = Rng(11)
         raw = rng.uniform(4 * 4 * 4 * 3).reshape(4, 4, 4, 3)
-        vol = Volume(Tensor4.from_zyxc(raw), (1, 1, 1), "image")
+        vol = Volume(Tensor4(raw), (1, 1, 1), "image")
         out = decode_labels(vol).tensor.zyxc[..., 0]
         for z in range(4):
             for y in range(4):

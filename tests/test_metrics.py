@@ -263,7 +263,7 @@ class TestBoundedSearch:
 
 class TestPerClassMetrics:
     def vol_from(self, arr, classes):
-        t = Tensor4.from_zyxc(np.asarray(arr, dtype=float)[..., None])
+        t = Tensor4(np.asarray(arr, dtype=float)[..., None])
         return Volume(t, (1.0, 1.0, 1.0), "labels", classes)
 
     def test_self_evaluation(self):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import FUZZ, fd_gradient_error, full, mutated
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        DownShuffleConv, NonFiniteWeightsError, activation,
-                       build_backbone, ce_dice_loss, constant, down_shuffle_op,
+                       Node, build_backbone, ce_dice_loss, down_shuffle_op,
                        load_checkpoint, load_into_network, save_checkpoint,
                        up_shuffle_op)
 from voxseg.shuffle import ShuffleFactors
@@ -27,13 +27,13 @@ class TestStemLayer:
                                 kernel=(1, 1, 1), act="identity")
         layer.conv.weight.value = full(Shape4(1, 1, 1, 1), 1.0)
         t = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(1))
-        assert layer(constant(t)).value.equal(t)
+        assert layer(Node(t)).value.equal(t)
 
     def test_matches_composition_exactly(self):
         layer = DownShuffleConv(1, 6, ShuffleFactors(2, 2, 2), Rng(2))
         t = Tensor4.gaussian(Shape4(8, 4, 4, 1), 0, 1, Rng(3))
-        fused = layer(constant(t))
-        shuffled = down_shuffle_op(constant(t), (2, 2, 2))
+        fused = layer(Node(t))
+        shuffled = down_shuffle_op(Node(t), (2, 2, 2))
         composed = activation(layer.conv(shuffled), "relu")
         assert fused.value.equal(composed.value)
 
@@ -41,13 +41,13 @@ class TestStemLayer:
         # high-res (8,8,4) with factors (4,4,2) lands on (2,2,2) with k maps
         layer = DownShuffleConv(1, 5, ShuffleFactors(4, 4, 2), Rng(4))
         t = Tensor4.gaussian(Shape4(8, 8, 4, 1), 0, 1, Rng(5))
-        out = layer(constant(t))
+        out = layer(Node(t))
         assert out.value.shape == Shape4(2, 2, 2, 5)
 
     def test_divisibility_error(self):
         layer = DownShuffleConv(1, 2, ShuffleFactors(2, 2, 2), Rng(6))
         with pytest.raises(ValueError):
-            layer(constant(Tensor4.zeros(Shape4(3, 4, 4, 1))))
+            layer(Node(Tensor4.zeros(Shape4(3, 4, 4, 1))))
 
     def test_fd_gradients(self):
         layer = DownShuffleConv(1, 3, ShuffleFactors(2, 2, 2), Rng(7))
@@ -68,13 +68,13 @@ class TestHeadLayer:
     def test_identity_factors_is_plain_conv(self):
         layer = ConvUpShuffle(2, 3, ShuffleFactors(1, 1, 1), Rng(10))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, Rng(11))
-        assert layer(constant(t)).value.equal(layer.conv(constant(t)).value)
+        assert layer(Node(t)).value.equal(layer.conv(Node(t)).value)
 
     def test_matches_composition_exactly(self):
         layer = ConvUpShuffle(3, 2, ShuffleFactors(2, 2, 2), Rng(12))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 3), 0, 1, Rng(13))
-        fused = layer(constant(t))
-        composed = up_shuffle_op(layer.conv(constant(t)), (2, 2, 2))
+        fused = layer(Node(t))
+        composed = up_shuffle_op(layer.conv(Node(t)), (2, 2, 2))
         assert fused.value.equal(composed.value)
 
     def test_restores_extents(self):
@@ -82,7 +82,7 @@ class TestHeadLayer:
         stem = DownShuffleConv(1, 4, factors, Rng(14))
         head = ConvUpShuffle(4, 2, factors, Rng(15))
         t = Tensor4.gaussian(Shape4(8, 8, 4, 1), 0, 1, Rng(16))
-        out = head(stem(constant(t)))
+        out = head(stem(Node(t)))
         assert out.value.shape == Shape4(8, 8, 4, 2)
 
     def test_fd_gradients(self):
@@ -155,7 +155,7 @@ class TestFullScaleGeometry:
         # (400, 400, 80) input with factors (4, 4, 2) lands the backbone on
         # (100, 100, 40) with k=64 feature maps
         t = Tensor4.zeros(Shape4(400, 400, 80, 1))
-        shuffled = down_shuffle_op(constant(t), (4, 4, 2)).value
+        shuffled = down_shuffle_op(Node(t), (4, 4, 2)).value
         assert shuffled.shape == Shape4(100, 100, 40, 32)
         from voxseg.nn import _conv_geometry
 
@@ -190,7 +190,7 @@ class TestFullBackboneGradient:
         idx = Rng(34).randint(0, 2, 8 ** 3).reshape(8, 8, 8)
         hot = np.zeros((8, 8, 8, 2))
         np.put_along_axis(hot, np.asarray(idx)[..., None], 1.0, axis=3)
-        labels = Tensor4.from_zyxc(hot)
+        labels = Tensor4(hot)
 
         params = net.parameters()
         names = list(params)

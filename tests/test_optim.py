@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from voxseg.nn import constant
+from voxseg.nn import Node
 from voxseg.optim import (INITIAL_LR_BY_FACTORS, LrSchedule, SgdState, lr_at,
                           sgd_step, suggested_initial_lr)
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
 def param(values):
-    return constant(Tensor4.from_flat(Shape4(len(values), 1, 1, 1), values))
+    return Node(Tensor4.from_flat(Shape4(len(values), 1, 1, 1), values))
 
 
 def step(params, state, *grads):
@@ -64,7 +64,7 @@ class TestSgdStep:
 
     def test_matches_closed_form_without_momentum(self):
         rng = Rng(1)
-        p = {"w": constant(Tensor4.gaussian(Shape4(3, 2, 1, 2), 0, 1, rng))}
+        p = {"w": Node(Tensor4.gaussian(Shape4(3, 2, 1, 2), 0, 1, rng))}
         g = Tensor4.gaussian(Shape4(3, 2, 1, 2), 0, 1, rng)
         before = p["w"].value.copy()
         state = SgdState(p, lr=0.05, momentum=0.0, weight_decay=0.0)

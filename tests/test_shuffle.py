@@ -13,7 +13,7 @@ def arange_spatial(nx, ny, nz):
         for y in range(ny):
             for x in range(nx):
                 vals[z, y, x, 0] = x + nx * (y + ny * z)
-    return Tensor4.from_zyxc(vals)
+    return Tensor4(vals)
 
 
 class TestFactors:
@@ -43,7 +43,7 @@ class TestDownShuffle:
         vals = np.zeros((1, 1, 2, 2))
         vals[0, 0, 0] = [10.0, 11.0]
         vals[0, 0, 1] = [20.0, 21.0]
-        out = down_shuffle(Tensor4.from_zyxc(vals), ShuffleFactors(2, 1, 1))
+        out = down_shuffle(Tensor4(vals), ShuffleFactors(2, 1, 1))
         assert out.shape == Shape4(1, 1, 1, 4)
         assert out.flat.tolist() == [10.0, 11.0, 20.0, 21.0]
 

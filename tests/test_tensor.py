@@ -85,7 +85,7 @@ class TestGaussian:
 class TestElementwise:
     def test_map(self):
         t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 4.0])
-        assert Tensor4.from_zyxc(np.abs(t.zyxc)).flat.tolist() == [1.0, 4.0]
+        assert Tensor4(np.abs(t.zyxc)).flat.tolist() == [1.0, 4.0]
 
 
 class TestConcatCrop:

@@ -10,11 +10,10 @@ import voxseg.atomic as atomic
 from voxseg.cli.main import EXIT_DATA, main
 from voxseg.nn import save_checkpoint
 from voxseg.tensor import Rng, Shape4, Tensor4
-from voxseg.volume import (DeformationField, PatchSpec, Volume, VvolError,
-                           augment_dataset, elastic_augment, gen_synthetic,
-                           load_manifest_volumes, normalize_patch, random_deformation,
-                           read_manifest, read_vvol, sample_patch, write_manifest,
-                           write_vvol)
+from voxseg.volume import (Volume, VvolError, augment_dataset, elastic_augment,
+                           gen_synthetic, load_manifest_volumes, normalize_patch,
+                           random_deformation, read_manifest, read_vvol, sample_patch,
+                           write_manifest, write_vvol)
 
 
 def random_image(seed, extents=(6, 5, 4)):
@@ -244,7 +243,7 @@ class TestPatchSampling:
     def test_mean_and_variance(self):
         img = random_image(21, (10, 10, 10))
         lab = random_labels(22, (10, 10, 10))
-        patch, _ = sample_patch(img, lab, PatchSpec((6, 6, 6)), Rng(23))
+        patch, _ = sample_patch(img, lab, (6, 6, 6), Rng(23))
         a = patch.zyxc
         assert abs(a.mean()) < 1e-10
         assert abs(a.var() - 1.0) < 1e-8
@@ -256,15 +255,15 @@ class TestPatchSampling:
     def test_alignment(self):
         img = random_image(24, (10, 10, 10))
         lab = Volume(img.tensor.copy(), img.spacing, "image")  # same payload
-        patch, aligned = sample_patch(img, lab, PatchSpec((4, 4, 4), normalize=False),
-                                      Rng(25))
-        assert patch.equal(aligned)
+        patch, aligned = sample_patch(img, lab, (4, 4, 4), Rng(25))
+        assert patch.equal(normalize_patch(aligned))
 
-    def test_patch_too_large(self):
+    @pytest.mark.parametrize("extents", [(6, 4, 4), (0, 4, 4)])
+    def test_patch_too_large_or_empty(self, extents):
         img = random_image(26, (4, 4, 4))
         lab = random_labels(27, (4, 4, 4))
         with pytest.raises(ValueError):
-            sample_patch(img, lab, PatchSpec((6, 4, 4)), Rng(28))
+            sample_patch(img, lab, extents, Rng(28))
 
     def test_origins_cover_volume(self):
         img = random_image(29, (6, 6, 6))
@@ -272,17 +271,34 @@ class TestPatchSampling:
         rng = Rng(31)
         seen = set()
         for _ in range(200):
-            _, lab_patch = sample_patch(img, lab, PatchSpec((3, 3, 3), normalize=False), rng)
+            _, lab_patch = sample_patch(img, lab, (3, 3, 3), rng)
             seen.add(lab_patch.at(0, 0, 0, 0))
         assert len(seen) > 1
+
+
+def trilinear_oracle(corners, extents):
+    """Displacement (z, y, x, axis) of every voxel, one voxel and corner at a time."""
+    X, Y, Z = extents
+    out = np.zeros((Z, Y, X, 3))
+    for z in range(Z):
+        for y in range(Y):
+            for x in range(X):
+                t = [v / (n - 1) if n > 1 else 0.0 for v, n in ((x, X), (y, Y), (z, Z))]
+                for cz in (0, 1):
+                    for cy in (0, 1):
+                        for cx in (0, 1):
+                            w = 1.0
+                            for c, f in zip((cx, cy, cz), t):
+                                w *= f if c else 1.0 - f
+                            out[z, y, x] += w * corners[cz, cy, cx]
+    return out
 
 
 class TestElastic:
     def test_zero_displacement_is_identity(self):
         img = random_image(41, (8, 8, 8))
         lab = random_labels(42, (8, 8, 8))
-        field = DeformationField((2, 2, 2), np.zeros((2, 2, 2, 3)))
-        img2, lab2 = elastic_augment(img, lab, field)
+        img2, lab2 = elastic_augment(img, lab, np.zeros((2, 2, 2, 3)))
         assert img2.tensor.equal(img.tensor)
         assert lab2.tensor.equal(lab.tensor)
 
@@ -292,7 +308,7 @@ class TestElastic:
         disp = np.zeros((2, 2, 2, 3))
         disp[..., 0] = 2.0  # sample from x + 2
         disp[..., 2] = -1.0  # and z - 1
-        img2, lab2 = elastic_augment(img, lab, DeformationField((2, 2, 2), disp))
+        img2, lab2 = elastic_augment(img, lab, disp)
         src_img = img.tensor.zyxc
         src_lab = lab.tensor.zyxc
         # interior voxels: out(x, y, z) == in(x + 2, y, z - 1)
@@ -305,13 +321,42 @@ class TestElastic:
     def test_labels_keep_original_values(self):
         img = random_image(45, (8, 8, 8))
         lab = random_labels(46, (8, 8, 8), classes=4)
-        field = random_deformation(Rng(47), sigma=5.0)
-        _, lab2 = elastic_augment(img, lab, field)
+        corners = random_deformation(Rng(47), sigma=5.0)
+        _, lab2 = elastic_augment(img, lab, corners)
         assert set(np.unique(lab2.tensor.zyxc)) <= set(np.unique(lab.tensor.zyxc))
 
-    def test_grid_too_small_rejected(self):
+    def test_random_deformation_is_24_normals(self):
+        corners = random_deformation(Rng(50), sigma=3.0)
+        assert corners.shape == (2, 2, 2, 3)
+        assert np.array_equal(corners.reshape(-1), Rng(50).normal(24, sigma=3.0))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1, 3), (3, 2, 2, 3), (2, 2, 2, 2), (24,)])
+    def test_corners_of_wrong_shape_rejected(self, shape):
+        img = random_image(51, (4, 4, 4))
+        lab = random_labels(52, (4, 4, 4))
         with pytest.raises(ValueError):
-            DeformationField((1, 2, 2), np.zeros((2, 2, 1, 3)))
+            elastic_augment(img, lab, np.zeros(shape))
+
+    @pytest.mark.parametrize("extents", [(7, 5, 1), (6, 4, 3)])
+    def test_matches_trilinear_oracle(self, extents):
+        # per axis a, image value = voxel coordinate along a, so a warped voxel
+        # reads back exactly its own coordinate plus the displacement along a
+        rng = Rng(53)
+        corners = rng.uniform(24).reshape(2, 2, 2, 3) * 0.45
+        for a, n in enumerate(extents):
+            # low corners push up and high corners down, so no sample clamps
+            inward = np.array([1.0, -1.0]).reshape([2 if d == 2 - a else 1 for d in range(3)])
+            corners[..., a] *= inward if n > 1 else 0.0
+        assert len(np.unique(corners)) > 3
+        expected = trilinear_oracle(corners, extents)
+        X, Y, Z = extents
+        lab = Volume(Tensor4.zeros(Shape4(X, Y, Z, 1)), (1, 1, 1), "labels", 2)
+        zz, yy, xx = np.meshgrid(np.arange(Z), np.arange(Y), np.arange(X), indexing="ij")
+        for a, coord in enumerate((xx, yy, zz)):
+            img = Volume(Tensor4(coord[..., None]), (1, 1, 1), "image")
+            warped, _ = elastic_augment(img, lab, corners)
+            want = coord + expected[..., a]
+            assert np.abs(warped.tensor.zyxc[..., 0] - want).max() < 1e-9
 
 
 class TestAugmentDataset:
