@@ -55,7 +55,10 @@ def _collect_config(args) -> TrainConfig:
 
 
 def _parse_triple(raw: str) -> tuple[int, int, int]:
-    parts = tuple(int(p) for p in raw.split(","))
+    try:
+        parts = tuple(int(p) for p in raw.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
         raise ConfigError(f"expected three comma-separated integers, got {raw!r}")
     return parts
@@ -130,8 +133,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    volume = read_vvol(args.input)
     factors = ShuffleFactors(*_parse_triple(args.factors))
+    volume = read_vvol(args.input)
     op = down_shuffle if args.direction == "down" else up_shuffle
     shuffled = op(volume.tensor, factors)
     out = Volume(shuffled, volume.spacing, volume.kind, volume.class_count)

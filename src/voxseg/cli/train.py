@@ -12,7 +12,7 @@ import numpy as np
 from ..atomic import write_atomic
 from ..inference import decode_labels, predict_volume
 from ..metrics import BinaryMask, dice
-from ..nn import backward, build_backbone, ce_dice_loss, save_checkpoint
+from ..nn import Node, backward, build_backbone, ce_dice_loss, save_checkpoint
 from ..optim import LrSchedule, SgdState, lr_at, sgd_step
 from ..tensor import Rng, Tensor4
 from ..volume import augment_dataset, load_manifest_volumes, normalize_patch, sample_patch
@@ -58,7 +58,7 @@ def evaluate(net, val_pairs, cfg: TrainConfig) -> tuple[float, list[float]]:
         origin = tuple((e - p) // 2 for e, p in zip(image.extents, cfg.patch))
         img = image.tensor.crop(origin, cfg.patch)
         lab = labels.tensor.crop(origin, cfg.patch)
-        probs = net.forward(normalize_patch(img))
+        probs = Node(net.predict(normalize_patch(img)))
         loss = ce_dice_loss(probs, one_hot_labels(lab, cfg.class_count),
                             cfg.lambda_ce, cfg.lambda_dice)
         losses.append(loss.value.at(0, 0, 0, 0))

@@ -7,6 +7,14 @@ gradient to ``seed`` (1.0 for a scalar root by default, or an array of the
 root's shape, which projects a tensor-valued root) and runs the closures once
 each in reverse topological order. Everything is float64.
 
+A graph lives until it is used: ``backward`` releases each interior node's
+closure, parents and gradient once its closure has run, leaves (parameters)
+keep their gradients, and a later ``backward`` that reaches a released node
+raises ``RuntimeError``. Gradients are allocated on first access. A node that
+is not a leaf and has no parent needing a gradient, or is the network input,
+needs none and keeps no parents; a convolution skips the input-gradient GEMMs
+for such an input. ``ShuffleUNet3d.predict`` records nothing at all.
+
 Convolution is cross-correlation (no kernel flip) at stride 1 with zero
 padding and the output-extent formula in + 2*pad - kernel + 1 per axis; the
 net downsamples only by shuffling and pooling, never by a strided convolution.
@@ -34,18 +42,32 @@ from .shuffle import ShuffleFactors, down_shuffle, up_shuffle
 from .tensor import Rng, Shape4, Tensor4
 
 
+_recording = True  # cleared only while ShuffleUNet3d.predict runs
+
+
 class Node:
     """One value in the computation record."""
 
-    __slots__ = ("value", "grad", "_parents", "_backprop", "_backward_done")
+    __slots__ = ("value", "_grad", "_parents", "_backprop", "_needs_grad", "_released")
 
     def __init__(self, value: Tensor4, parents: tuple = (),
                  backprop: Callable[["Node"], None] | None = None):
         self.value = value
-        self.grad = np.zeros_like(value.zyxc)
-        self._parents = parents
-        self._backprop = backprop
-        self._backward_done = False
+        self._grad = None
+        self._needs_grad = _recording and (not parents or any(p._needs_grad for p in parents))
+        self._parents = parents if self._needs_grad else ()
+        self._backprop = backprop if self._needs_grad else None
+        self._released = False
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value.zyxc)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
 
 def backward(root: Node, seed=None) -> None:
@@ -58,9 +80,6 @@ def backward(root: Node, seed=None) -> None:
     if np.shape(seed) != root.grad.shape and (np.ndim(seed) or root.value.size != 1):
         raise ValueError(f"seed of shape {np.shape(seed)} does not fit a root of "
                          f"shape {root.grad.shape}")
-    if root._backward_done:
-        raise RuntimeError("backward already ran for this node; rebuild the graph")
-    root._backward_done = True
 
     order: list[Node] = []
     seen: set[int] = set()
@@ -72,6 +91,8 @@ def backward(root: Node, seed=None) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._released:
+            raise RuntimeError("backward reached a released node; rebuild the graph")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -79,9 +100,12 @@ def backward(root: Node, seed=None) -> None:
                 stack.append((parent, False))
 
     root.grad[...] = seed
-    for node in reversed(order):
+    while order:  # popping drops the last reference a finished node has here
+        node = order.pop()
         if node._backprop is not None:
             node._backprop(node)
+            node._backprop, node._parents, node._grad = None, (), None
+            node._released = True
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +226,20 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
         gacc = np.zeros((*grid, c_out))
         gacc[valid] = g
         gmat = gacc.reshape(-1, c_out)
-        gw, gflat = np.zeros_like(taps), np.zeros_like(flat)
+        gw = np.zeros_like(taps)
+        gflat = np.zeros_like(flat) if x._needs_grad else None
         for s in range(0, n, 2048):  # a row block of g stays in cache over all taps
             e = min(n, s + 2048)
             for t, o in enumerate(offsets):
                 # dW[t] += flat[o+s:o+e]^T @ g[s:e] and dX[o+s:o+e] += g[s:e] @ W[t]^T
                 dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
                       c=gw[t].T, overwrite_c=True)
-                dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
-                      c=gflat[o + s : o + e].T, overwrite_c=True)
+                if gflat is not None:
+                    dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
+                          c=gflat[o + s : o + e].T, overwrite_c=True)
         weight.grad += gw.reshape(weight.grad.shape)
-        x.grad += gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
+        if gflat is not None:
+            x.grad += gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
 
     return Node(value, (x, weight, bias), backprop)
 
@@ -504,7 +531,7 @@ class ShuffleUNet3d:
 
     def zero_grad(self) -> None:
         for node in self.parameters().values():
-            node.grad.fill(0.0)
+            node.grad = None
 
     # -- forward ------------------------------------------------------------
 
@@ -512,6 +539,7 @@ class ShuffleUNet3d:
         """Class probability map for one patch (softmax over channels)."""
         self.spec.check_input_extents(patch.shape.spatial)
         x = Node(patch)
+        x._needs_grad = False  # input data: nothing reads its gradient
         acts: list[tuple[str, int]] = []
 
         def track(label: str, node: Node) -> Node:
@@ -537,7 +565,13 @@ class ShuffleUNet3d:
         return probs
 
     def predict(self, patch: Tensor4) -> Tensor4:
-        return self.forward(patch).value
+        """``forward(patch).value``, computed without recording a graph."""
+        global _recording
+        _recording = False
+        try:
+            return self.forward(patch).value
+        finally:
+            _recording = True
 
 
 def build_backbone(spec: BackboneSpec, rng: Rng) -> ShuffleUNet3d:
@@ -638,4 +672,4 @@ def load_into_network(net: ShuffleUNet3d, params: Mapping[str, Tensor4]) -> None
                 f"vs network {node.value.shape}"
             )
         node.value = params[name].copy()
-        node.grad = np.zeros_like(node.value.zyxc)
+        node.grad = None

@@ -362,17 +362,20 @@ class TestInferenceStitching:
 
 
 class TestDeterminism:
-    def test_hash_identical_checkpoints_and_logs(self, tmp_path):
+    @staticmethod
+    def _train_twice(tmp_path, factors, patch, batch_size):
+        """sha256 of (checkpoint, log) from two identical training runs."""
         data = tmp_path / "data"
         rc = main(["gen-data", "--seed", "31", "--volumes", "3", "--train-split", "2",
-                   "--extents", "16,16,16", "--patch", "8,8,8",
+                   "--extents", "16,16,16", "--patch", patch,
                    "--data-dir", str(data)])
         assert rc == 0
 
         def run(out_name):
             cfg = apply_overrides(TrainConfig(), {
                 "seed": "31", "volumes": "3", "train_split": "2",
-                "extents": "16,16,16", "patch": "8,8,8", "factors": "2,2,2",
+                "extents": "16,16,16", "patch": patch, "factors": factors,
+                "batch_size": batch_size,
                 "k": "4", "widths": "4,8", "iterations": "25", "val_interval": "10",
                 "augment_count": "1", "data_dir": str(data),
                 "out_dir": str(tmp_path / out_name),
@@ -382,7 +385,16 @@ class TestDeterminism:
             lg = hashlib.sha256(result.log_path.read_bytes()).hexdigest()
             return ck, lg
 
-        first = run("a")
-        second = run("b")
+        return run("a"), run("b")
+
+    def test_hash_identical_checkpoints_and_logs(self, tmp_path):
+        first, second = self._train_twice(tmp_path, "2,2,2", "8,8,8", "1")
         report("determinism", first == second,
+               f"checkpoint sha256 {first[0][:12]}..., log sha256 {first[1][:12]}...")
+
+    def test_hash_identical_plain_unet_batch_two(self, tmp_path):
+        # factors 1,1,1 at batch 2: the input skips its gradient at full size and
+        # two released graphs accumulate into the same parameters
+        first, second = self._train_twice(tmp_path, "1,1,1", "16,16,16", "2")
+        report("determinism-plain-batch2", first == second,
                f"checkpoint sha256 {first[0][:12]}..., log sha256 {first[1][:12]}...")

@@ -68,6 +68,45 @@ class TestEngine:
             assert g.any(), name
             assert np.array_equal(half_grads[name], 0.5 * g), name
 
+    def test_backward_releases_interior_nodes(self):
+        spec = BackboneSpec(class_count=2, factors=(1, 1, 1), stem_channels=2,
+                            widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
+        x = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(43))
+        labels = one_hot_from(np.asarray(Rng(44).randint(0, 2, 4 ** 3)).reshape(4, 4, 4), 2)
+        grads = []
+        for _ in range(2):
+            net = build_backbone(spec, Rng(45))
+            root = ce_dice_loss(net.forward(x), labels)
+            interior, stack = [], [root]
+            while stack:
+                node = stack.pop()
+                if node._parents:
+                    interior.append(node)
+                    stack.extend(node._parents)
+            backward(root)
+            assert all(n._backprop is None and not n._parents and n._grad is None
+                       for n in interior)
+            grads.append({name: node._grad for name, node in net.parameters().items()})
+        for name, g in grads[0].items():
+            assert g.any(), name
+            assert np.array_equal(grads[1][name], g), name
+
+    def test_released_shared_subgraph_rejected(self):
+        # two roots over one conv: the first backward releases the conv node,
+        # so the second cannot reach the parameters through it
+        rng = Rng(46)
+        x = Node(Tensor4.gaussian(Shape4(3, 3, 3, 1), 0, 1, rng))
+        w = Node(Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, rng))
+        b = Node(Tensor4.zeros(Shape4(1, 1, 1, 2)))
+        shared = conv3d(x, w, b, (3, 3, 3), (1, 1, 1))
+        first, second = activation(shared, "relu"), activation(shared, "identity")
+        ones = np.ones(shared.value.zyxc.shape)
+        backward(first, ones)
+        before = w.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            backward(second, ones)
+        assert np.array_equal(w.grad, before)
+
     @pytest.mark.parametrize("seed_shape", [(1, 1, 1, 2), (2, 1, 1, 1, 1), (2,)])
     def test_seed_shape_must_fit_root(self, seed_shape):
         root = Node(Tensor4.zeros(Shape4(2, 1, 1, 1)))
@@ -231,6 +270,22 @@ class TestConv3dOracle:
         backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), ones)
         assert_rel_close(x.grad, 2 * once_x)
         assert_rel_close(w.grad, 2 * once_w)
+
+    def test_input_without_gradient_skips_dx(self):
+        rng = Rng(32)
+        xt = Tensor4.gaussian(Shape4(5, 4, 3, 2), 0, 1, rng)
+        wt = Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 1, rng)
+        bt = Tensor4.gaussian(Shape4(1, 1, 1, 3), 0, 1, rng)
+        g = Tensor4.gaussian(Shape4(5, 4, 3, 3), 0, 1, rng).zyxc
+        grads = []
+        for needs_grad in (True, False):
+            x, w, b = Node(xt), Node(wt), Node(bt)
+            x._needs_grad = needs_grad
+            backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), g)
+            assert (x._grad is None) == (not needs_grad)
+            grads.append((w.grad, b.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
 
 
 class TestMaxpool:

@@ -316,6 +316,14 @@ class TestShuffleCommand:
                    "--factors", "5,2,2", "--direction", "down"])
         assert rc == 2
 
+    def test_non_integer_factors_is_config_error(self, tmp_path, capsys):
+        # parsed before the input is read, so a missing input is not reached
+        rc = main(["shuffle", "--input", str(tmp_path / "absent.vvol"),
+                   "--output", str(tmp_path / "x.vvol"),
+                   "--factors", "a,2,2", "--direction", "down"])
+        assert rc == EXIT_USAGE
+        assert "expected three comma-separated integers" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_activation_ratios_exact(self, tiny_workspace, tmp_path):
@@ -347,6 +355,16 @@ class TestBenchCommand:
         rc = main(["bench", "--patch", "16,16,16", "--extents", "16,16,16",
                    "--k", "4", "--widths", "4,8", "--data-dir", str(data),
                    "--repetitions", "0", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("factors_list", ["x,2,2", "2,2", "1,1,1;2,2.5,2"])
+    def test_bad_factor_triple_is_usage_error(self, tiny_workspace, tmp_path, factors_list):
+        _, data, _ = tiny_workspace
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--patch", "16,16,16", "--extents", "16,16,16",
+                   "--k", "4", "--widths", "4,8", "--data-dir", str(data),
+                   "--factors-list", factors_list, "--out", str(out)])
         assert rc == EXIT_USAGE
         assert not out.exists()
 

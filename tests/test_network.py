@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,33 @@ class TestBackbone:
         b = build_backbone(small_spec(factors=(2, 2, 2)), Rng(28))
         t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(29))
         assert a.forward(t).value.equal(b.forward(t).value)
+
+    def test_predict_records_nothing(self):
+        net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(30))
+        t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(31))
+        outputs = []
+        forward = net.forward
+        net.forward = lambda patch: outputs.append(forward(patch)) or outputs[-1]
+        assert net.predict(t).equal(forward(t).value)
+        assert not outputs[0]._parents and outputs[0]._backprop is None
+
+    @pytest.mark.parametrize("factors", [(1, 1, 1), (2, 2, 2)])
+    def test_predict_peak_below_half_of_forward(self, factors):
+        net = build_backbone(BackboneSpec(class_count=2, factors=factors, stem_channels=16,
+                                          widths=(16, 32)), Rng(32))
+        t = Tensor4.gaussian(Shape4(16, 16, 16, 1), 0, 1, Rng(33))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (net.forward, net.predict):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = run(t)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del out
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 0.5 * peaks[0], peaks
 
 
 class TestFullScaleGeometry:
