@@ -53,14 +53,13 @@ def plan_tiling(extents: tuple[int, int, int], patch: tuple[int, int, int],
 
 
 def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
-                   stride: tuple[int, int, int] | None = None,
-                   normalize: bool = True) -> Volume:
+                   stride: tuple[int, int, int] | None = None) -> Volume:
     """Average per-patch class probabilities over all covering patches.
 
     ``net`` needs ``predict(Tensor4) -> Tensor4`` returning per-voxel class
     distributions and a ``spec.class_count``. Volumes smaller than the patch
     are zero-padded for prediction and the padding is cropped from the output.
-    Each patch is normalized with the training-time rule unless disabled.
+    Each patch is normalized with the training-time rule.
     """
     X, Y, Z = volume.extents
     pad = [max(0, p - e) for p, e in zip(patch, (X, Y, Z))]
@@ -76,10 +75,7 @@ def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
     cover = np.zeros((wz, wy, wx, 1))
     px, py, pz = plan.patch
     for ox, oy, oz in plan.origins:
-        tile = work.tensor.crop((ox, oy, oz), plan.patch)
-        if normalize:
-            tile = normalize_patch(tile)
-        probs = net.predict(tile)
+        probs = net.predict(normalize_patch(work.tensor.crop((ox, oy, oz), plan.patch)))
         prob_sum[oz : oz + pz, oy : oy + py, ox : ox + px, :] += probs.zyxc
         cover[oz : oz + pz, oy : oy + py, ox : ox + px, :] += 1.0
     if cover.min() < 1.0:

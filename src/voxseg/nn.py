@@ -251,7 +251,7 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
 def maxpool3(x: Node, factors: tuple[int, int, int]) -> Node:
     """Per-window maximum with window = stride = factors.
 
-    Gradient goes to the first maximum in buffer layout order.
+    Gradient goes to the first maximum (or first NaN) in buffer layout order.
     """
     fx, fy, fz = factors
     if min(factors) < 1:
@@ -260,32 +260,50 @@ def maxpool3(x: Node, factors: tuple[int, int, int]) -> Node:
     if X % fx or Y % fy or Z % fz:
         raise ValueError(f"extents {(X, Y, Z)} not divisible by pool factors {factors}")
     oz, oy, ox = Z // fz, Y // fy, X // fx
-    win = fz * fy * fx
 
-    blocks = x.value.zyxc.reshape(oz, fz, oy, fy, ox, fx, C)
-    blocks = blocks.transpose(0, 2, 4, 6, 1, 3, 5).reshape(oz, oy, ox, C, win)
-    idx = blocks.argmax(axis=4)
-    value = Tensor4(np.take_along_axis(blocks, idx[..., None], axis=4)[..., 0])
+    def slot_views(a: np.ndarray) -> list[np.ndarray]:  # (oz, oy, ox, C) each, in layout order
+        blocks = a.reshape(oz, fz, oy, fy, ox, fx, C)
+        return [blocks[:, dz, :, dy, :, dx] for dz, dy, dx in np.ndindex(fz, fy, fx)]
+
+    slots = slot_views(x.value.zyxc)
+    best = slots[0].copy()
+    for s in slots[1:]:
+        np.maximum(s, best, out=best)  # a tie keeps the second argument, the earlier slot
+    value = Tensor4(best)
+    if not x._needs_grad:
+        return Node(value, (x,))
+
+    first = np.zeros(best.shape, dtype=np.min_scalar_type(len(slots) - 1))
+    for w in range(len(slots) - 1, -1, -1):
+        np.copyto(first, w, where=(slots[w] == best) | np.isnan(slots[w]))
 
     def backprop(out: Node) -> None:
-        gwin = np.zeros((oz, oy, ox, C, win))
-        np.put_along_axis(gwin, idx[..., None], out.grad[..., None], axis=4)
-        gwin = gwin.reshape(oz, oy, ox, C, fz, fy, fx).transpose(0, 4, 1, 5, 2, 6, 3)
-        x.grad += gwin.reshape(Z, Y, X, C)
+        for w, gslot in enumerate(slot_views(x.grad)):
+            gslot += np.where(first == w, out.grad, 0.0)
 
     return Node(value, (x,), backprop)
+
+
+def _channel_fold(op, a: np.ndarray) -> np.ndarray:
+    """``op.reduce(a, axis=3)`` bit for bit, as one elementwise ``op`` per channel: numpy
+    reduces fewer than eight channels in this order (from eight on, pairwise)."""
+    if a.shape[3] >= 8:
+        return op.reduce(a, axis=3)
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[3]):
+        op(out, a[..., c], out=out)
+    return out
 
 
 def softmax_channels(x: Node) -> Node:
     """Per-voxel channel distribution, stabilized by max subtraction."""
     a = x.value.zyxc
-    shifted = a - a.max(axis=3, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=3, keepdims=True)
+    e = np.exp(a - _channel_fold(np.maximum, a)[..., None])
+    p = e / _channel_fold(np.add, e)[..., None]
     value = Tensor4(p)
 
     def backprop(out: Node) -> None:
-        inner = (out.grad * p).sum(axis=3, keepdims=True)
+        inner = _channel_fold(np.add, out.grad * p)[..., None]
         x.grad += p * (out.grad - inner)
 
     return Node(value, (x,), backprop)
@@ -293,7 +311,7 @@ def softmax_channels(x: Node) -> Node:
 
 def _check_one_hot(labels: Tensor4) -> None:
     g = labels.zyxc
-    if not (((g == 0.0) | (g == 1.0)).all() and (g.sum(axis=3) == 1.0).all()):
+    if not (((g == 0.0) | (g == 1.0)).all() and (_channel_fold(np.add, g) == 1.0).all()):
         raise ValueError("labels must be one-hot over the channel axis")
 
 

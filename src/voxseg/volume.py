@@ -247,17 +247,17 @@ def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
     if np.shape(corners) != (2, 2, 2, 3):
         raise ValueError(f"corners must have shape (2, 2, 2, 3), got {np.shape(corners)}")
     X, Y, Z = image.extents
-    # separable lerp a + f*(b - a), so constant corners densify exactly:
-    # x gives (axis, 2, 2, X), then y gives (axis, 2, Y, X), then z (axis, Z, Y, X)
-    d = np.moveaxis(np.asarray(corners, dtype=np.float64), 3, 0)
+    # separable lerp a + f*(b - a) of the (z, y, x) components, so constant corners densify
+    # exactly: x gives (axis, 2, 2, X), then y gives (axis, 2, Y, X), then z (axis, Z, Y, X)
+    d = np.moveaxis(np.asarray(corners, dtype=np.float64)[..., ::-1], 3, 0)
     for dim, n in ((3, X), (2, Y), (1, Z)):
         ramp = np.arange(n) * (1.0 / (n - 1)) if n > 1 else np.zeros(1)
         a, b = np.split(d, 2, axis=dim)
         d = a + ramp.reshape((n,) + (1,) * (3 - dim)) * (b - a)
-    dx, dy, dz = d
-    src = [(np.arange(Z)[:, None, None] + dz).reshape(-1),
-           (np.arange(Y)[:, None] + dy).reshape(-1),
-           (np.arange(X) + dx).reshape(-1)]
+    d[0] += np.arange(Z)[:, None, None]  # displacement to source coordinate, in place
+    d[1] += np.arange(Y)[:, None]
+    d[2] += np.arange(X)
+    src = d.reshape(3, -1)
     img_out = map_coordinates(image.tensor.zyxc[..., 0], src, order=1, mode="nearest")
     lab_out = map_coordinates(labels.tensor.zyxc[..., 0], src, order=0, mode="nearest")
     return (

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient_error, full
-from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward, build_backbone,
-                       ce_dice_loss, concat_channels, conv3d, down_shuffle_op,
-                       maxpool3, softmax_channels, up_shuffle_op)
+from voxseg.nn import (BackboneSpec, Conv3d, Node, _check_one_hot, activation, backward,
+                       build_backbone, ce_dice_loss, concat_channels, conv3d,
+                       down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 GRAD_TOL = 1e-6
@@ -318,6 +318,48 @@ class TestMaxpool:
         proj = Tensor4.gaussian(Shape4(2, 2, 1, 2), 0, 1, Rng(16)).zyxc
         assert fd_gradient_error(lambda l: maxpool3(l[0], (2, 2, 2)), [t], proj) < GRAD_TOL
 
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 1, 2), (1, 1, 1), (8, 4, 16)])
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_bit_identical_to_argmax_oracle(self, factors, recording):
+        # few distinct values force ties, signed zeros tie with each other;
+        # (8, 4, 16) has 512 window slots, more than a uint8 slot index holds
+        fx, fy, fz = factors
+        rng = np.random.default_rng(61)
+        a = rng.integers(-1, 3, size=(2 * fz, 3 * fy, 2 * fx, 3)).astype(np.float64)
+        a[rng.random(a.shape) < 0.2] = -0.0
+        a[0, 0, 0, 0] = np.nan
+        a[-1, -1, -1, -1] = np.nan
+        gout = rng.standard_normal((2, 3, 2, 3))
+        want_value, want_grad = maxpool_oracle(a, factors, gout)
+        x = Node(Tensor4(a.copy()))
+        x._needs_grad = recording
+        out = maxpool3(x, factors)
+        got = out.value.zyxc
+        assert np.array_equal(got, want_value, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want_value))
+        assert np.isnan(got[0, 0, 0, 0])
+        if recording:
+            backward(out, gout)
+            assert np.array_equal(x.grad, want_grad)
+        else:
+            assert not out._parents and out._backprop is None
+
+
+def maxpool_oracle(a, factors, gout):
+    """Pooled value and input gradient by argmax over a transposed window axis."""
+    fx, fy, fz = factors
+    Z, Y, X, C = a.shape
+    oz, oy, ox = Z // fz, Y // fy, X // fx
+    win = fz * fy * fx
+    blocks = a.reshape(oz, fz, oy, fy, ox, fx, C).transpose(0, 2, 4, 6, 1, 3, 5)
+    blocks = blocks.reshape(oz, oy, ox, C, win)
+    idx = blocks.argmax(axis=4)
+    value = np.take_along_axis(blocks, idx[..., None], axis=4)[..., 0]
+    gwin = np.zeros((oz, oy, ox, C, win))
+    np.put_along_axis(gwin, idx[..., None], gout[..., None], axis=4)
+    gwin = gwin.reshape(oz, oy, ox, C, fz, fy, fx).transpose(0, 4, 1, 5, 2, 6, 3)
+    return value, gwin.reshape(Z, Y, X, C)
+
 
 class TestConcat:
     def test_values_and_gradient_split(self):
@@ -362,6 +404,45 @@ class TestSoftmax:
         t = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(23))
         proj = Tensor4.gaussian(t.shape, 0, 1, Rng(24)).zyxc
         assert fd_gradient_error(lambda l: softmax_channels(l[0]), [t], proj) < GRAD_TOL
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 8])
+    def test_bit_identical_to_reduction_oracle(self, K):
+        rng = np.random.default_rng(62 + K)
+        a = rng.standard_normal((5, 4, 3, K)) * 10.0 ** rng.integers(-3, 4, size=(5, 4, 3, K))
+        a[0] = 700.0  # every channel tied at the max
+        a[1, :, :, 1:] = a[1, :, :, :1]
+        a[2, 0, 0, 0] = -1e300
+        gout = rng.standard_normal(a.shape) * 1e3
+        gout[3] = 0.0
+        shifted = a - a.max(axis=3, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=3, keepdims=True)
+        want_grad = want * (gout - (gout * want).sum(axis=3, keepdims=True))
+        x = Node(Tensor4(a))
+        out = softmax_channels(x)
+        assert np.array_equal(out.value.zyxc, want)
+        backward(out, gout)
+        assert np.array_equal(x.grad, want_grad)
+
+
+class TestOneHotCheck:
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_agrees_with_sum_oracle(self, K):
+        rng = np.random.default_rng(70 + K)
+        hot = one_hot_from(rng.integers(0, K, size=(3, 3, 3)), K).zyxc
+        none, every, half, signed = (hot.copy() for _ in range(4))
+        none[1, 1, 1] = 0.0
+        every[0, 2, 1] = 1.0
+        half[2, 0, 0, :2] = 0.5  # fractional entries that still sum to one
+        signed[signed == 0.0] = -0.0  # still one-hot
+        for g in (hot, none, every, half, signed):
+            want = ((g == 0.0) | (g == 1.0)).all() and (g.sum(axis=3) == 1.0).all()
+            try:
+                _check_one_hot(Tensor4(g))
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == want
 
 
 def one_hot_from(idx, class_count):

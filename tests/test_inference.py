@@ -113,10 +113,10 @@ class TestPredictVolume:
 
         net = PositionalNet()
         vol = image_volume(7, (6, 4, 4))
-        out = predict_volume(net, vol, (4, 4, 4), (2, 2, 2), normalize=False)
+        out = predict_volume(net, vol, (4, 4, 4), (2, 2, 2))
         # axis origins along x: 0 and 2; voxels x in [2,4) are covered twice
-        tile0 = net.predict(vol.tensor.crop((0, 0, 0), (4, 4, 4))).zyxc
-        tile1 = net.predict(vol.tensor.crop((2, 0, 0), (4, 4, 4))).zyxc
+        tile0 = net.predict(normalize_patch(vol.tensor.crop((0, 0, 0), (4, 4, 4)))).zyxc
+        tile1 = net.predict(normalize_patch(vol.tensor.crop((2, 0, 0), (4, 4, 4)))).zyxc
         got = out.tensor.zyxc
         assert np.array_equal(got[:, :, :2, :], tile0[:, :, :2, :])
         assert np.array_equal(got[:, :, 4:, :], tile1[:, :, 2:, :])

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,20 @@ class TestElastic:
             warped, _ = elastic_augment(img, lab, corners)
             want = coord + expected[..., a]
             assert np.abs(warped.tensor.zyxc[..., 0] - want).max() < 1e-9
+
+
+    def test_working_set_below_eight_values_per_voxel(self):
+        # the coordinate field and both outputs, with no per-axis or stacked copies
+        img = random_image(54, (32, 32, 32))
+        lab = random_labels(55, (32, 32, 32))
+        corners = random_deformation(Rng(56), sigma=15.0)
+        tracemalloc.start()
+        try:
+            elastic_augment(img, lab, corners)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * 32 ** 3, peak / (8 * 32 ** 3)
 
 
 class TestAugmentDataset:
