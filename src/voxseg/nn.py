@@ -1,29 +1,29 @@
 """Reverse-mode autodiff over Tensor4 and the layer set for a shuffle-wrapped 3D U-net.
 
-The graph is micrograd-style: every operation returns a Node holding its
-Tensor4 value, references to its parents, and a closure that scatters the
-node's gradient back to them. ``backward(root, seed)`` sets the root's
-gradient to ``seed`` (1.0 for a scalar root by default, or an array of the
-root's shape, which projects a tensor-valued root) and runs the closures once
-each in reverse topological order. Everything is float64.
+Every operation returns a Node holding its float64 Tensor4 value, its parents
+and a closure that scatters the node's gradient back to them.
+``backward(root, seed)`` seeds the root's gradient (1.0 for a scalar root, or
+an array of its shape) and runs each closure once in reverse topological
+order, then releases that node's closure, parents and gradient; leaves
+(parameters) keep theirs, and a ``backward`` that reaches a released node
+raises ``RuntimeError``. A node whose parents need no gradient, and the network
+input, keep no parents; ``ShuffleUNet3d.predict`` records nothing.
 
-A graph lives until it is used: ``backward`` releases each interior node's
-closure, parents and gradient once its closure has run, leaves (parameters)
-keep their gradients, and a later ``backward`` that reaches a released node
-raises ``RuntimeError``. Gradients are allocated on first access. A node that
-is not a leaf and has no parent needing a gradient, or is the network input,
-needs none and keeps no parents; a convolution skips the input-gradient GEMMs
-for such an input. ``ShuffleUNet3d.predict`` records nothing at all.
+Each closure keeps only what its backward reads. ``conv3d`` re-pads its input
+node's value for the weight-gradient GEMMs and allocates the input gradient,
+if one is needed, only after them. A ReLU folded into ``conv3d`` masks by its
+output, > 0 exactly where the pre-activation is (NaN and ±0 included). A
+gradient is allocated on first use: the first temporary an op hands over
+becomes it as 0.0 + g, the bits a zero fill plus g gives.
 
 Convolution is cross-correlation (no kernel flip) at stride 1 with zero
-padding and the output-extent formula in + 2*pad - kernel + 1 per axis; the
-net downsamples only by shuffling and pooling, never by a strided convolution.
-Kernel weights live in a Tensor4 of shape (kx, ky, kz, c_in*c_out) whose
-channel index is ci * c_out + co. ``conv3d`` adds one GEMM per kernel tap, in
-place, into an output grid laid over the flattened zero-padded input:
-tap (dz, dy, dx) reads the rows from offset dz*Y*X + dy*X + dx on. All its
-GEMMs are scipy's ``dgemm``, because numpy's separate OpenBLAS thread pool
-contends with scipy's when both are used.
+padding, output extent in + 2*pad - kernel + 1 per axis; the net downsamples
+only by shuffling and pooling. Kernel weights live in a Tensor4 of shape
+(kx, ky, kz, c_in*c_out) with channel index ci * c_out + co. ``conv3d`` adds
+one GEMM per kernel tap, in place, into an output grid laid over the flattened
+zero-padded input: tap (dz, dy, dx) reads the rows from offset
+dz*Y*X + dy*X + dx on. All GEMMs are scipy's ``dgemm``: numpy's separate
+OpenBLAS thread pool contends with scipy's when both are used.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ class Node:
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
         self._grad = value
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g``, an array the caller gives up; the first becomes the gradient."""
+        if self._grad is None:
+            self._grad = np.add(g, 0.0, out=g if g.flags.c_contiguous else None)
+        else:
+            self._grad += g
 
 
 def backward(root: Node, seed=None) -> None:
@@ -131,7 +138,7 @@ def activation(x: Node, kind: str = "relu") -> Node:
     value = Tensor4(np.maximum(x.value.zyxc, 0.0))
 
     def backprop(out: Node) -> None:
-        x.grad += out.grad * (x.value.zyxc > 0.0)
+        x._accumulate(out.grad * (x.value.zyxc > 0.0))
 
     return Node(value, (x,), backprop)
 
@@ -156,7 +163,7 @@ def down_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
     value = down_shuffle(x.value, factors)
 
     def backprop(out: Node) -> None:
-        x.grad += up_shuffle(Tensor4(out.grad), factors).zyxc
+        x._accumulate(up_shuffle(Tensor4(out.grad), factors).zyxc)
 
     return Node(value, (x,), backprop)
 
@@ -166,7 +173,7 @@ def up_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
     value = up_shuffle(x.value, factors)
 
     def backprop(out: Node) -> None:
-        x.grad += down_shuffle(Tensor4(out.grad), factors).zyxc
+        x._accumulate(down_shuffle(Tensor4(out.grad), factors).zyxc)
 
     return Node(value, (x,), backprop)
 
@@ -188,12 +195,13 @@ def _conv_geometry(shape: Shape4, kernel, padding) -> tuple[int, int, int]:
 
 
 def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
-           padding: tuple[int, int, int] = (0, 0, 0)) -> Node:
-    """Cross-correlate ``x`` with a filter bank at stride 1.
+           padding: tuple[int, int, int] = (0, 0, 0), act: str = "identity") -> Node:
+    """Cross-correlate ``x`` with a filter bank at stride 1, then apply activation ``act``.
 
     ``weight`` has Tensor4 shape (kx, ky, kz, c_in*c_out) with channel index
     ci * c_out + co; ``bias`` has shape (1, 1, 1, c_out).
     """
+    _check_activation(act)
     kx, ky, kz = kernel
     c_out = bias.value.shape.c
     c_in = weight.value.shape.c // c_out
@@ -206,10 +214,14 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
     ox, oy, _ = _conv_geometry(x.value.shape, kernel, padding)
     valid = np.s_[:, :oy, :ox]
     px, py, pz = padding
+    Z, Y, X = (e + 2 * p for e, p in zip(x.value.zyxc.shape[:3], (pz, py, px)))
 
-    xp = np.pad(x.value.zyxc, ((pz, pz), (py, py), (px, px), (0, 0)))
-    Z, Y, X, _ = xp.shape
-    flat = xp.reshape(-1, c_in)
+    def padded() -> np.ndarray:  # rebuilt by the backward rather than kept
+        xp = np.zeros((Z, Y, X, c_in))
+        xp[pz : Z - pz, py : Y - py, px : X - px] = x.value.zyxc
+        return xp.reshape(-1, c_in)
+
+    flat = padded()
     taps = weight.value.zyxc.reshape(kz * ky * kx, c_in, c_out)
     offsets = [(dz * Y + dy) * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
     # outputs over the padded grid; rows past a row end wrap and are dropped
@@ -218,28 +230,36 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
     acc = np.tile(bias.value.zyxc[0, 0, 0], (grid[0] * Y * X, 1))
     for t, o in enumerate(offsets):  # acc[:n] += flat[o:o+n] @ taps[t], in place
         dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+    del flat  # before the output is copied out of acc
+    if act == "relu":  # in place: on the strided valid view numpy allocates a buffer
+        np.maximum(acc, 0.0, out=acc)
     value = Tensor4(acc.reshape(*grid, c_out)[valid])
 
     def backprop(out_node: Node) -> None:
         g = out_node.grad  # (oz, oy, ox, c_out)
+        if act == "relu":  # value > 0 exactly where the pre-activation is
+            g = g * (out_node.value.zyxc > 0.0)
         bias.grad[0, 0, 0, :] += g.sum(axis=(0, 1, 2))
         gacc = np.zeros((*grid, c_out))
         gacc[valid] = g
+        del g
         gmat = gacc.reshape(-1, c_out)
+        flat = padded()
         gw = np.zeros_like(taps)
-        gflat = np.zeros_like(flat) if x._needs_grad else None
-        for s in range(0, n, 2048):  # a row block of g stays in cache over all taps
-            e = min(n, s + 2048)
-            for t, o in enumerate(offsets):
-                # dW[t] += flat[o+s:o+e]^T @ g[s:e] and dX[o+s:o+e] += g[s:e] @ W[t]^T
-                dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
-                      c=gw[t].T, overwrite_c=True)
-                if gflat is not None:
-                    dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
-                          c=gflat[o + s : o + e].T, overwrite_c=True)
-        weight.grad += gw.reshape(weight.grad.shape)
-        if gflat is not None:
-            x.grad += gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
+        # row blocks of g outermost, so that a block stays in cache over all taps
+        blocks = [(s, min(n, s + 2048), t, o) for s in range(0, n, 2048)
+                  for t, o in enumerate(offsets)]
+        for s, e, t, o in blocks:  # dW[t] += flat[o+s:o+e]^T @ g[s:e]
+            dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
+                  c=gw[t].T, overwrite_c=True)
+        del flat
+        weight._accumulate(gw.reshape(weight.value.zyxc.shape))
+        if x._needs_grad:
+            gflat = np.zeros((Z * Y * X, c_in))
+            for s, e, t, o in blocks:  # dX[o+s:o+e] += g[s:e] @ W[t]^T
+                dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
+                      c=gflat[o + s : o + e].T, overwrite_c=True)
+            x._accumulate(gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px])
 
     return Node(value, (x, weight, bias), backprop)
 
@@ -304,7 +324,7 @@ def softmax_channels(x: Node) -> Node:
 
     def backprop(out: Node) -> None:
         inner = _channel_fold(np.add, out.grad * p)[..., None]
-        x.grad += p * (out.grad - inner)
+        x._accumulate(p * (out.grad - inner))
 
     return Node(value, (x,), backprop)
 
@@ -363,7 +383,7 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
             denom = sp + sg + _DICE_SMOOTH
             ddice = (2.0 * g[..., c] * denom - (2.0 * spg + _DICE_SMOOTH)) / (denom * denom)
             grad[..., c] -= lam_dice * ddice / len(dices)
-        probs.grad += gl * grad
+        probs._accumulate(gl * grad)
 
     return Node(value, (probs,), backprop)
 
@@ -373,7 +393,7 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
 # ---------------------------------------------------------------------------
 
 class Conv3d:
-    """Stride-1 filter bank + bias with fixed padding; owns its parameter nodes.
+    """Stride-1 filter bank + bias, fixed padding and activation; owns its parameter nodes.
 
     Default padding "same" keeps spatial extents (odd kernels only);
     weights are sampled N(0, sigma) and biases start at zero.
@@ -381,7 +401,8 @@ class Conv3d:
 
     def __init__(self, c_in: int, c_out: int, rng: Rng,
                  kernel: tuple[int, int, int] = (3, 3, 3),
-                 padding: tuple[int, int, int] | str = "same", sigma: float = 0.01):
+                 padding: tuple[int, int, int] | str = "same", sigma: float = 0.01,
+                 act: str = "identity"):
         if c_in < 1 or c_out < 1:
             raise ValueError("channel counts must be >= 1")
         if padding == "same":
@@ -392,12 +413,13 @@ class Conv3d:
         self.padding = tuple(padding)
         self.c_in = c_in
         self.c_out = c_out
+        self.act = act
         wshape = Shape4(kernel[0], kernel[1], kernel[2], c_in * c_out)
         self.weight = Node(Tensor4.gaussian(wshape, 0.0, sigma, rng))
         self.bias = Node(Tensor4.zeros(Shape4(1, 1, 1, c_out)))
 
     def __call__(self, x: Node) -> Node:
-        return conv3d(x, self.weight, self.bias, self.kernel, self.padding)
+        return conv3d(x, self.weight, self.bias, self.kernel, self.padding, self.act)
 
     def parameters(self) -> list[tuple[str, Node]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -414,12 +436,11 @@ class DownShuffleConv:
                  kernel: tuple[int, int, int] = (3, 3, 3), act: str = "relu",
                  sigma: float = 0.01):
         self.factors = ShuffleFactors(*factors).validate()
-        self.act = act
         self.conv = Conv3d(c_in * self.factors.product, k, kernel=kernel,
-                           rng=rng, sigma=sigma)
+                           rng=rng, sigma=sigma, act=act)
 
     def __call__(self, x: Node) -> Node:
-        return activation(self.conv(down_shuffle_op(x, self.factors)), self.act)
+        return self.conv(down_shuffle_op(x, self.factors))
 
     def parameters(self) -> list[tuple[str, Node]]:
         return self.conv.parameters()
@@ -516,7 +537,8 @@ class ShuffleUNet3d:
         self.enc: list[Conv3d] = []
         prev = spec.stem_channels
         for i, w in enumerate(widths):
-            self.enc.append(Conv3d(prev, w, rng=rng.spawn(1 + i), sigma=spec.init_sigma))
+            self.enc.append(Conv3d(prev, w, rng=rng.spawn(1 + i), sigma=spec.init_sigma,
+                                   act=spec.act))
             prev = w
         self.ups: list[ConvUpShuffle] = []
         self.dec: list[Conv3d] = []
@@ -525,7 +547,7 @@ class ShuffleUNet3d:
                                           rng.spawn(100 + i), kernel=(1, 1, 1),
                                           sigma=spec.init_sigma))
             self.dec.append(Conv3d(2 * widths[i], widths[i], rng=rng.spawn(200 + i),
-                                   sigma=spec.init_sigma))
+                                   sigma=spec.init_sigma, act=spec.act))
         self.head = ConvUpShuffle(widths[0], spec.class_count, factors,
                                   rng.spawn(999), sigma=spec.init_sigma)
         self.last_activation_counts: list[tuple[str, int]] = []
@@ -566,9 +588,8 @@ class ShuffleUNet3d:
 
         x = track("stem", self.stem(x))
         skips: list[Node] = []
-        act = self.spec.act
         for i, layer in enumerate(self.enc):
-            x = track(f"enc{i}", activation(layer(x), act))
+            x = track(f"enc{i}", layer(x))
             if i < self.spec.depth - 1:
                 skips.append(x)
                 x = track(f"pool{i}", maxpool3(x, self.spec.pool))
@@ -576,7 +597,7 @@ class ShuffleUNet3d:
             skip = skips.pop()
             x = track(f"up{j}", up(x))
             x = track(f"cat{j}", concat_channels(skip, x))
-            x = track(f"dec{j}", activation(dec(x), act))
+            x = track(f"dec{j}", dec(x))
         logits = self.head(x)
         probs = softmax_channels(logits)
         self.last_activation_counts = acts

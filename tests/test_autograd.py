@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemm
 
 from conftest import fd_gradient_error, full
-from voxseg.nn import (BackboneSpec, Conv3d, Node, _check_one_hot, activation, backward,
+from voxseg.nn import (BackboneSpec, Conv3d, Node, _check_one_hot, _conv_geometry,
+                       activation, backward,
                        build_backbone, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
@@ -27,6 +29,17 @@ class TestEngine:
     def test_grads_start_at_zero(self):
         node = Node(Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(1)))
         assert not node.grad.any()
+
+    def test_first_gradient_has_zero_fill_bits(self):
+        # an adopted first gradient is 0.0 + g, as a zero fill plus g was:
+        # the masked-out -0.0 becomes +0.0, NaN and inf pass through
+        x = Node(Tensor4.from_flat(Shape4(4, 1, 1, 1), [-1.0, 2.0, 3.0, -4.0]))
+        seed = np.array([-1.0, -2.0, np.nan, np.inf]).reshape(1, 1, 4, 1)
+        with np.errstate(invalid="ignore"):
+            backward(activation(x, "relu"), seed)
+            want = np.zeros(seed.shape)
+            want += seed * (x.value.zyxc > 0.0)
+        assert not np.signbit(x.grad[0, 0, 0, 0]) and same_bits(x.grad, want)
 
     def test_non_scalar_root_rejected(self):
         node = Node(Tensor4.zeros(Shape4(2, 1, 1, 1)))
@@ -286,6 +299,122 @@ class TestConv3dOracle:
             grads.append((w.grad, b.grad))
         assert np.array_equal(grads[0][0], grads[1][0])
         assert np.array_equal(grads[0][1], grads[1][1])
+
+
+
+def unfused_conv_relu(x, weight, bias, kernel, padding, act):
+    """conv3d as it ran before the activation moved into it: the closure keeps
+    the padded input, dW and dX interleave per row block, and a ReLU is a node
+    of its own masked by the pre-activation. Oracle only."""
+    kx, ky, kz = kernel
+    c_out = bias.value.shape.c
+    c_in = weight.value.shape.c // c_out
+    ox, oy, _ = _conv_geometry(x.value.shape, kernel, padding)
+    valid = np.s_[:, :oy, :ox]
+    px, py, pz = padding
+    xp = np.pad(x.value.zyxc, ((pz, pz), (py, py), (px, px), (0, 0)))
+    Z, Y, X, _ = xp.shape
+    flat = xp.reshape(-1, c_in)
+    taps = weight.value.zyxc.reshape(kz * ky * kx, c_in, c_out)
+    offsets = [(dz * Y + dy) * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
+    grid = (Z - kz + 1, Y, X)
+    n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
+    acc = np.tile(bias.value.zyxc[0, 0, 0], (grid[0] * Y * X, 1))
+    for t, o in enumerate(offsets):
+        dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+
+    def backprop(out_node):
+        g = out_node.grad
+        bias.grad[0, 0, 0, :] += g.sum(axis=(0, 1, 2))
+        gacc = np.zeros((*grid, c_out))
+        gacc[valid] = g
+        gmat = gacc.reshape(-1, c_out)
+        gw = np.zeros_like(taps)
+        gflat = np.zeros_like(flat)
+        for s in range(0, n, 2048):
+            e = min(n, s + 2048)
+            for t, o in enumerate(offsets):
+                dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
+                      c=gw[t].T, overwrite_c=True)
+                dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
+                      c=gflat[o + s : o + e].T, overwrite_c=True)
+        weight.grad += gw.reshape(weight.grad.shape)
+        x.grad += gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
+
+    pre = Node(Tensor4(acc.reshape(*grid, c_out)[valid]), (x, weight, bias), backprop)
+    if act == "identity":
+        return pre
+
+    def backprop_relu(out):
+        pre.grad += out.grad * (pre.value.zyxc > 0.0)
+
+    return Node(Tensor4(np.maximum(pre.value.zyxc, 0.0)), (pre,), backprop_relu)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestConv3dActivation:
+    @pytest.mark.parametrize("act", ["relu", "identity"])
+    @pytest.mark.parametrize("extents,c_in,c_out,kernel,padding",
+                             CONV_CASES + [((16, 16, 18), 2, 3, (3, 3, 3), (1, 1, 1))])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_bit_identical_to_unfused_oracle(self, extents, c_in, c_out, kernel, padding,
+                                             act, with_nan):
+        # few-valued inputs give exact-zero pre-activations; the 16x16x18 case
+        # spans three 2048-row blocks of the backward GEMMs
+        rng = np.random.default_rng(71 + sum(extents) + c_in)
+        x = rng.integers(-2, 3, size=(*extents[::-1], c_in)).astype(np.float64)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        w = rng.integers(-1, 2, size=(*kernel[::-1], c_in * c_out)).astype(np.float64)
+        b = rng.integers(-1, 2, size=(1, 1, 1, c_out)).astype(np.float64)
+        if with_nan:
+            x[0, 0, 0, 0] = np.nan
+        # a non-integer gradient makes the sums depend on their order
+        g = rng.standard_normal((*_conv_geometry(Shape4(*extents, c_in), kernel,
+                                                 padding)[::-1], c_out))
+        g[rng.random(g.shape) < 0.2] = -0.0
+        results = []
+        for fused in (True, False):
+            leaves = [Node(Tensor4(a)) for a in (x, w, b)]
+            if fused:
+                out = conv3d(*leaves, kernel, padding, act)
+            else:
+                out = unfused_conv_relu(*leaves, kernel, padding, act)
+            backward(out, g)
+            results.append([out.value.zyxc] + [leaf.grad for leaf in leaves])
+        pre = unfused_conv_relu(*[Node(Tensor4(a)) for a in (x, w, b)], kernel, padding,
+                                "identity").value.zyxc
+        assert (pre == 0.0).any() and (pre > 0.0).any() and (pre < 0.0).any()
+        assert np.isnan(pre).any() == with_nan
+        for name, got, want in zip(("value", "x", "weight", "bias"), *results):
+            assert same_bits(got, want), name
+
+    def test_output_mask_is_input_mask(self):
+        # the fused backward masks by value > 0, the unfused one by pre > 0
+        pre = np.array([-0.0, 0.0, -1.0, 1.0, np.nan, -np.inf, np.inf, 5e-324, -5e-324])
+        assert np.array_equal(np.maximum(pre, 0.0) > 0.0, pre > 0.0)
+
+    def test_fd_through_relu(self):
+        rng = Rng(12)
+        x = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, rng)
+        w = Tensor4.gaussian(Shape4(3, 3, 3, 4), 0, 0.5, rng)
+        b = Tensor4.from_flat(Shape4(1, 1, 1, 2), [0.3, -0.3])
+        proj = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, Rng(13)).zyxc
+
+        def build(leaves):
+            return conv3d(leaves[0], leaves[1], leaves[2], (3, 3, 3), (1, 1, 1), "relu")
+
+        pre = conv3d(Node(x), Node(w), Node(b), (3, 3, 3), (1, 1, 1)).value.zyxc
+        assert np.abs(pre).min() > 1e-3  # no probe crosses the kink
+        assert (pre < 0).sum() > 5 and (pre > 0).sum() > 5
+        assert fd_gradient_error(build, [x, w, b], proj) < GRAD_TOL
+
+    def test_unknown_kind(self):
+        x = Node(Tensor4.zeros(Shape4(2, 2, 2, 1)))
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            conv3d(x, scalar(1.0), scalar(0.0), (1, 1, 1), act="tanh")
 
 
 class TestMaxpool:

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from conftest import FUZZ, fd_gradient_error, full, mutated
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        DownShuffleConv, NonFiniteWeightsError, activation,
-                       Node, build_backbone, ce_dice_loss, down_shuffle_op,
-                       load_checkpoint, load_into_network, save_checkpoint,
-                       up_shuffle_op)
+                       Node, backward, build_backbone, ce_dice_loss, conv3d,
+                       down_shuffle_op, load_checkpoint, load_into_network,
+                       save_checkpoint, up_shuffle_op)
 from voxseg.shuffle import ShuffleFactors
 from voxseg.tensor import Rng, Shape4, Tensor4
 
@@ -35,7 +35,9 @@ class TestStemLayer:
         t = Tensor4.gaussian(Shape4(8, 4, 4, 1), 0, 1, Rng(3))
         fused = layer(Node(t))
         shuffled = down_shuffle_op(Node(t), (2, 2, 2))
-        composed = activation(layer.conv(shuffled), "relu")
+        conv = layer.conv
+        composed = activation(conv3d(shuffled, conv.weight, conv.bias, conv.kernel,
+                                     conv.padding), "relu")
         assert fused.value.equal(composed.value)
 
     def test_output_geometry(self):
@@ -159,23 +161,47 @@ class TestBackbone:
         assert net.predict(t).equal(forward(t).value)
         assert not outputs[0]._parents and outputs[0]._backprop is None
 
-    @pytest.mark.parametrize("factors", [(1, 1, 1), (2, 2, 2)])
-    def test_predict_peak_below_half_of_forward(self, factors):
+    # predict's traced peaks at 16^3 while each ReLU was a node of its own;
+    # folding the activation into conv3d must not raise them
+    @pytest.mark.parametrize("factors,unfused_peak", [((1, 1, 1), 4_259_830),
+                                                      ((2, 2, 2), 625_502)])
+    def test_predict_retains_only_its_output(self, factors, unfused_peak):
         net = build_backbone(BackboneSpec(class_count=2, factors=factors, stem_channels=16,
                                           widths=(16, 32)), Rng(32))
         t = Tensor4.gaussian(Shape4(16, 16, 16, 1), 0, 1, Rng(33))
-        peaks = []
+        runs = []
         tracemalloc.start()
         try:
             for run in (net.forward, net.predict):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 out = run(t)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                current, peak = tracemalloc.get_traced_memory()
+                runs.append((current - base, peak - base))
                 del out
         finally:
             tracemalloc.stop()
-        assert peaks[1] < 0.5 * peaks[0], peaks
+        (forward_kept, _), (predict_kept, predict_peak) = runs
+        out_bytes = 16 ** 3 * 2 * 8
+        assert predict_kept < 2 * out_bytes and forward_kept >= 10 * out_bytes, runs
+        assert predict_peak <= unfused_peak, runs
+
+    def test_train_step_traced_peak_below_64_mib(self):
+        # desk net, 32^3, factors (1,1,1): 82.1 MiB while every conv kept its
+        # padded input and every ReLU its pre-activation for the backward
+        net = build_backbone(BackboneSpec(class_count=2, stem_channels=16, widths=(16, 32)),
+                             Rng(34))
+        t = Tensor4.gaussian(Shape4(32, 32, 32, 1), 0, 1, Rng(35))
+        fg = (Tensor4.gaussian(t.shape, 0, 1, Rng(36)).zyxc > 0.0).astype(np.float64)
+        labels = Tensor4(np.concatenate([1.0 - fg, fg], axis=3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            backward(ce_dice_loss(net.forward(t), labels))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, peak / 2 ** 20
 
 
 class TestFullScaleGeometry:
