@@ -39,7 +39,6 @@ class TrainConfig:
     k: int = 64
     widths: tuple[int, ...] = (32, 64, 128)
     pool: tuple[int, int, int] = (2, 2, 2)
-    activation: str = "relu"
     init_sigma: float = 0.01
     # optimization
     initial_lr: float = 0.0  # 0 looks the rate up by shuffle factors
@@ -74,7 +73,6 @@ class TrainConfig:
             stem_channels=self.k,
             widths=self.widths,
             pool=self.pool,
-            act=self.activation,
             init_sigma=self.init_sigma,
         )
 
@@ -121,8 +119,8 @@ class TrainConfig:
             raise ConfigError("augment_count must be >= 0")
         if self.initial_lr < 0:
             raise ConfigError("initial_lr must be >= 0 (0 selects the tabulated rate)")
-        if min(self.stride) < 0:
-            raise ConfigError("stride components must be >= 0")
+        if min(self.stride) < 0 or any(s > p for s, p in zip(self.stride, self.patch)):
+            raise ConfigError(f"stride {self.stride} must be >= 0 and at most patch {self.patch}")
         try:
             spec = self.backbone_spec().validate()
             spec.check_input_extents(self.patch)
@@ -184,10 +182,6 @@ def _merge(cfg: TrainConfig, pairs: Iterable[tuple[str, str]]) -> TrainConfig:
 def parse_config(text: str) -> TrainConfig:
     """Parse key=value lines over the defaults. Validates the result."""
     return _merge(TrainConfig(), _lines(text))
-
-
-def apply_overrides(cfg: TrainConfig, overrides: dict[str, str]) -> TrainConfig:
-    return _merge(cfg, overrides.items())
 
 
 def serialize_config(cfg: TrainConfig) -> str:

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, infer, eval, shuffle, bench.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error (including any OSError
+from reading or writing a file), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from ..atomic import write_atomic
 from ..inference import decode_labels, predict_volume
 from ..metrics import per_class_metrics
 from ..nn import (CheckpointError, NonFiniteWeightsError, build_backbone, load_checkpoint,
@@ -64,13 +66,25 @@ def _parse_triple(raw: str) -> tuple[int, int, int]:
     return parts
 
 
+def _emit(text: str, out: str | None, what: str) -> None:
+    """Write ``text`` atomically to ``out``, or print it when no path is given."""
+    if out:
+        write_atomic(out, [text.encode("utf-8")])
+        print(f"wrote {what} to {out}")
+    else:
+        print(text, end="")
+
+
 def cmd_gen_data(args) -> int:
     cfg = _collect_config(args)
+    try:
+        dataset = gen_synthetic(Rng(cfg.seed).spawn(1).seed, cfg.volumes, cfg.extents,
+                                cfg.class_count, cfg.noise_sigma, (cfg.fg_lo, cfg.fg_hi),
+                                cfg.spacing)
+    except RuntimeError as exc:  # no phantom fits fg_lo..fg_hi
+        raise ConfigError(str(exc)) from None
     data_dir = Path(cfg.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-    dataset = gen_synthetic(Rng(cfg.seed).spawn(1).seed, cfg.volumes, cfg.extents,
-                            cfg.class_count, cfg.noise_sigma, (cfg.fg_lo, cfg.fg_hi),
-                            cfg.spacing)
     pairs = []
     for i, (image, labels) in enumerate(dataset):
         img_name = f"vol_{i:03d}_img.vvol"
@@ -123,12 +137,7 @@ def cmd_eval(args) -> int:
     for row in rows:
         for metric in ("dice", "asd", "hausdorff"):
             lines.append(f"{name},{row['class']},{metric},{row[metric]!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote metrics to {args.out}")
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out, "metrics")
     return EXIT_OK
 
 
@@ -148,12 +157,8 @@ def cmd_bench(args) -> int:
         raise UsageError("--repetitions must be >= 1")
     cfg = _collect_config(args)
     factors_list = [_parse_triple(part) for part in args.factors_list.split(";")]
-    text = bench_csv([bench_factors(cfg, f, args.repetitions) for f in factors_list])
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote benchmark to {args.out}")
-    else:
-        print(text, end="")
+    rows = [bench_factors(cfg, f, args.repetitions) for f in factors_list]
+    _emit(bench_csv(rows), args.out, "benchmark")
     return EXIT_OK
 
 
@@ -217,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, NonFiniteWeightsError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (VvolError, CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (VvolError, CheckpointError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -81,8 +81,8 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
 
     ``dice_target`` stops at the first validation whose mean foreground Dice
     reaches the target; ``wall_clock_budget`` (seconds) stops after the
-    iteration that exhausts it. Both are off by default and excluded from the
-    determinism contract.
+    iteration that exhausts it, which is then validated. Both are off by
+    default and excluded from the determinism contract.
     """
     cfg.validate()
     data_dir = Path(cfg.data_dir)
@@ -116,8 +116,10 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
     last_val_loss = math.nan
     last_val_dice = [math.nan] * (cfg.class_count - 1)
     iterations_run = 0
-    last_val_iteration = 0
-    stop = False
+
+    def out_of_time() -> bool:
+        return wall_clock_budget is not None and \
+            time.perf_counter() - started >= wall_clock_budget
 
     for it in range(1, cfg.iterations + 1):
         state.lr = lr_at(schedule, state.iteration)
@@ -142,10 +144,8 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
             f"train,{it},{_fmt(state.lr)},{_fmt(last_train_loss)},{empty_dice}"
         )
 
-        run_val = (it % cfg.val_interval == 0) or it == cfg.iterations
-        if run_val:
+        if it % cfg.val_interval == 0 or it == cfg.iterations or out_of_time():
             last_val_loss, last_val_dice = evaluate(net, val_pairs, cfg)
-            last_val_iteration = it
             dice_str = ",".join(_fmt(d) for d in last_val_dice)
             log_rows.append(
                 f"val,{it},{_fmt(state.lr)},{_fmt(last_val_loss)},{dice_str}"
@@ -153,22 +153,9 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
             if not quiet:
                 print(f"iter {it}: train {last_train_loss:.4f} "
                       f"val {last_val_loss:.4f} dice {last_val_dice}")
-            if dice_target is not None and last_val_dice and \
-                    float(np.mean(last_val_dice)) >= dice_target:
-                stop = True
-        if wall_clock_budget is not None and \
-                time.perf_counter() - started >= wall_clock_budget:
-            stop = True
-        if stop:
-            break
-
-    if iterations_run and last_val_iteration != iterations_run:
-        # early stop between validations; record one final validation row
-        last_val_loss, last_val_dice = evaluate(net, val_pairs, cfg)
-        dice_str = ",".join(_fmt(d) for d in last_val_dice)
-        log_rows.append(
-            f"val,{iterations_run},{_fmt(state.lr)},{_fmt(last_val_loss)},{dice_str}"
-        )
+            if out_of_time() or (dice_target is not None and
+                                 float(np.mean(last_val_dice)) >= dice_target):
+                break
 
     checkpoint_path = out_dir / "model.vckp"
     save_checkpoint(checkpoint_path, params)

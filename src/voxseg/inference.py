@@ -31,7 +31,8 @@ def plan_tiling(extents: tuple[int, int, int], patch: tuple[int, int, int],
                 stride: tuple[int, int, int] | None = None) -> TilingPlan:
     """Origins at stride multiples plus one boundary-clamped origin per axis.
 
-    Default stride is half the patch extent (at least 1).
+    Default stride is half the patch extent (at least 1); a stride longer
+    than the patch would leave voxels uncovered and is rejected.
     """
     for name, e, p in zip("xyz", extents, patch):
         if p < 1:
@@ -40,8 +41,8 @@ def plan_tiling(extents: tuple[int, int, int], patch: tuple[int, int, int],
             raise ValueError(f"patch extent {name}={p} exceeds volume extent {e}")
     if stride is None:
         stride = tuple(max(1, p // 2) for p in patch)
-    if min(stride) < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    if min(stride) < 1 or any(s > p for s, p in zip(stride, patch)):
+        raise ValueError(f"stride {stride} must be >= 1 and at most patch {tuple(patch)}")
     per_axis = [_axis_origins(e, p, s) for e, p, s in zip(extents, patch, stride)]
     origins = [
         (ox, oy, oz)

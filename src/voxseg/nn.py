@@ -12,9 +12,10 @@ input, keep no parents; ``ShuffleUNet3d.predict`` records nothing.
 Each closure keeps only what its backward reads. ``conv3d`` re-pads its input
 node's value for the weight-gradient GEMMs and allocates the input gradient,
 if one is needed, only after them. A ReLU folded into ``conv3d`` masks by its
-output, > 0 exactly where the pre-activation is (NaN and ±0 included). A
-gradient is allocated on first use: the first temporary an op hands over
-becomes it as 0.0 + g, the bits a zero fill plus g gives.
+output, > 0 exactly where the pre-activation is (NaN and ±0 included). Every
+op hands each parent one array it gives up to ``Node._accumulate``; no op
+writes a gradient itself. The first array becomes the gradient as 0.0 + g,
+the bits a zero fill plus g gives; later ones are added to it.
 
 Convolution is cross-correlation (no kernel flip) at stride 1 with zero
 padding, output extent in + 2*pad - kernel + 1 per axis; the net downsamples
@@ -131,10 +132,7 @@ def activation(x: Node, kind: str = "relu") -> Node:
     """Elementwise nonlinearity. Kinds: relu (max(0, v)), identity."""
     _check_activation(kind)
     if kind == "identity":
-        def backprop_id(out: Node) -> None:
-            x.grad += out.grad
-
-        return Node(x.value, (x,), backprop_id)
+        return Node(x.value, (x,), lambda out: x._accumulate(out.grad))
     value = Tensor4(np.maximum(x.value.zyxc, 0.0))
 
     def backprop(out: Node) -> None:
@@ -148,8 +146,8 @@ def concat_channels(a: Node, b: Node) -> Node:
     ca = a.value.shape.c
 
     def backprop(out: Node) -> None:
-        a.grad += out.grad[:, :, :, :ca]
-        b.grad += out.grad[:, :, :, ca:]
+        a._accumulate(out.grad[:, :, :, :ca])
+        b._accumulate(out.grad[:, :, :, ca:])
 
     return Node(value, (a, b), backprop)
 
@@ -158,24 +156,19 @@ def concat_channels(a: Node, b: Node) -> Node:
 # shuffles as graph ops
 # ---------------------------------------------------------------------------
 
-def down_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
+def _shuffle_op(x: Node, factors: ShuffleFactors, forward, inverse) -> Node:
+    """``forward(x)``; its backward is ``inverse``, the adjoint of a permutation."""
     factors = ShuffleFactors(*factors)
-    value = down_shuffle(x.value, factors)
+    return Node(forward(x.value, factors), (x,),
+                lambda out: x._accumulate(inverse(Tensor4(out.grad), factors).zyxc))
 
-    def backprop(out: Node) -> None:
-        x._accumulate(up_shuffle(Tensor4(out.grad), factors).zyxc)
 
-    return Node(value, (x,), backprop)
+def down_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
+    return _shuffle_op(x, factors, down_shuffle, up_shuffle)
 
 
 def up_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
-    factors = ShuffleFactors(*factors)
-    value = up_shuffle(x.value, factors)
-
-    def backprop(out: Node) -> None:
-        x._accumulate(down_shuffle(Tensor4(out.grad), factors).zyxc)
-
-    return Node(value, (x,), backprop)
+    return _shuffle_op(x, factors, up_shuffle, down_shuffle)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
         g = out_node.grad  # (oz, oy, ox, c_out)
         if act == "relu":  # value > 0 exactly where the pre-activation is
             g = g * (out_node.value.zyxc > 0.0)
-        bias.grad[0, 0, 0, :] += g.sum(axis=(0, 1, 2))
+        bias._accumulate(g.sum(axis=(0, 1, 2)).reshape(bias.value.zyxc.shape))
         gacc = np.zeros((*grid, c_out))
         gacc[valid] = g
         del g
@@ -298,8 +291,10 @@ def maxpool3(x: Node, factors: tuple[int, int, int]) -> Node:
         np.copyto(first, w, where=(slots[w] == best) | np.isnan(slots[w]))
 
     def backprop(out: Node) -> None:
-        for w, gslot in enumerate(slot_views(x.grad)):
-            gslot += np.where(first == w, out.grad, 0.0)
+        gx = np.zeros_like(x.value.zyxc)
+        for w, slot in enumerate(slot_views(gx)):
+            np.copyto(slot, out.grad, where=first == w)
+        x._accumulate(gx)
 
     return Node(value, (x,), backprop)
 
@@ -375,9 +370,8 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
 
     def backprop(out: Node) -> None:
         gl = out.grad[0, 0, 0, 0]
-        grad = np.zeros_like(p)
         # cross-entropy: -g/p per element where the floor is inactive
-        grad += lam_ce * (-(g / p_safe) * (p > _PROB_FLOOR)) / n_vox
+        grad = lam_ce * (-(g / p_safe) * (p > _PROB_FLOOR)) / n_vox
         # soft Dice, foreground channels only
         for c, spg, sp, sg in zip(fg, sums_pg, sums_p, sums_g):
             denom = sp + sg + _DICE_SMOOTH
@@ -393,24 +387,21 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
 # ---------------------------------------------------------------------------
 
 class Conv3d:
-    """Stride-1 filter bank + bias, fixed padding and activation; owns its parameter nodes.
+    """Stride-1 filter bank + bias and a fixed activation; owns its parameter nodes.
 
-    Default padding "same" keeps spatial extents (odd kernels only);
-    weights are sampled N(0, sigma) and biases start at zero.
+    Padding is always "same": spatial extents are kept (odd kernels only).
+    Weights are sampled N(0, sigma) and biases start at zero.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: Rng,
-                 kernel: tuple[int, int, int] = (3, 3, 3),
-                 padding: tuple[int, int, int] | str = "same", sigma: float = 0.01,
+                 kernel: tuple[int, int, int] = (3, 3, 3), sigma: float = 0.01,
                  act: str = "identity"):
         if c_in < 1 or c_out < 1:
             raise ValueError("channel counts must be >= 1")
-        if padding == "same":
-            if any(k % 2 == 0 for k in kernel):
-                raise ValueError(f"'same' padding requires odd kernel extents, got {kernel}")
-            padding = tuple(k // 2 for k in kernel)
+        if any(k % 2 == 0 for k in kernel):
+            raise ValueError(f"'same' padding requires odd kernel extents, got {kernel}")
         self.kernel = tuple(kernel)
-        self.padding = tuple(padding)
+        self.padding = tuple(k // 2 for k in kernel)
         self.c_in = c_in
         self.c_out = c_out
         self.act = act
@@ -481,7 +472,6 @@ class BackboneSpec:
     stem_channels: int = 64
     widths: tuple[int, ...] = (32, 64, 128)
     pool: tuple[int, int, int] = (2, 2, 2)
-    act: str = "relu"
     init_sigma: float = 0.01
 
     def validate(self) -> "BackboneSpec":
@@ -494,7 +484,6 @@ class BackboneSpec:
         ShuffleFactors(*self.factors).validate()
         if min(self.pool) < 1:
             raise ValueError(f"pool factors must be >= 1, got {self.pool}")
-        _check_activation(self.act)
         return self
 
     @property
@@ -533,12 +522,12 @@ class ShuffleUNet3d:
         factors = ShuffleFactors(*spec.factors)
         widths = spec.widths
         self.stem = DownShuffleConv(1, spec.stem_channels, factors,
-                                    rng.spawn(0), act=spec.act, sigma=spec.init_sigma)
+                                    rng.spawn(0), sigma=spec.init_sigma)
         self.enc: list[Conv3d] = []
         prev = spec.stem_channels
         for i, w in enumerate(widths):
             self.enc.append(Conv3d(prev, w, rng=rng.spawn(1 + i), sigma=spec.init_sigma,
-                                   act=spec.act))
+                                   act="relu"))
             prev = w
         self.ups: list[ConvUpShuffle] = []
         self.dec: list[Conv3d] = []
@@ -547,7 +536,7 @@ class ShuffleUNet3d:
                                           rng.spawn(100 + i), kernel=(1, 1, 1),
                                           sigma=spec.init_sigma))
             self.dec.append(Conv3d(2 * widths[i], widths[i], rng=rng.spawn(200 + i),
-                                   sigma=spec.init_sigma, act=spec.act))
+                                   sigma=spec.init_sigma, act="relu"))
         self.head = ConvUpShuffle(widths[0], spec.class_count, factors,
                                   rng.spawn(999), sigma=spec.init_sigma)
         self.last_activation_counts: list[tuple[str, int]] = []

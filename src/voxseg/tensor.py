@@ -85,8 +85,6 @@ class Tensor4:
     def gaussian(cls, shape: Shape4, mu: float, sigma: float, rng: "Rng") -> "Tensor4":
         """I.i.d. normal samples; bit-identical for identical seed and shape."""
         shape = Shape4(*shape).validate(min_channels=1)
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
         samples = rng.normal(shape.element_count, mu=mu, sigma=sigma)
         return cls(samples.reshape(shape.z, shape.y, shape.x, shape.c))
 
@@ -205,8 +203,6 @@ class Rng:
     part of the package contract and must never change silently: identical
     seeds reproduce identical tensors bit for bit.
     """
-
-    ALGORITHM = "splitmix64-counter/box-muller"
 
     __slots__ = ("_seed", "_counter")
 

@@ -286,10 +286,8 @@ def augment_dataset(dataset: list[tuple[Volume, Volume]], per_sample_count: int,
 # ---------------------------------------------------------------------------
 
 def write_manifest(path, pairs: list[tuple[str, str]]) -> None:
-    """One tab-separated "image<TAB>labels" line per pair, paths as given."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for img, lab in pairs:
-            fh.write(f"{img}\t{lab}\n")
+    """One tab-separated "image<TAB>labels" line per pair, paths as given; atomic."""
+    write_atomic(path, ["".join(f"{img}\t{lab}\n" for img, lab in pairs).encode("utf-8")])
 
 
 def read_manifest(path) -> list[tuple[str, str]]:

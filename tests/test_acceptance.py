@@ -14,7 +14,7 @@ import pytest
 
 from conftest import fd_gradient_error
 from test_metrics import brute_asd_hd, mask_from_voxels
-from voxseg.cli.config import TrainConfig, apply_overrides
+from voxseg.cli.config import TrainConfig, load_config
 from voxseg.cli.main import main
 from voxseg.cli.train import run_training
 from voxseg.inference import predict_volume
@@ -372,7 +372,7 @@ class TestDeterminism:
         assert rc == 0
 
         def run(out_name):
-            cfg = apply_overrides(TrainConfig(), {
+            cfg = load_config(None, {
                 "seed": "31", "volumes": "3", "train_split": "2",
                 "extents": "16,16,16", "patch": patch, "factors": factors,
                 "batch_size": batch_size,

@@ -18,6 +18,23 @@ def scalar(v):
     return Node(Tensor4.from_flat(Shape4(1, 1, 1, 1), [v]))
 
 
+def zero_fill_then_add(shape, *parts):
+    """A gradient as a zero fill followed by one ``+=`` per contribution. Oracle only."""
+    grad = np.zeros(shape)
+    for part in parts:
+        grad += part
+    return grad
+
+
+def signed_zeros_and_nan(shape, seed):
+    """Normal samples with about a fifth of them -0.0 and the first one NaN."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.2] = -0.0
+    a.flat[0] = np.nan
+    return a
+
+
 class TestEngine:
     def test_product_rule_on_scalars(self):
         # a 1x1x1 convolution of one voxel and one channel is the product x * y
@@ -40,6 +57,12 @@ class TestEngine:
             want = np.zeros(seed.shape)
             want += seed * (x.value.zyxc > 0.0)
         assert not np.signbit(x.grad[0, 0, 0, 0]) and same_bits(x.grad, want)
+
+    def test_identity_hands_over_zero_fill_bits(self):
+        x = Node(Tensor4.zeros(Shape4(4, 3, 2, 2)))
+        seed = signed_zeros_and_nan((2, 3, 4, 2), 41)
+        backward(activation(x, "identity"), seed)
+        assert same_bits(x.grad, zero_fill_then_add(seed.shape, seed))
 
     def test_non_scalar_root_rejected(self):
         node = Node(Tensor4.zeros(Shape4(2, 1, 1, 1)))
@@ -158,15 +181,14 @@ class TestActivation:
 
 class TestConv3d:
     def test_one_by_one_identity(self):
-        layer = Conv3d(1, 1, rng=Rng(0), kernel=(1, 1, 1), padding=(0, 0, 0))
-        layer.weight.value = full(Shape4(1, 1, 1, 1), 1.0)
         t = Tensor4.gaussian(Shape4(3, 4, 2, 1), 0, 1, Rng(6))
-        assert layer(Node(t)).value.equal(t)
+        out = conv3d(Node(t), scalar(1.0), scalar(0.0), (1, 1, 1), (0, 0, 0))
+        assert out.value.equal(t)
 
     def test_all_ones_sum(self):
-        layer = Conv3d(1, 1, rng=Rng(0), kernel=(3, 3, 3), padding=(0, 0, 0))
-        layer.weight.value = full(Shape4(3, 3, 3, 1), 1.0)
-        out = layer(Node(full(Shape4(3, 3, 3, 1), 1.0)))
+        ones = Node(full(Shape4(3, 3, 3, 1), 1.0))
+        out = conv3d(Node(full(Shape4(3, 3, 3, 1), 1.0)), ones, scalar(0.0), (3, 3, 3),
+                     (0, 0, 0))
         assert out.value.shape == Shape4(1, 1, 1, 1)
         assert out.value.at(0, 0, 0, 0) == 27.0
 
@@ -185,9 +207,10 @@ class TestConv3d:
             layer(Node(Tensor4.zeros(Shape4(4, 4, 4, 3))))
 
     def test_degenerate_output_extent(self):
-        layer = Conv3d(1, 1, rng=Rng(0), kernel=(3, 3, 3), padding=(0, 0, 0))
+        weight = Node(Tensor4.zeros(Shape4(3, 3, 3, 1)))
         with pytest.raises(ValueError):
-            layer(Node(Tensor4.zeros(Shape4(2, 4, 4, 1))))
+            conv3d(Node(Tensor4.zeros(Shape4(2, 4, 4, 1))), weight, scalar(0.0), (3, 3, 3),
+                   (0, 0, 0))
 
     def test_fd_same_padding(self):
         rng = Rng(10)
@@ -283,6 +306,21 @@ class TestConv3dOracle:
         backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), ones)
         assert_rel_close(x.grad, 2 * once_x)
         assert_rel_close(w.grad, 2 * once_w)
+
+    def test_bias_gradient_bits_match_zero_fill_oracle(self):
+        # numpy's sum starts from +0.0, so an all -0.0 output channel gives +0.0 as
+        # a zero fill would; a NaN passes through, and a second pass adds to the first
+        x = Node(Tensor4.zeros(Shape4(3, 2, 2, 1)))
+        w, b = (Node(Tensor4.zeros(Shape4(1, 1, 1, 3))) for _ in range(2))
+        grads = [signed_zeros_and_nan((2, 2, 3, 3), s) for s in (44, 45)]
+        for g in grads:
+            g[..., 0] = -0.0
+            g[0, 0, 0, 1] = np.nan
+        for g in grads:
+            backward(conv3d(x, w, b, (1, 1, 1)), g)
+        want = zero_fill_then_add(b.grad.shape, *(g.sum(axis=(0, 1, 2)) for g in grads))
+        assert same_bits(b.grad, want)
+        assert not np.signbit(b.grad[0, 0, 0, 0]) and np.isnan(b.grad[0, 0, 0, 1])
 
     def test_input_without_gradient_skips_dx(self):
         rng = Rng(32)
@@ -458,7 +496,7 @@ class TestMaxpool:
         a[rng.random(a.shape) < 0.2] = -0.0
         a[0, 0, 0, 0] = np.nan
         a[-1, -1, -1, -1] = np.nan
-        gout = rng.standard_normal((2, 3, 2, 3))
+        gout = signed_zeros_and_nan((2, 3, 2, 3), 62)
         want_value, want_grad = maxpool_oracle(a, factors, gout)
         x = Node(Tensor4(a.copy()))
         x._needs_grad = recording
@@ -469,7 +507,7 @@ class TestMaxpool:
         assert np.isnan(got[0, 0, 0, 0])
         if recording:
             backward(out, gout)
-            assert np.array_equal(x.grad, want_grad)
+            assert same_bits(x.grad, zero_fill_then_add(a.shape, want_grad))
         else:
             assert not out._parents and out._backprop is None
 
@@ -500,6 +538,19 @@ class TestConcat:
         backward(cat, proj)
         assert np.array_equal(a.grad, proj[..., :2])
         assert np.array_equal(b.grad, proj[..., 2:])
+
+    def test_gradient_bits_match_zero_fill_oracle(self):
+        a = Node(Tensor4.zeros(Shape4(2, 3, 2, 2)))
+        b = Node(Tensor4.zeros(Shape4(2, 3, 2, 3)))
+        g = signed_zeros_and_nan((2, 3, 2, 5), 42)
+        backward(concat_channels(a, b), g)
+        assert same_bits(a.grad, zero_fill_then_add(a.grad.shape, g[..., :2]))
+        assert same_bits(b.grad, zero_fill_then_add(b.grad.shape, g[..., 2:]))
+        # one node on both sides: the second slice adds to the first
+        x = Node(Tensor4.zeros(Shape4(2, 3, 2, 2)))
+        g = signed_zeros_and_nan((2, 3, 2, 4), 43)
+        backward(concat_channels(x, x), g)
+        assert same_bits(x.grad, zero_fill_then_add(x.grad.shape, g[..., :2], g[..., 2:]))
 
 
 class TestShuffleOps:
@@ -623,6 +674,21 @@ class TestCeDiceLoss:
         loss = ce_dice_loss(Node(Tensor4(probs)), labels)
         assert math.isfinite(loss.value.at(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("lam_dice", [1.0, 0.0])
+    def test_gradient_bits_match_zero_fill_oracle(self, lam_dice):
+        # a voxel's non-label channels give -0.0 cross-entropy terms; floored
+        # probabilities and lam_dice = 0 give exact zeros in the Dice terms too
+        rng = np.random.default_rng(46)
+        p = rng.random((3, 2, 4, 3))
+        p[rng.random(p.shape) < 0.2] = 0.0
+        labels = one_hot_from(rng.integers(0, 3, size=(3, 2, 4)), 3)
+        probs = Node(Tensor4(p))
+        for seed in (1.0, 0.5):  # the second pass adds to the first, as a batch does
+            backward(ce_dice_loss(probs, labels, 1.0, lam_dice), seed)
+        want = zero_fill_then_add(p.shape, *(ce_dice_grad_oracle(p, labels.zyxc, lam_dice, s)
+                                             for s in (1.0, 0.5)))
+        assert same_bits(probs.grad, want)
+
     def test_fd_direct_probs(self):
         rng = Rng(29)
         raw = 0.1 + 0.8 * rng.uniform(4 * 4 * 4 * 2)
@@ -634,3 +700,18 @@ class TestCeDiceLoss:
             return ce_dice_loss(leaves[0], labels)
 
         assert fd_gradient_error(build, [probs]) < GRAD_TOL
+
+
+def ce_dice_grad_oracle(p, g, lam_dice, seed):
+    """ce_dice_loss's input gradient as first written: a zero fill, += the
+    cross-entropy term (lam_ce 1), -= each foreground Dice term, times the seed."""
+    p_safe = np.maximum(p, 1e-12)
+    grad = np.zeros_like(p)
+    grad += (-(g / p_safe) * (p > 1e-12)) / p[..., 0].size
+    fg = range(1, p.shape[3])
+    for c in fg:
+        spg, sp, sg = (p[..., c] * g[..., c]).sum(), p[..., c].sum(), g[..., c].sum()
+        denom = sp + sg + 1e-5
+        ddice = (2.0 * g[..., c] * denom - (2.0 * spg + 1e-5)) / (denom * denom)
+        grad[..., c] -= lam_dice * ddice / len(fg)
+    return seed * grad

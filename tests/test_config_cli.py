@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +13,9 @@ from hypothesis import given, strategies as st
 import voxseg
 import voxseg.atomic as atomic
 from conftest import FUZZ, FailsHalfway, mutated
-from voxseg.cli.config import (ConfigError, TrainConfig, apply_overrides, load_config,
+from voxseg.cli.config import (ConfigError, TrainConfig, load_config,
                                parse_config, serialize_config)
-from voxseg.cli.main import EXIT_NUMERIC, EXIT_USAGE, main
+from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from voxseg.cli.train import run_training
 from voxseg.nn import build_backbone, save_checkpoint
 from voxseg.tensor import Rng
@@ -57,24 +57,23 @@ class TestConfigParsing:
             parse_config("seed 3\n")
 
     def test_overrides(self):
-        cfg = apply_overrides(TrainConfig(), {"k": "8", "widths": "8,16"})
+        cfg = load_config(None, {"k": "8", "widths": "8,16"})
         assert cfg.k == 8 and cfg.widths == (8, 16)
 
     def test_divisibility_validation(self):
         with pytest.raises(ConfigError):
-            apply_overrides(TrainConfig(), {"patch": "30,32,32", "factors": "4,2,2"})
+            load_config(None, {"patch": "30,32,32", "factors": "4,2,2"})
 
     def test_unknown_factors_need_explicit_lr(self):
         with pytest.raises(ConfigError):
-            apply_overrides(TrainConfig(), {"factors": "3,1,1", "patch": "33,32,32",
-                                            "extents": "48,48,48"})
-        cfg = apply_overrides(TrainConfig(), {"factors": "3,1,1", "patch": "36,32,32",
-                                              "extents": "48,48,48",
-                                              "initial_lr": "0.004"})
+            load_config(None, {"factors": "3,1,1", "patch": "33,32,32",
+                               "extents": "48,48,48"})
+        cfg = load_config(None, {"factors": "3,1,1", "patch": "36,32,32",
+                                 "extents": "48,48,48", "initial_lr": "0.004"})
         assert cfg.resolved_initial_lr() == 0.004
 
     def test_lookup_rate_used_when_unset(self):
-        cfg = apply_overrides(TrainConfig(), {"factors": "4,4,2"})
+        cfg = load_config(None, {"factors": "4,4,2"})
         assert cfg.resolved_initial_lr() == 2.0e-3
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
@@ -82,7 +81,7 @@ class TestConfigParsing:
     def test_non_finite_float_rejected(self, key, value, tmp_path):
         raw = value if key != "spacing" else f"1,{value},1"
         with pytest.raises(ConfigError):
-            apply_overrides(TrainConfig(), {key: raw})
+            load_config(None, {key: raw})
         with pytest.raises(ConfigError):
             parse_config(f"{key}={raw}\n")
         data = tmp_path / "data"
@@ -379,15 +378,51 @@ class TestExitCodes:
                          "--augment-count", "0", "--initial-lr", "1000000.0"])
         assert rc == 3
 
-    @pytest.mark.parametrize("command", ["gen-data", "train"])
-    def test_unknown_activation_is_config_error(self, tiny_workspace, tmp_path, command,
-                                                capsys):
+    def test_stride_longer_than_patch_is_config_error(self, tiny_workspace, tmp_path, capsys):
+        # it used to train, then fail the first validation's tiling with a traceback
         _, data, _ = tiny_workspace
-        data_dir = data if command == "train" else tmp_path / "data"
-        args = common_net_args(data_dir, tmp_path / "run") + ["--activation", "tanh"]
-        assert main([command] + args) == EXIT_USAGE
-        assert "unknown activation kind 'tanh'" in capsys.readouterr().err
-        assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
+        args = common_net_args(data, tmp_path / "run") + ["--stride", "12,12,12"]
+        assert main(["train", "--quiet"] + args) == EXIT_USAGE
+        assert "at most patch" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "runlog.csv").exists()
+
+    def test_unreachable_foreground_bounds_is_config_error(self, tmp_path, capsys):
+        rc = main(["gen-data", "--volumes", "2", "--train-split", "1", "--extents", "16,16,16",
+                   "--patch", "8,8,8", "--fg-lo", "0.30", "--fg-hi", "0.3001",
+                   "--data-dir", str(tmp_path / "data")])
+        assert rc == EXIT_USAGE
+        assert "foreground fractions" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_out_directory_is_data_error(self, tiny_workspace, tmp_path):
+        _, data, _ = tiny_workspace
+        lab = str(data / "vol_000_lab.vvol")
+        assert main(["eval", "--prediction", lab, "--reference", lab,
+                     "--out", str(tmp_path)]) == EXIT_DATA
+        assert list(tmp_path.iterdir()) == []
+
+    def test_shuffle_output_directory_is_data_error(self, tiny_workspace, tmp_path):
+        _, data, _ = tiny_workspace
+        assert main(["shuffle", "--input", str(data / "vol_000_img.vvol"),
+                     "--output", str(tmp_path), "--factors", "2,2,2",
+                     "--direction", "down"]) == EXIT_DATA
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_eval_write_keeps_previous_csv(self, tiny_workspace, tmp_path,
+                                                  monkeypatch):
+        _, data, _ = tiny_workspace
+        lab, out = str(data / "vol_000_lab.vvol"), tmp_path / "metrics.csv"
+        args = ["eval", "--prediction", lab, "--reference", lab, "--out", str(out)]
+        out.write_text("volume,class,metric,value\n")
+        real_open = open
+        monkeypatch.setattr(atomic, "open", lambda *a, **k: FailsHalfway(real_open(*a, **k)),
+                            raising=False)
+        assert main(args) == EXIT_DATA
+        assert out.read_text() == "volume,class,metric,value\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        monkeypatch.undo()
+        assert main(args) == 0
+        assert out.read_text().startswith("volume,class,metric,value\nvol_000_lab,1,dice,1.0\n")
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
@@ -422,7 +457,7 @@ class TestExitCodes:
     def test_non_finite_checkpoint_is_numeric_failure(self, tiny_workspace, tmp_path):
         _, data, _ = tiny_workspace
         args = common_net_args(data, tmp_path)
-        cfg = apply_overrides(TrainConfig(), dict(k="4", widths="4,8", class_count="2"))
+        cfg = load_config(None, dict(k="4", widths="4,8", class_count="2"))
         params = build_backbone(cfg.backbone_spec(), Rng(cfg.seed).spawn(7)).parameters()
         params["head.bias"].value.zyxc[0, 0, 0, 0] = math.nan
         save_checkpoint(tmp_path / "nan.vckp", params)
@@ -490,3 +525,20 @@ class TestRunlog:
         run_training(self._config(data, tmp_path))
         assert log.read_bytes() == b"record,iteration,lr,loss,dice_1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.vckp", "runlog.csv"]
+
+    @pytest.mark.parametrize("stop,rows", [
+        ({}, ["train,1", "train,2", "val,2", "train,3", "train,4", "val,4", "train,5",
+              "val,5"]),
+        ({"wall_clock_budget": 0.0}, ["train,1", "val,1"]),
+        ({"dice_target": 0.0}, ["train,1", "train,2", "val,2"]),
+    ])
+    def test_validation_rows(self, tiny_workspace, tmp_path, stop, rows):
+        # validation at each multiple of val_interval, at the last iteration, and
+        # at the iteration that spends the budget; a reached target stops there
+        _, data, _ = tiny_workspace
+        cfg = replace(self._config(data, tmp_path), iterations=5, val_interval=2)
+        result = run_training(cfg, **stop)
+        lines = result.log_path.read_text().splitlines()[1:]
+        assert [",".join(line.split(",")[:2]) for line in lines] == rows
+        assert result.iterations_run == int(rows[-1].split(",")[1])
+        assert math.isfinite(result.final_val_loss)

@@ -50,6 +50,12 @@ class TestPlanTiling:
         with pytest.raises(ValueError):
             plan_tiling((4, 4, 4), (8, 4, 4))
 
+    def test_stride_longer_than_patch_rejected(self):
+        # origins 12 apart with 8-voxel patches would skip voxels 8..11
+        with pytest.raises(ValueError, match="at most patch"):
+            plan_tiling((16, 16, 16), (8, 8, 8), (8, 12, 8))
+        assert plan_tiling((16, 16, 16), (8, 8, 8), (8, 8, 8)).origins[-1] == (8, 8, 8)
+
     def test_full_coverage_random_cases(self):
         rng = Rng(1)
         for _ in range(30):

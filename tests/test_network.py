@@ -137,10 +137,6 @@ class TestBackbone:
         with pytest.raises(ValueError):
             BackboneSpec(class_count=2, widths=()).validate()
 
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError, match="unknown activation kind 'tanh'"):
-            BackboneSpec(class_count=2, act="tanh").validate()
-
     def test_input_divisibility_checked(self):
         net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(27))
         with pytest.raises(ValueError):

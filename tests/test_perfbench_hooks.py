@@ -1,0 +1,51 @@
+"""perfbench's span tracer still finds and sees every voxseg function it wraps.
+
+perfbench wraps voxseg's public functions from outside the package, in each
+module that looks them up. A refactor that renames such a function, or binds
+it where the wrapper cannot reach, drops its span without an error: the run
+only prints a "not traced" line, or the layer silently reads 0.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import voxseg.nn as nn
+from voxseg.tensor import Rng, Shape4, Tensor4
+
+
+def load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_found_and_traced_through_a_train_step():
+    spans = load_spans()
+    originals = (nn.down_shuffle, nn.up_shuffle, nn.conv3d)
+    spec = nn.BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=4, widths=(4, 8))
+    net = nn.build_backbone(spec, Rng(1))
+    patch = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(2))
+    hot = np.zeros((8, 8, 8, 2))
+    hot[..., 0] = 1.0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        nn.backward(nn.ce_dice_loss(net.forward(patch), Tensor4(hot)))
+    finally:
+        tracer.uninstall()
+    assert (nn.down_shuffle, nn.up_shuffle, nn.conv3d) == originals
+    _, _, calls = tracer.times()
+    # forward: the stem's down-shuffle, the decoder's and the head's up-shuffles;
+    # backward: each up-shuffle's inverse (the stem's input needs no gradient)
+    assert calls["shuffle.down_shuffle"] == 3 and calls["shuffle.up_shuffle"] == 2
+    # stem, two encoder levels, the decoder's up-conv and conv, the head
+    assert calls["nn.conv3d"] == 6 and calls["nn.conv3d.bwd"] == 6
+    assert calls["nn.forward"] == 1 and calls["nn.maxpool3"] == 1
+    assert calls["nn.concat_channels"] == 1 and calls["nn.softmax_channels"] == 1

@@ -181,13 +181,17 @@ def _write_volume(path, seed):
     write_vvol(random_image(seed), path)
 
 
+def _write_manifest(path, seed):
+    write_manifest(path, [(f"img_{seed}_{i}.vvol", f"lab_{seed}_{i}.vvol") for i in range(4)])
+
+
 def _write_checkpoint(path, seed):
     save_checkpoint(path, {"w": Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(seed)),
                            "b": full(Shape4(1, 1, 1, 2), float(seed))})
 
 
 class TestAtomicWrite:
-    @pytest.mark.parametrize("writer", [_write_volume, _write_checkpoint])
+    @pytest.mark.parametrize("writer", [_write_volume, _write_checkpoint, _write_manifest])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "artifact"
         writer(path, 1)
@@ -201,7 +205,7 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
-    @pytest.mark.parametrize("writer", [_write_volume, _write_checkpoint])
+    @pytest.mark.parametrize("writer", [_write_volume, _write_checkpoint, _write_manifest])
     def test_overwrite_replaces_contents(self, tmp_path, writer):
         path, fresh = tmp_path / "artifact", tmp_path / "fresh"
         writer(path, 1)
