@@ -8,6 +8,7 @@ from reading or writing a file), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -20,7 +21,7 @@ from ..nn import (CheckpointError, NonFiniteWeightsError, build_backbone, load_c
 from ..shuffle import ShuffleFactors, down_shuffle, up_shuffle
 from ..tensor import Rng
 from ..volume import Volume, VvolError, gen_synthetic, read_vvol, write_manifest, write_vvol
-from .bench import bench_csv, bench_factors
+from .bench import DEFAULT_ROWS, bench_report
 from .config import ConfigError, TrainConfig, load_config
 from .train import NumericError, run_training
 
@@ -156,9 +157,11 @@ def cmd_bench(args) -> int:
     if args.repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
     cfg = _collect_config(args)
-    factors_list = [_parse_triple(part) for part in args.factors_list.split(";")]
-    rows = [bench_factors(cfg, f, args.repetitions) for f in factors_list]
-    _emit(bench_csv(rows), args.out, "benchmark")
+    rows = [[_parse_triple(t) for t in row.split(":")] for row in args.rows.split(";")]
+    if any(len(row) != 2 for row in rows):
+        raise UsageError(f"bench rows must be patch:factors pairs, got {args.rows!r}")
+    _emit(json.dumps(bench_report(cfg, rows, args.repetitions), indent=1) + "\n", args.json,
+          "benchmark")
     return EXIT_OK
 
 
@@ -198,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("down", "up"), required=True)
     p.set_defaults(func=cmd_shuffle)
 
-    p = sub.add_parser("bench", help="cost benchmark across shuffle factors")
+    p = sub.add_parser("bench", help="cost table across patch sizes and shuffle factors")
     _add_config_options(p)
-    p.add_argument("--factors-list", default="1,1,1;2,2,2;4,4,2",
-                   help="semicolon-separated factor triples")
+    p.add_argument("--rows", default=DEFAULT_ROWS,
+                   help="semicolon-separated patch:factors rows, each triple as x,y,z")
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--out", help="benchmark CSV path (default: stdout)")
+    p.add_argument("--json", help="benchmark JSON path (default: stdout)")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -73,21 +73,28 @@ def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
     wx, wy, wz = work.extents
     classes = net.spec.class_count
     prob_sum = np.zeros((wz, wy, wx, classes))
-    cover = np.zeros((wz, wy, wx, 1))
     px, py, pz = plan.patch
     for ox, oy, oz in plan.origins:
         probs = net.predict(normalize_patch(work.tensor.crop((ox, oy, oz), plan.patch)))
         prob_sum[oz : oz + pz, oy : oy + py, ox : ox + px, :] += probs.zyxc
-        cover[oz : oz + pz, oy : oy + py, ox : ox + px, :] += 1.0
-    if cover.min() < 1.0:
+    # the origins are a Cartesian product, so a voxel's cover is the (exact)
+    # product of the tile counts along each axis
+    cx, cy, cz = (np.zeros(e) for e in work.extents)
+    for axis_cover, p, axis in zip((cx, cy, cz), plan.patch, range(3)):
+        for o in {origin[axis] for origin in plan.origins}:
+            axis_cover[o : o + p] += 1.0
+    if min(cx.min(), cy.min(), cz.min()) < 1.0:
         raise AssertionError("tiling plan left voxels uncovered")
-    mean = prob_sum / cover
-    mean = mean[:Z, :Y, :X, :]
-    return Volume(Tensor4(mean), volume.spacing, "image")
+    cover_yx = np.multiply.outer(cy, cx)[..., None]
+    for z, slab in enumerate(prob_sum):  # in place, one z slab of the cover at a time
+        slab /= cz[z] * cover_yx
+    return Volume(Tensor4(prob_sum[:Z, :Y, :X, :]), volume.spacing, "image")
 
 
 def decode_labels(prob_volume: Volume) -> Volume:
     """Per-voxel argmax over channels; ties go to the lowest class index."""
     probs = prob_volume.tensor.zyxc
-    labels = probs.argmax(axis=3).astype(np.float64)[..., None]
+    labels = np.empty((*probs.shape[:3], 1))
+    for z, slab in enumerate(probs):  # no full-volume integer temporary
+        labels[z, :, :, 0] = slab.argmax(axis=2)
     return Volume(Tensor4(labels), prob_volume.spacing, "labels", probs.shape[3])

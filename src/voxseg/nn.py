@@ -9,13 +9,17 @@ order, then releases that node's closure, parents and gradient; leaves
 raises ``RuntimeError``. A node whose parents need no gradient, and the network
 input, keep no parents; ``ShuffleUNet3d.predict`` records nothing.
 
-Each closure keeps only what its backward reads. ``conv3d`` re-pads its input
-node's value for the weight-gradient GEMMs and allocates the input gradient,
-if one is needed, only after them. A ReLU folded into ``conv3d`` masks by its
-output, > 0 exactly where the pre-activation is (NaN and ±0 included). Every
-op hands each parent one array it gives up to ``Node._accumulate``; no op
-writes a gradient itself. The first array becomes the gradient as 0.0 + g,
-the bits a zero fill plus g gives; later ones are added to it.
+Each closure keeps only what its backward reads, and so does the graph: no
+backward reads an identity conv's output that feeds an up-shuffle, nor an
+up-shuffle's output, so ``ConvUpShuffle`` and ``ShuffleUNet3d.forward`` set such
+a node's ``value`` to None once its one consumer's forward has run (its
+``shape`` stays). ``conv3d`` re-pads its input node's value for the weight
+gradient and allocates the input gradient, if one is needed, only after it. A
+ReLU folded into ``conv3d`` masks by its output, > 0 exactly where the
+pre-activation is (NaN and ±0 included). Every op hands each parent one array it
+gives up to ``Node._accumulate``; no op writes a gradient itself. The first
+array becomes the gradient in place and in its own layout as 0.0 + g, the bits
+a zero fill plus g gives; later ones are added to it.
 
 Convolution is cross-correlation (no kernel flip) at stride 1 with zero
 padding, output extent in + 2*pad - kernel + 1 per axis; the net downsamples
@@ -49,11 +53,12 @@ _recording = True  # cleared only while ShuffleUNet3d.predict runs
 class Node:
     """One value in the computation record."""
 
-    __slots__ = ("value", "_grad", "_parents", "_backprop", "_needs_grad", "_released")
+    __slots__ = ("value", "shape", "_grad", "_parents", "_backprop", "_needs_grad", "_released")
 
     def __init__(self, value: Tensor4, parents: tuple = (),
                  backprop: Callable[["Node"], None] | None = None):
         self.value = value
+        self.shape = value.shape
         self._grad = None
         self._needs_grad = _recording and (not parents or any(p._needs_grad for p in parents))
         self._parents = parents if self._needs_grad else ()
@@ -63,7 +68,7 @@ class Node:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value.zyxc)
+            self._grad = np.zeros((*self.shape.spatial[::-1], self.shape.c))
         return self._grad
 
     @grad.setter
@@ -71,9 +76,9 @@ class Node:
         self._grad = value
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add ``g``, an array the caller gives up; the first becomes the gradient."""
+        """Add ``g``, an array the caller gives up; the first becomes the gradient as is."""
         if self._grad is None:
-            self._grad = np.add(g, 0.0, out=g if g.flags.c_contiguous else None)
+            self._grad = np.add(g, 0.0, out=g)
         else:
             self._grad += g
 
@@ -448,7 +453,10 @@ class ConvUpShuffle:
                            rng=rng, sigma=sigma)
 
     def __call__(self, x: Node) -> Node:
-        return up_shuffle_op(self.conv(x), self.factors)
+        low = self.conv(x)
+        out = up_shuffle_op(low, self.factors)
+        low.value = None  # read by neither backward: the conv's act is the identity
+        return out
 
     def parameters(self) -> list[tuple[str, Node]]:
         return self.conv.parameters()
@@ -584,11 +592,13 @@ class ShuffleUNet3d:
                 x = track(f"pool{i}", maxpool3(x, self.spec.pool))
         for j, (up, dec) in enumerate(zip(self.ups, self.dec)):
             skip = skips.pop()
-            x = track(f"up{j}", up(x))
-            x = track(f"cat{j}", concat_channels(skip, x))
+            up_out = track(f"up{j}", up(x))
+            x = track(f"cat{j}", concat_channels(skip, up_out))
+            up_out.value = None  # read only by the forward of concat_channels
             x = track(f"dec{j}", dec(x))
         logits = self.head(x)
         probs = softmax_channels(logits)
+        logits.value = None
         self.last_activation_counts = acts
         return probs
 

@@ -61,8 +61,8 @@ class Volume:
         if self.kind == "labels":
             if self.class_count < 1:
                 raise ValueError("label volumes need class_count >= 1")
-            vals = self.tensor.zyxc
-            if not ((vals == np.floor(vals)).all() and vals.min() >= 0
+            vals = self.tensor.zyxc  # floored one z slab at a time, not as a whole copy
+            if not (all((s == np.floor(s)).all() for s in vals) and vals.min() >= 0
                     and vals.max() < self.class_count):
                 raise ValueError(
                     f"label values must be integers in [0, {self.class_count})"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -325,45 +326,48 @@ class TestShuffleCommand:
 
 
 class TestBenchCommand:
-    def test_activation_ratios_exact(self, tiny_workspace, tmp_path):
-        _, data, _ = tiny_workspace
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--patch", "16,16,16", "--extents", "16,16,16",
-                   "--k", "4", "--widths", "4,8", "--data-dir", str(data),
-                   "--factors-list", "1,1,1;2,2,2;4,4,2", "--repetitions", "2",
-                   "--out", str(out)])
-        assert rc == 0
-        rows = out.read_text().splitlines()
-        assert rows[0] == ("nx,ny,nz,fwd_bwd_seconds,backbone_elements_total,"
-                           "backbone_elements_peak")
-        totals = {}
-        peaks = {}
-        for line in rows[1:]:
-            parts = line.split(",")
-            key = tuple(int(v) for v in parts[:3])
-            totals[key] = int(parts[4])
-            peaks[key] = int(parts[5])
-        assert totals[(1, 1, 1)] == 8 * totals[(2, 2, 2)]
-        assert totals[(1, 1, 1)] == 32 * totals[(4, 4, 2)]
-        assert peaks[(1, 1, 1)] == 8 * peaks[(2, 2, 2)]
-        assert peaks[(1, 1, 1)] == 32 * peaks[(4, 4, 2)]
+    TINY = ["--k", "4", "--widths", "4,8"]
 
-    def test_zero_repetitions_is_usage_error(self, tiny_workspace, tmp_path):
-        _, data, _ = tiny_workspace
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--patch", "16,16,16", "--extents", "16,16,16",
-                   "--k", "4", "--widths", "4,8", "--data-dir", str(data),
-                   "--repetitions", "0", "--out", str(out)])
+    def test_json_keys_and_exact_activation_ratios(self, tmp_path):
+        out = tmp_path / "bench.json"
+        rc = main(["bench", *self.TINY, "--repetitions", "2", "--json", str(out),
+                   "--rows", "16,16,16:1,1,1;16,16,16:2,2,2;16,16,16:4,4,2;32,32,32:2,2,2"])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {"machine", "net", "rows"}
+        assert set(report["machine"]) == {"nproc", "python", "numpy", "scipy", "blas_threads"}
+        assert report["net"] == {"k": 4, "widths": [4, 8], "pool": [2, 2, 2],
+                                 "class_count": 2, "repetitions": 2}
+        totals, peaks = {}, {}
+        for row in report["rows"]:
+            assert set(row) == {"patch", "factors", "forward_s", "backward_s", "step_peak_mib",
+                                "predict_peak_mib", "backbone_elements_total",
+                                "backbone_elements_peak"}
+            assert min(row["forward_s"], row["backward_s"]) > 0.0
+            assert row["step_peak_mib"] > row["predict_peak_mib"] > 0.0
+            key = (row["patch"][0], tuple(row["factors"]))
+            totals[key] = row["backbone_elements_total"]
+            peaks[key] = row["backbone_elements_peak"]
+        assert totals[(16, (1, 1, 1))] == 8 * totals[(16, (2, 2, 2))]
+        assert totals[(16, (1, 1, 1))] == 32 * totals[(16, (4, 4, 2))]
+        assert peaks[(16, (1, 1, 1))] == 8 * peaks[(16, (2, 2, 2))]
+        assert peaks[(16, (1, 1, 1))] == 32 * peaks[(16, (4, 4, 2))]
+        # 8x the context at the same backbone cost
+        assert totals[(16, (1, 1, 1))] == totals[(32, (2, 2, 2))]
+        assert peaks[(16, (1, 1, 1))] == peaks[(32, (2, 2, 2))]
+
+    def test_zero_repetitions_is_usage_error(self, tmp_path):
+        out = tmp_path / "bench.json"
+        rc = main(["bench", *self.TINY, "--repetitions", "0", "--json", str(out)])
         assert rc == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("factors_list", ["x,2,2", "2,2", "1,1,1;2,2.5,2"])
-    def test_bad_factor_triple_is_usage_error(self, tiny_workspace, tmp_path, factors_list):
-        _, data, _ = tiny_workspace
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--patch", "16,16,16", "--extents", "16,16,16",
-                   "--k", "4", "--widths", "4,8", "--data-dir", str(data),
-                   "--factors-list", factors_list, "--out", str(out)])
+    @pytest.mark.parametrize("rows", ["16,16,16:x,2,2", "16,16,16:2,2", "16,16,16",
+                                      "16,16,16:1,1,1;16,16,16:2,2.5,2",
+                                      "16,16,16:1,1,1;12,12,12:8,8,8"])
+    def test_bad_row_is_usage_error(self, tmp_path, rows):
+        out = tmp_path / "bench.json"
+        rc = main(["bench", *self.TINY, "--rows", rows, "--json", str(out)])
         assert rc == EXIT_USAGE
         assert not out.exists()
 

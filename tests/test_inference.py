@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,47 @@ class TestPredictVolume:
             inf.plan_tiling = orig
         labels_rev = decode_labels(out_rev)
         assert labels_fwd.tensor.equal(labels_rev.tensor)
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak traced bytes it held above its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPredictVolumeMemory:
+    def test_mean_bit_identical_to_counted_cover_oracle(self):
+        spec = BackboneSpec(class_count=3, factors=(2, 2, 2), stem_channels=4, widths=(4, 8))
+        net = build_backbone(spec, Rng(12))
+        vol = image_volume(13, (20, 12, 16))
+        out = predict_volume(net, vol, (8, 8, 8), (4, 3, 8))
+        total = np.zeros((16, 12, 20, 3))
+        cover = np.zeros((16, 12, 20, 1))
+        for ox, oy, oz in plan_tiling((20, 12, 16), (8, 8, 8), (4, 3, 8)).origins:
+            tile = normalize_patch(vol.tensor.crop((ox, oy, oz), (8, 8, 8)))
+            total[oz : oz + 8, oy : oy + 8, ox : ox + 8] += net.predict(tile).zyxc
+            cover[oz : oz + 8, oy : oy + 8, ox : ox + 8] += 1.0
+        assert np.array_equal(out.tensor.zyxc.view(np.int64), (total / cover).view(np.int64))
+
+    def test_predict_volume_traced_peak_near_its_output(self):
+        # a full-volume cover array and a separate mean made 2.4x the output
+        net = constant_net([0.25, 0.5, 0.25])
+        vol = image_volume(14, (64, 48, 40))
+        out, peak = traced_peak(lambda: predict_volume(net, vol, (16, 16, 16), (8, 6, 16)))
+        assert peak < 1.25 * out.tensor.zyxc.nbytes, peak / out.tensor.zyxc.nbytes
+
+    def test_decode_labels_traced_peak_near_its_output(self):
+        # an integer argmax and a float copy of it, then a floored copy for the
+        # label check, made 2.1x the output
+        probs = Volume(Tensor4(Rng(15).uniform(32 * 24 * 40 * 3).reshape(32, 24, 40, 3)),
+                       (1.0, 1.0, 1.0), "image")
+        out, peak = traced_peak(lambda: decode_labels(probs))
+        assert peak < 1.25 * out.tensor.zyxc.nbytes, peak / out.tensor.zyxc.nbytes
 
 
 class TestDecodeLabels:

@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 
 from conftest import FUZZ, fd_gradient_error, full, mutated
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
-                       DownShuffleConv, NonFiniteWeightsError, activation,
-                       Node, backward, build_backbone, ce_dice_loss, conv3d,
-                       down_shuffle_op, load_checkpoint, load_into_network,
-                       save_checkpoint, up_shuffle_op)
+                       DownShuffleConv, NonFiniteWeightsError, ShuffleUNet3d,
+                       activation, Node, backward, build_backbone, ce_dice_loss,
+                       concat_channels, conv3d, down_shuffle_op, load_checkpoint,
+                       load_into_network, maxpool3, save_checkpoint, softmax_channels,
+                       up_shuffle_op)
 from voxseg.shuffle import ShuffleFactors
 from voxseg.tensor import Rng, Shape4, Tensor4
 
@@ -19,6 +20,49 @@ from voxseg.tensor import Rng, Shape4, Tensor4
 def small_spec(factors=(1, 1, 1), widths=(4, 8), classes=2, k=4):
     return BackboneSpec(class_count=classes, factors=factors, stem_channels=k,
                         widths=widths, pool=(2, 2, 2))
+
+
+def interior_nodes(root: Node) -> list[Node]:
+    """Every node reachable from ``root`` that records its parents."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            found.append(node)
+            stack.extend(node._parents)
+    return found
+
+
+def desk_step_inputs(n: int, seed: int) -> tuple[Tensor4, Tensor4]:
+    """A one-channel n^3 patch and two-class one-hot labels."""
+    t = Tensor4.gaussian(Shape4(n, n, n, 1), 0, 1, Rng(seed))
+    fg = (Tensor4.gaussian(t.shape, 0, 1, Rng(seed + 1)).zyxc > 0.0).astype(np.float64)
+    return t, Tensor4(np.concatenate([1.0 - fg, fg], axis=3))
+
+
+def keep_all_forward(net: ShuffleUNet3d, patch: Tensor4) -> Node:
+    """``net.forward`` composed from the public ops, releasing no value."""
+    x = Node(patch)
+    x._needs_grad = False
+    x = conv3d(down_shuffle_op(x, net.stem.factors), net.stem.conv.weight,
+               net.stem.conv.bias, net.stem.conv.kernel, net.stem.conv.padding, "relu")
+    skips = []
+    for i, layer in enumerate(net.enc):
+        x = layer(x)
+        if i < net.spec.depth - 1:
+            skips.append(x)
+            x = maxpool3(x, net.spec.pool)
+    for up, dec in zip(net.ups, net.dec):
+        x = dec(concat_channels(skips.pop(), up_shuffle_op(up.conv(x), up.factors)))
+    return softmax_channels(up_shuffle_op(net.head.conv(x), net.head.factors))
+
+
+def zero_fill_then_add(node: Node, g: np.ndarray) -> None:
+    """``Node._accumulate`` with every gradient in a new compact array."""
+    if node._grad is None:
+        node._grad = np.zeros(g.shape)
+    node._grad += g
 
 
 class TestStemLayer:
@@ -174,22 +218,29 @@ class TestBackbone:
                 out = run(t)
                 current, peak = tracemalloc.get_traced_memory()
                 runs.append((current - base, peak - base))
+                if run == net.forward:
+                    graph_bytes = sum(n.value.zyxc.nbytes for n in interior_nodes(out)
+                                      if n.value is not None)
                 del out
         finally:
             tracemalloc.stop()
         (forward_kept, _), (predict_kept, predict_peak) = runs
         out_bytes = 16 ** 3 * 2 * 8
-        assert predict_kept < 2 * out_bytes and forward_kept >= 10 * out_bytes, runs
+        # forward keeps the values of the graph it records, predict only its output
+        assert forward_kept >= graph_bytes > 5 * out_bytes, (runs, graph_bytes)
+        assert predict_kept < 2 * out_bytes, runs
         assert predict_peak <= unfused_peak, runs
 
-    def test_train_step_traced_peak_below_64_mib(self):
-        # desk net, 32^3, factors (1,1,1): 82.1 MiB while every conv kept its
-        # padded input and every ReLU its pre-activation for the backward
-        net = build_backbone(BackboneSpec(class_count=2, stem_channels=16, widths=(16, 32)),
-                             Rng(34))
-        t = Tensor4.gaussian(Shape4(32, 32, 32, 1), 0, 1, Rng(35))
-        fg = (Tensor4.gaussian(t.shape, 0, 1, Rng(36)).zyxc > 0.0).astype(np.float64)
-        labels = Tensor4(np.concatenate([1.0 - fg, fg], axis=3))
+    # desk net, 32^3 (1,1,1): 82.1 MiB while every conv kept its padded input and
+    # every ReLU its pre-activation for the backward, 56.2 MiB while the graph
+    # kept the values no backward reads and compacted strided input gradients;
+    # 64^3 (4,4,4): 31.7 MiB then
+    @pytest.mark.parametrize("n,factors,bound_mib", [(32, (1, 1, 1), 44),
+                                                     (64, (4, 4, 4), 26)])
+    def test_train_step_traced_peak(self, n, factors, bound_mib):
+        net = ShuffleUNet3d(BackboneSpec(class_count=2, factors=factors, stem_channels=16,
+                                         widths=(16, 32)), Rng(34))
+        t, labels = desk_step_inputs(n, 35)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -197,7 +248,40 @@ class TestBackbone:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20, peak / 2 ** 20
+        assert peak < bound_mib * 2 ** 20, peak / 2 ** 20
+
+    def test_forward_releases_values_no_backward_reads(self):
+        # the identity-conv outputs that feed the up-shuffles and the up-shuffle
+        # outputs; each keeps its shape for the lazy gradient fill
+        net = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(37))
+        probs = net.forward(Tensor4.gaussian(Shape4(16, 16, 16, 1), 0, 1, Rng(38)))
+        released = [n for n in interior_nodes(probs) if n.value is None]
+        assert sorted(n.shape for n in released) == [(4, 4, 4, 32), (8, 8, 8, 4),
+                                                     (8, 8, 8, 16), (16, 16, 16, 2)]
+        logits = probs._parents[0]
+        assert logits in released and logits._parents[0] in released
+        for node in released:
+            x, y, z, c = node.shape
+            assert node.grad.shape == (z, y, x, c) and not node.grad.any()
+
+    @pytest.mark.parametrize("factors", [(1, 1, 1), (2, 2, 2), (2, 1, 2)])
+    def test_gradients_bit_identical_to_keep_all_oracle(self, factors, monkeypatch):
+        net = ShuffleUNet3d(small_spec(factors=factors, widths=(4, 8, 8)), Rng(39))
+        t, labels = desk_step_inputs(16, 40)
+
+        def step_gradients(probs: Node) -> dict:
+            backward(ce_dice_loss(probs, labels))
+            grads = {k: p.grad.view(np.int64).copy() for k, p in net.parameters().items()}
+            net.zero_grad()
+            return grads
+
+        got = step_gradients(net.forward(t))
+        # the oracle's first gradient is a zero fill plus g, in a new compact array
+        monkeypatch.setattr(Node, "_accumulate", zero_fill_then_add)
+        want = step_gradients(keep_all_forward(net, t))
+        assert got.keys() == want.keys()
+        for name in got:
+            assert np.array_equal(got[name], want[name]), name
 
 
 class TestFullScaleGeometry:
