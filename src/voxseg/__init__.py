@@ -14,8 +14,7 @@ from .nn import (BackboneSpec, Conv3d, ConvUpShuffle, DownShuffleConv, Node,
                  concat_channels, conv3d, down_shuffle_op, load_checkpoint,
                  load_into_network, maxpool3, save_checkpoint, softmax_channels,
                  up_shuffle_op)
-from .optim import (INITIAL_LR_BY_FACTORS, LrSchedule, SgdState, lr_at, sgd_step,
-                    suggested_initial_lr)
+from .optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step, suggested_initial_lr
 from .volume import (Volume, VvolError, augment_dataset, elastic_augment, gen_synthetic,
                      normalize_patch, random_deformation, read_vvol, sample_patch,
                      write_vvol)

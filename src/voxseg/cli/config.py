@@ -1,20 +1,22 @@
 """Run configuration: a plain key=value file with command-line overrides.
 
-Unknown keys are hard errors; a silent typo in a hyperparameter name would
-destroy reproducibility. Triples are comma-separated ("2,2,2"), encoder
-widths may have any length ("32,64,128").
+``load_config`` is the one reader: defaults, then the file, then the
+overrides, validated once. Unknown keys are hard errors; a silent typo in a
+hyperparameter name would destroy reproducibility. Triples are
+comma-separated ("2,2,2"), encoder widths may have any length ("32,64,128").
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import get_args, get_origin, get_type_hints
 
 from ..nn import BackboneSpec
 from ..optim import suggested_initial_lr
+from ..shuffle import divide_extents
 
 
 class ConfigError(Exception):
@@ -124,11 +126,7 @@ class TrainConfig:
         try:
             spec = self.backbone_spec().validate()
             spec.check_input_extents(self.patch)
-            for e, f in zip(self.extents, self.factors):
-                if e % f:
-                    raise ValueError(
-                        f"volume extent {e} not divisible by shuffle factor {f}"
-                    )
+            divide_extents(self.extents, self.factors, "shuffle")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.resolved_initial_lr()
@@ -154,14 +152,6 @@ def _parse_value(name: str, raw: str):
         raise ConfigError(f"bad value for {name!r}: {exc}") from None
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _lines(text: str) -> Iterator[tuple[str, str]]:
     """(key, raw value) per key=value line; blank lines and # comments skipped."""
     for ln, line in enumerate(text.splitlines(), 1):
@@ -172,21 +162,6 @@ def _lines(text: str) -> Iterator[tuple[str, str]]:
             raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         yield key.strip(), raw.strip()
-
-
-def _merge(cfg: TrainConfig, pairs: Iterable[tuple[str, str]]) -> TrainConfig:
-    """``cfg`` with each (key, raw value) parsed over it, later pairs winning; validated."""
-    return replace(cfg, **{key: _parse_value(key, raw) for key, raw in pairs}).validate()
-
-
-def parse_config(text: str) -> TrainConfig:
-    """Parse key=value lines over the defaults. Validates the result."""
-    return _merge(TrainConfig(), _lines(text))
-
-
-def serialize_config(cfg: TrainConfig) -> str:
-    lines = [f"{f.name}={_format_value(getattr(cfg, f.name))}" for f in fields(TrainConfig)]
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> TrainConfig:
@@ -200,4 +175,5 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> Tr
             raise ConfigError(f"cannot read config: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}") from None
-    return _merge(TrainConfig(), chain(_lines(text), (overrides or {}).items()))
+    pairs = chain(_lines(text), (overrides or {}).items())  # later pairs win
+    return replace(TrainConfig(), **{key: _parse_value(key, raw) for key, raw in pairs}).validate()

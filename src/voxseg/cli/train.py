@@ -13,7 +13,7 @@ from ..atomic import write_atomic
 from ..inference import decode_labels, predict_volume
 from ..metrics import BinaryMask, dice
 from ..nn import Node, backward, build_backbone, ce_dice_loss, save_checkpoint
-from ..optim import LrSchedule, SgdState, lr_at, sgd_step
+from ..optim import SgdState, sgd_step
 from ..tensor import Rng, Tensor4
 from ..volume import augment_dataset, load_manifest_volumes, normalize_patch, sample_patch
 from .config import TrainConfig
@@ -101,9 +101,8 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
 
     net = build_backbone(cfg.backbone_spec(), root.spawn(7))
     params = net.parameters()
-    lr0 = cfg.resolved_initial_lr()
-    schedule = LrSchedule(lr0, cfg.lr_halving_period)
-    state = SgdState(params, lr0, cfg.momentum, cfg.weight_decay)
+    state = SgdState(params, cfg.resolved_initial_lr(), cfg.momentum, cfg.weight_decay,
+                     cfg.lr_halving_period)
     sampler = root.spawn(11)
 
     log_rows: list[str] = []
@@ -122,7 +121,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
             time.perf_counter() - started >= wall_clock_budget
 
     for it in range(1, cfg.iterations + 1):
-        state.lr = lr_at(schedule, state.iteration)
+        lr = state.lr  # the rate this iteration's step applies
         net.zero_grad()
         batch_losses = []
         for _ in range(cfg.batch_size):
@@ -141,14 +140,14 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
         last_train_loss = float(np.mean(batch_losses))
         iterations_run = it
         log_rows.append(
-            f"train,{it},{_fmt(state.lr)},{_fmt(last_train_loss)},{empty_dice}"
+            f"train,{it},{_fmt(lr)},{_fmt(last_train_loss)},{empty_dice}"
         )
 
         if it % cfg.val_interval == 0 or it == cfg.iterations or out_of_time():
             last_val_loss, last_val_dice = evaluate(net, val_pairs, cfg)
             dice_str = ",".join(_fmt(d) for d in last_val_dice)
             log_rows.append(
-                f"val,{it},{_fmt(state.lr)},{_fmt(last_val_loss)},{dice_str}"
+                f"val,{it},{_fmt(lr)},{_fmt(last_val_loss)},{dice_str}"
             )
             if not quiet:
                 print(f"iter {it}: train {last_train_loss:.4f} "

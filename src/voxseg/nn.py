@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .atomic import write_atomic
-from .shuffle import ShuffleFactors, down_shuffle, up_shuffle
+from .shuffle import ShuffleFactors, divide_extents, down_shuffle, up_shuffle
 from .tensor import Rng, Shape4, Tensor4
 
 
@@ -271,13 +271,9 @@ def maxpool3(x: Node, factors: tuple[int, int, int]) -> Node:
 
     Gradient goes to the first maximum (or first NaN) in buffer layout order.
     """
+    ox, oy, oz = divide_extents(x.value.shape.spatial, factors, "pool")
     fx, fy, fz = factors
-    if min(factors) < 1:
-        raise ValueError(f"pool factors must be >= 1, got {factors}")
-    X, Y, Z, C = x.value.shape
-    if X % fx or Y % fy or Z % fz:
-        raise ValueError(f"extents {(X, Y, Z)} not divisible by pool factors {factors}")
-    oz, oy, ox = Z // fz, Y // fy, X // fx
+    C = x.value.shape.c
 
     def slot_views(a: np.ndarray) -> list[np.ndarray]:  # (oz, oy, ox, C) each, in layout order
         blocks = a.reshape(oz, fz, oy, fy, ox, fx, C)
@@ -318,8 +314,9 @@ def _channel_fold(op, a: np.ndarray) -> np.ndarray:
 def softmax_channels(x: Node) -> Node:
     """Per-voxel channel distribution, stabilized by max subtraction."""
     a = x.value.zyxc
-    e = np.exp(a - _channel_fold(np.maximum, a)[..., None])
-    p = e / _channel_fold(np.add, e)[..., None]
+    p = a - _channel_fold(np.maximum, a)[..., None]  # the one full-size array
+    np.exp(p, out=p)
+    p /= _channel_fold(np.add, p)[..., None]
     value = Tensor4(p)
 
     def backprop(out: Node) -> None:
@@ -500,18 +497,9 @@ class BackboneSpec:
 
     def check_input_extents(self, extents: tuple[int, int, int]) -> None:
         """Raise unless extents survive the stem shuffle and all poolings."""
-        for name, extent, f in zip("xyz", extents, self.factors):
-            if extent % f:
-                raise ValueError(f"extent {name}={extent} not divisible by shuffle factor {f}")
-        reduced = [e // f for e, f in zip(extents, self.factors)]
-        for level in range(self.depth - 1):
-            for i, (name, p) in enumerate(zip("xyz", self.pool)):
-                if reduced[i] % p:
-                    raise ValueError(
-                        f"extent {name}={reduced[i]} at level {level} not divisible "
-                        f"by pool factor {p}"
-                    )
-                reduced[i] //= p
+        extents = divide_extents(extents, self.factors, "shuffle")
+        for _ in range(self.depth - 1):
+            extents = divide_extents(extents, self.pool, "pool")
 
 
 class ShuffleUNet3d:
@@ -632,15 +620,15 @@ class NonFiniteWeightsError(CheckpointError):
     """A checkpoint parameter holds NaN or infinite values."""
 
 
-def save_checkpoint(path, params: Mapping[str, Node] | Mapping[str, Tensor4]) -> None:
+def save_checkpoint(path, params: Mapping[str, Node]) -> None:
     """Write parameters as little-endian records: magic, u32 version, then
     (u32 name length, utf-8 name, 4 x u32 extents, raw float64 data) each."""
 
     def parts():
         yield _CKPT_MAGIC
         yield struct.pack("<I", _CKPT_VERSION)
-        for name, entry in params.items():
-            tensor = entry.value if isinstance(entry, Node) else entry
+        for name, node in params.items():
+            tensor = node.value
             encoded = name.encode("utf-8")
             yield struct.pack("<I", len(encoded))
             yield encoded

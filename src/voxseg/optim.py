@@ -1,43 +1,24 @@
-"""SGD with momentum and coupled weight decay, plus the halving LR schedule.
+"""SGD with momentum, coupled weight decay and a halving learning rate.
 
 Update rule (classic momentum, decay folded into the gradient):
 
     v <- momentum * v + g + weight_decay * w
     w <- w - lr * v
 
-The iteration counter advances only when a step is actually applied; steps
-with non-finite gradients are reported and skipped.
+``SgdState.lr`` is ``initial * 0.5 ** (iteration // halving_period)``. The
+iteration counter advances only when a step is actually applied, so after a
+step ``lr`` is already the next step's rate; steps with non-finite gradients
+are reported and skipped.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .nn import Node
-
-
-@dataclass
-class LrSchedule:
-    """Initial rate halved every ``period`` iterations."""
-
-    initial: float
-    period: int = 3000
-
-    def __post_init__(self):
-        if self.initial <= 0:
-            raise ValueError(f"initial lr must be > 0, got {self.initial}")
-        if self.period < 1:
-            raise ValueError(f"halving period must be >= 1, got {self.period}")
-
-
-def lr_at(schedule: LrSchedule, iteration: int) -> float:
-    if iteration < 0:
-        raise ValueError(f"iteration must be >= 0, got {iteration}")
-    return schedule.initial * 0.5 ** (iteration // schedule.period)
 
 
 # Initial learning rate per shuffle factor, as used with the halving schedule.
@@ -64,17 +45,25 @@ def suggested_initial_lr(factors: tuple[int, int, int]) -> float:
 
 
 class SgdState:
-    """Velocity buffers and hyperparameters for one parameter set."""
+    """Velocity buffers, hyperparameters and the applied-step count for one parameter set."""
 
     def __init__(self, params: Mapping[str, Node], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.005):
+                 weight_decay: float = 0.005, halving_period: int = 3000):
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
-        self.lr = lr
+        if halving_period < 1:
+            raise ValueError(f"halving period must be >= 1, got {halving_period}")
+        self.initial_lr = lr
+        self.halving_period = halving_period
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(node.value.zyxc) for name, node in params.items()}
         self.iteration = 0
+
+    @property
+    def lr(self) -> float:
+        """The rate the next applied step uses."""
+        return self.initial_lr * 0.5 ** (self.iteration // self.halving_period)
 
 
 def sgd_step(params: Mapping[str, Node], state: SgdState) -> bool:
@@ -88,6 +77,7 @@ def sgd_step(params: Mapping[str, Node], state: SgdState) -> bool:
         if not np.isfinite(node.grad).all():
             warnings.warn(f"non-finite gradient for {name}; step skipped", RuntimeWarning)
             return False
+    lr = state.lr
     for name, node in params.items():
         v = state.velocity[name]
         w = node.value.zyxc
@@ -95,6 +85,6 @@ def sgd_step(params: Mapping[str, Node], state: SgdState) -> bool:
         v += node.grad
         if state.weight_decay:
             v += state.weight_decay * w
-        w -= state.lr * v
+        w -= lr * v
     state.iteration += 1
     return True

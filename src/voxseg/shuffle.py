@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Shape4, Tensor4
+from .tensor import Tensor4
 
 
 class ShuffleFactors(NamedTuple):
@@ -46,19 +46,18 @@ class ShuffleFactors(NamedTuple):
         return self
 
 
-def _check_divisible(shape: Shape4, factors: ShuffleFactors) -> tuple[int, int, int]:
-    nx, ny, nz = factors
-    if shape.x % nx or shape.y % ny or shape.z % nz:
-        raise ValueError(
-            f"spatial extents {shape.spatial} not divisible by factors {tuple(factors)}"
-        )
-    return shape.x // nx, shape.y // ny, shape.z // nz
+def divide_extents(extents, factors, what: str) -> tuple[int, ...]:
+    """Per-axis ``extents // factors``; ValueError unless each factor is >= 1 and divides."""
+    if min(factors) < 1 or any(e % f for e, f in zip(extents, factors)):
+        raise ValueError(f"{what} factors {tuple(factors)} must be >= 1 and divide "
+                         f"extents {tuple(extents)}")
+    return tuple(e // f for e, f in zip(extents, factors))
 
 
 def down_shuffle(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
     """Periodic down-shuffle: (n_x*d, n_y*h, n_z*w, C) -> (d, h, w, C*n_x*n_y*n_z)."""
-    factors = ShuffleFactors(*factors).validate()
-    d, h, w = _check_divisible(t.shape, factors)
+    factors = ShuffleFactors(*factors)
+    d, h, w = divide_extents(t.shape.spatial, factors, "shuffle")
     nx, ny, nz = factors
     c = t.shape.c
     # (z, y, x, c) -> (w, nz, h, ny, d, nx, c) -> (w, h, d, nz, ny, nx, c);
@@ -87,9 +86,9 @@ def down_shuffle_reference(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
     Kept loop-shaped and separate from the transpose path on purpose; do not
     "optimize" this function.
     """
-    factors = ShuffleFactors(*factors).validate()
+    factors = ShuffleFactors(*factors)
     nx, ny, nz = factors
-    d, h, w = _check_divisible(t.shape, factors)
+    d, h, w = divide_extents(t.shape.spatial, factors, "shuffle")
     C = t.shape.c
     c_out = C * nx * ny * nz
     out = np.empty((w, h, d, c_out))

@@ -41,18 +41,11 @@ class Shape4(NamedTuple):
     def element_count(self) -> int:
         return self.x * self.y * self.z * self.c
 
-    def validate(self, min_channels: int = 0) -> "Shape4":
-        """Check extents. Spatial extents must be >= 1; channels >= min_channels.
-
-        A zero-channel shape is allowed only as the degenerate identity for
-        channel concatenation; constructors that materialize data require
-        at least one channel.
-        """
-        for name, extent in zip("xyz", (self.x, self.y, self.z)):
+    def validate(self) -> "Shape4":
+        """Check extents: every extent, channels included, must be >= 1."""
+        for name, extent in zip("xyzc", self):
             if extent < 1:
                 raise ValueError(f"shape extent {name}={extent} must be >= 1")
-        if self.c < min_channels:
-            raise ValueError(f"channel extent c={self.c} must be >= {min_channels}")
         if self.element_count > _MAX_ELEMENTS:
             raise ValueError(f"element count {self.element_count} overflows index range")
         return self
@@ -78,13 +71,13 @@ class Tensor4:
 
     @classmethod
     def zeros(cls, shape: Shape4) -> "Tensor4":
-        shape = Shape4(*shape).validate(min_channels=1)
+        shape = Shape4(*shape).validate()
         return cls(np.zeros((shape.z, shape.y, shape.x, shape.c)))
 
     @classmethod
     def gaussian(cls, shape: Shape4, mu: float, sigma: float, rng: "Rng") -> "Tensor4":
         """I.i.d. normal samples; bit-identical for identical seed and shape."""
-        shape = Shape4(*shape).validate(min_channels=1)
+        shape = Shape4(*shape).validate()
         samples = rng.normal(shape.element_count, mu=mu, sigma=sigma)
         return cls(samples.reshape(shape.z, shape.y, shape.x, shape.c))
 

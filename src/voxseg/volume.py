@@ -187,15 +187,18 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
 # patch sampling
 # ---------------------------------------------------------------------------
 
-def normalize_patch(patch: Tensor4, sigma_floor: float = 1e-8) -> Tensor4:
+_SIGMA_FLOOR = 1e-8
+
+
+def normalize_patch(patch: Tensor4) -> Tensor4:
     """Shift to zero mean and scale to unit variance.
 
-    Degenerate (constant) patches divide by the floor and come out all zero.
+    Degenerate (constant) patches divide by the 1e-8 floor and come out all zero.
     """
     a = patch.zyxc
     mean = a.mean()
     std = a.std()
-    return Tensor4((a - mean) / max(std, sigma_floor))
+    return Tensor4((a - mean) / max(std, _SIGMA_FLOOR))
 
 
 def sample_patch(image: Volume, labels: Volume, extents: tuple[int, int, int], rng: Rng,

@@ -1,4 +1,5 @@
 import errno
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ from voxseg.tensor import Shape4, Tensor4
 def full(shape: Shape4, value: float) -> Tensor4:
     """Tensor of the given shape with every element equal to ``value``."""
     return Tensor4(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak traced bytes it held above its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def fd_gradient_error(build, leaf_tensors, seed=1.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dgemm
 
-from conftest import fd_gradient_error, full
+from conftest import fd_gradient_error, full, traced_peak
 from voxseg.nn import (BackboneSpec, Conv3d, Node, _check_one_hot, _conv_geometry,
                        activation, backward,
                        build_backbone, ce_dice_loss, concat_channels, conv3d,
@@ -603,6 +603,23 @@ class TestSoftmax:
         assert np.array_equal(out.value.zyxc, want)
         backward(out, gout)
         assert np.array_equal(x.grad, want_grad)
+
+
+    def test_bits_match_exp_oracle_through_int64_views(self):
+        rng = np.random.default_rng(63)
+        a = rng.standard_normal((40, 24, 32, 3)) * 30.0
+        a[0, 0, 0] = [0.0, -800.0, -1e300]  # exp underflows to +0.0
+        a[0, 0, 1] = [-0.0, 0.0, -0.0]
+        m = a.max(axis=3, keepdims=True)
+        want = np.exp(a - m) / np.exp(a - m).sum(axis=3, keepdims=True)
+        got = softmax_channels(Node(Tensor4(a))).value.zyxc
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_traced_peak_near_its_output(self):
+        # a - max, its exp and the quotient as three arrays made 2.4x the output
+        x = Node(Tensor4(np.random.default_rng(64).standard_normal((40, 24, 32, 3))))
+        out, peak = traced_peak(lambda: softmax_channels(x))
+        assert peak <= 1.5 * out.value.zyxc.nbytes, peak / out.value.zyxc.nbytes
 
 
 class TestOneHotCheck:

@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from voxseg.inference import decode_labels, plan_tiling, predict_volume
 from voxseg.nn import BackboneSpec, build_backbone
 from voxseg.tensor import Rng, Shape4, Tensor4
@@ -171,17 +170,6 @@ class TestPredictVolume:
             inf.plan_tiling = orig
         labels_rev = decode_labels(out_rev)
         assert labels_fwd.tensor.equal(labels_rev.tensor)
-
-
-def traced_peak(run):
-    """``run()``'s result and the peak traced bytes it held above its start."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestPredictVolumeMemory:

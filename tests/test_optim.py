@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from voxseg.nn import Node
-from voxseg.optim import (INITIAL_LR_BY_FACTORS, LrSchedule, SgdState, lr_at,
-                          sgd_step, suggested_initial_lr)
+from voxseg.optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step, suggested_initial_lr
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
@@ -84,29 +83,49 @@ class TestSgdStep:
         assert np.abs(p["w"].value.flat - target).max() < 1e-8
 
 
+def lr_at(initial, period, iteration):
+    """``SgdState.lr`` after ``iteration`` applied steps."""
+    state = SgdState({"w": param([0.0])}, lr=initial, halving_period=period)
+    state.iteration = iteration
+    return state.lr
+
+
 class TestSchedule:
     def test_initial_value(self):
-        assert lr_at(LrSchedule(2e-3, 3000), 0) == 2e-3
+        assert lr_at(2e-3, 3000, 0) == 2e-3
 
     def test_first_halving(self):
-        assert lr_at(LrSchedule(2e-3, 3000), 3000) == 1e-3
+        assert lr_at(2e-3, 3000, 3000) == 1e-3
 
     def test_two_halvings(self):
-        assert lr_at(LrSchedule(1e-3, 3000), 8999) == 2.5e-4
+        assert lr_at(1e-3, 3000, 8999) == 2.5e-4
 
     def test_non_increasing_powers_of_two(self):
-        sched = LrSchedule(1e-2, 10)
-        values = [lr_at(sched, i) for i in range(100)]
+        values = [lr_at(1e-2, 10, i) for i in range(100)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(v == 1e-2 * 0.5 ** (i // 10) for i, v in enumerate(values))
 
+    def test_default_period(self):
+        assert SgdState({"w": param([0.0])}, lr=1e-3).halving_period == 3000
+
+    def test_advances_on_applied_steps_only(self):
+        p = {"w": param([1.0])}
+        state = SgdState(p, lr=0.1, momentum=0.0, weight_decay=0.0, halving_period=2)
+        step(p, state, [0.0])
+        with pytest.warns(RuntimeWarning):
+            step(p, state, [float("nan")])
+        assert state.lr == 0.1
+        step(p, state, [0.0])
+        assert state.lr == 0.05
+        with pytest.raises(AttributeError):
+            state.lr = 0.1
+
     def test_invalid(self):
+        p = {"w": param([0.0])}
         with pytest.raises(ValueError):
-            LrSchedule(0.0, 10)
+            SgdState(p, lr=0.0, halving_period=10)
         with pytest.raises(ValueError):
-            LrSchedule(1e-3, 0)
-        with pytest.raises(ValueError):
-            lr_at(LrSchedule(1e-3, 10), -1)
+            SgdState(p, lr=1e-3, halving_period=0)
 
 
 class TestLrLookup:

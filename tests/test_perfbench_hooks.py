@@ -3,7 +3,8 @@
 perfbench wraps voxseg's public functions from outside the package, in each
 module that looks them up. A refactor that renames such a function, or binds
 it where the wrapper cannot reach, drops its span without an error: the run
-only prints a "not traced" line, or the layer silently reads 0.
+only prints a "not traced" line, or the layer silently reads 0. Its FLOP
+oracle reads the net's layer attributes the same way.
 """
 
 import importlib.util
@@ -16,9 +17,9 @@ import voxseg.nn as nn
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
-def load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+def load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -26,7 +27,7 @@ def load_spans():
 
 
 def test_every_hook_found_and_traced_through_a_train_step():
-    spans = load_spans()
+    spans, oracle = load_perfbench("spans"), load_perfbench("oracle")
     originals = (nn.down_shuffle, nn.up_shuffle, nn.conv3d)
     spec = nn.BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=4, widths=(4, 8))
     net = nn.build_backbone(spec, Rng(1))
@@ -49,3 +50,8 @@ def test_every_hook_found_and_traced_through_a_train_step():
     assert calls["nn.conv3d"] == 6 and calls["nn.conv3d.bwd"] == 6
     assert calls["nn.forward"] == 1 and calls["nn.maxpool3"] == 1
     assert calls["nn.concat_channels"] == 1 and calls["nn.softmax_channels"] == 1
+    # the oracle reads the net's conv layers (stem.conv, enc, ups[j].conv, dec,
+    # head.conv) and each Conv3d's c_in, c_out and kernel: a forward plus a
+    # backward at twice its work
+    per_forward = oracle.conv_flops_per_forward(net, (8, 8, 8))
+    assert tracer.counters["nn.conv3d.flops"] == 3 * per_forward

@@ -14,7 +14,7 @@ class TestShape4:
         with pytest.raises(ValueError):
             Shape4(0, 1, 1, 1).validate()
         with pytest.raises(ValueError):
-            Shape4(1, 1, 1, 0).validate(min_channels=1)
+            Shape4(1, 1, 1, 0).validate()
 
     def test_overflowing_count_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ class TestConcatCrop:
 
     def test_concat_empty_identity(self):
         a = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(1))
-        empty = Tensor4.from_flat(Shape4(2, 2, 2, 0), np.zeros(0))
+        empty = Tensor4(np.zeros((2, 2, 2, 0)))
         assert a.concat_channels(empty).equal(a)
 
     def test_concat_lookup(self):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import FUZZ, FailsHalfway, full, mutated
 import voxseg.atomic as atomic
 from voxseg.cli.main import EXIT_DATA, main
-from voxseg.nn import save_checkpoint
+from voxseg.nn import Node, save_checkpoint
 from voxseg.tensor import Rng, Shape4, Tensor4
 from voxseg.volume import (Volume, VvolError, augment_dataset, elastic_augment,
                            gen_synthetic, load_manifest_volumes, normalize_patch,
@@ -186,8 +186,8 @@ def _write_manifest(path, seed):
 
 
 def _write_checkpoint(path, seed):
-    save_checkpoint(path, {"w": Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(seed)),
-                           "b": full(Shape4(1, 1, 1, 2), float(seed))})
+    save_checkpoint(path, {"w": Node(Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(seed))),
+                           "b": Node(full(Shape4(1, 1, 1, 2), float(seed)))})
 
 
 class TestAtomicWrite:
