@@ -121,8 +121,9 @@ class TrainConfig:
             raise ConfigError("augment_count must be >= 0")
         if self.initial_lr < 0:
             raise ConfigError("initial_lr must be >= 0 (0 selects the tabulated rate)")
-        if min(self.stride) < 0 or any(s > p for s, p in zip(self.stride, self.patch)):
-            raise ConfigError(f"stride {self.stride} must be >= 0 and at most patch {self.patch}")
+        if any(self.stride) and not all(0 < s <= p for s, p in zip(self.stride, self.patch)):
+            raise ConfigError(f"stride {self.stride} must be all 0, or each >= 1 and at most "
+                              f"patch {self.patch}")
         try:
             spec = self.backbone_spec().validate()
             spec.check_input_extents(self.patch)
@@ -136,7 +137,8 @@ class TrainConfig:
 _HINTS = get_type_hints(TrainConfig)
 
 
-def _parse_value(name: str, raw: str):
+def parse_value(name: str, raw: str):
+    """The typed value of configuration key ``name`` written as ``raw``."""
     if name not in _HINTS:
         raise ConfigError(f"unknown configuration key {name!r}")
     target = _HINTS[name]
@@ -176,4 +178,4 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> Tr
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}") from None
     pairs = chain(_lines(text), (overrides or {}).items())  # later pairs win
-    return replace(TrainConfig(), **{key: _parse_value(key, raw) for key, raw in pairs}).validate()
+    return replace(TrainConfig(), **{key: parse_value(key, raw) for key, raw in pairs}).validate()

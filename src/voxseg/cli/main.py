@@ -22,7 +22,7 @@ from ..shuffle import ShuffleFactors, down_shuffle, up_shuffle
 from ..tensor import Rng
 from ..volume import Volume, VvolError, gen_synthetic, read_vvol, write_manifest, write_vvol
 from .bench import DEFAULT_ROWS, bench_report
-from .config import ConfigError, TrainConfig, load_config
+from .config import ConfigError, TrainConfig, load_config, parse_value
 from .train import NumericError, run_training
 
 EXIT_OK = 0
@@ -55,16 +55,6 @@ def _collect_config(args) -> TrainConfig:
         if raw is not None:
             overrides[f.name] = raw
     return load_config(args.config, overrides)
-
-
-def _parse_triple(raw: str) -> tuple[int, int, int]:
-    try:
-        parts = tuple(int(p) for p in raw.split(","))
-    except ValueError:
-        parts = ()
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated integers, got {raw!r}")
-    return parts
 
 
 def _emit(text: str, out: str | None, what: str) -> None:
@@ -143,7 +133,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    factors = ShuffleFactors(*_parse_triple(args.factors))
+    factors = ShuffleFactors(*parse_value("factors", args.factors))
     volume = read_vvol(args.input)
     op = down_shuffle if args.direction == "down" else up_shuffle
     shuffled = op(volume.tensor, factors)
@@ -157,9 +147,10 @@ def cmd_bench(args) -> int:
     if args.repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
     cfg = _collect_config(args)
-    rows = [[_parse_triple(t) for t in row.split(":")] for row in args.rows.split(";")]
-    if any(len(row) != 2 for row in rows):
+    pairs = [row.split(":") for row in args.rows.split(";")]
+    if any(len(pair) != 2 for pair in pairs):
         raise UsageError(f"bench rows must be patch:factors pairs, got {args.rows!r}")
+    rows = [(parse_value("patch", p), parse_value("factors", f)) for p, f in pairs]
     _emit(json.dumps(bench_report(cfg, rows, args.repetitions), indent=1) + "\n", args.json,
           "benchmark")
     return EXIT_OK

@@ -21,13 +21,14 @@ gives up to ``Node._accumulate``; no op writes a gradient itself. The first
 array becomes the gradient in place and in its own layout as 0.0 + g, the bits
 a zero fill plus g gives; later ones are added to it.
 
-Convolution is cross-correlation (no kernel flip) at stride 1 with zero
-padding, output extent in + 2*pad - kernel + 1 per axis; the net downsamples
-only by shuffling and pooling. Kernel weights live in a Tensor4 of shape
-(kx, ky, kz, c_in*c_out) with channel index ci * c_out + co. ``conv3d`` adds
-one GEMM per kernel tap, in place, into an output grid laid over the flattened
-zero-padded input: tap (dz, dy, dx) reads the rows from offset
-dz*Y*X + dy*X + dx on. All GEMMs are scipy's ``dgemm``: numpy's separate
+Convolution is cross-correlation (no kernel flip) at stride 1 with "same" zero
+padding: every kernel extent k is odd, each axis is padded by k // 2 zeros on
+both sides, so the output keeps the input's extents; the net downsamples only
+by shuffling and pooling. Kernel weights live in a Tensor4 of shape
+(kx, ky, kz, c_in*c_out) with channel index ci * c_out + co, and ``conv3d``
+reads the kernel extents from that shape. It adds one GEMM per kernel tap, in
+place, into an output grid laid over the flattened zero-padded input: tap
+(dz, dy, dx) reads the rows from offset dz*Y*X + dy*X + dx on. All GEMMs are scipy's ``dgemm``: numpy's separate
 OpenBLAS thread pool contends with scipy's when both are used.
 """
 
@@ -180,39 +181,25 @@ def up_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_geometry(shape: Shape4, kernel, padding) -> tuple[int, int, int]:
-    out = []
-    for extent, k, p in zip(shape.spatial, kernel, padding):
-        o = extent + 2 * p - k + 1
-        if o < 1:
-            raise ValueError(
-                f"degenerate convolution output: extent {extent}, kernel {k}, padding {p}"
-            )
-        out.append(o)
-    return tuple(out)
+def conv3d(x: Node, weight: Node, bias: Node, act: str = "identity") -> Node:
+    """Cross-correlate ``x`` with a filter bank at stride 1, same padding, then apply ``act``.
 
-
-def conv3d(x: Node, weight: Node, bias: Node, kernel: tuple[int, int, int],
-           padding: tuple[int, int, int] = (0, 0, 0), act: str = "identity") -> Node:
-    """Cross-correlate ``x`` with a filter bank at stride 1, then apply activation ``act``.
-
-    ``weight`` has Tensor4 shape (kx, ky, kz, c_in*c_out) with channel index
-    ci * c_out + co; ``bias`` has shape (1, 1, 1, c_out).
+    ``weight`` has Tensor4 shape (kx, ky, kz, c_in*c_out), odd extents, with channel
+    index ci * c_out + co; ``bias`` has shape (1, 1, 1, c_out).
     """
     _check_activation(act)
-    kx, ky, kz = kernel
+    kx, ky, kz = kernel = weight.value.shape.spatial
+    if any(k % 2 == 0 for k in kernel):
+        raise ValueError(f"same padding needs odd kernel extents, got {kernel}")
     c_out = bias.value.shape.c
     c_in = weight.value.shape.c // c_out
-    if weight.value.shape.spatial != (kx, ky, kz) or weight.value.shape.c != c_in * c_out:
-        raise ValueError("weight tensor does not match the declared kernel geometry")
     if x.value.shape.c != c_in:
         raise ValueError(
             f"channel mismatch: input has {x.value.shape.c}, filter expects {c_in}"
         )
-    ox, oy, _ = _conv_geometry(x.value.shape, kernel, padding)
-    valid = np.s_[:, :oy, :ox]
-    px, py, pz = padding
+    px, py, pz = kx // 2, ky // 2, kz // 2
     Z, Y, X = (e + 2 * p for e, p in zip(x.value.zyxc.shape[:3], (pz, py, px)))
+    valid = np.s_[:, : Y - 2 * py, : X - 2 * px]
 
     def padded() -> np.ndarray:  # rebuilt by the backward rather than kept
         xp = np.zeros((Z, Y, X, c_in))
@@ -400,22 +387,15 @@ class Conv3d:
                  act: str = "identity"):
         if c_in < 1 or c_out < 1:
             raise ValueError("channel counts must be >= 1")
-        if any(k % 2 == 0 for k in kernel):
-            raise ValueError(f"'same' padding requires odd kernel extents, got {kernel}")
         self.kernel = tuple(kernel)
-        self.padding = tuple(k // 2 for k in kernel)
         self.c_in = c_in
         self.c_out = c_out
         self.act = act
-        wshape = Shape4(kernel[0], kernel[1], kernel[2], c_in * c_out)
-        self.weight = Node(Tensor4.gaussian(wshape, 0.0, sigma, rng))
+        self.weight = Node(Tensor4.gaussian(Shape4(*self.kernel, c_in * c_out), 0.0, sigma, rng))
         self.bias = Node(Tensor4.zeros(Shape4(1, 1, 1, c_out)))
 
     def __call__(self, x: Node) -> Node:
-        return conv3d(x, self.weight, self.bias, self.kernel, self.padding, self.act)
-
-    def parameters(self) -> list[tuple[str, Node]]:
-        return [("weight", self.weight), ("bias", self.bias)]
+        return conv3d(x, self.weight, self.bias, self.act)
 
 
 class DownShuffleConv:
@@ -435,9 +415,6 @@ class DownShuffleConv:
     def __call__(self, x: Node) -> Node:
         return self.conv(down_shuffle_op(x, self.factors))
 
-    def parameters(self) -> list[tuple[str, Node]]:
-        return self.conv.parameters()
-
 
 class ConvUpShuffle:
     """Low-resolution convolution producing factor-product channel groups,
@@ -454,9 +431,6 @@ class ConvUpShuffle:
         out = up_shuffle_op(low, self.factors)
         low.value = None  # read by neither backward: the conv's act is the identity
         return out
-
-    def parameters(self) -> list[tuple[str, Node]]:
-        return self.conv.parameters()
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +514,12 @@ class ShuffleUNet3d:
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> "OrderedDict[str, Node]":
-        params: OrderedDict[str, Node] = OrderedDict()
-        def put(prefix: str, layer) -> None:
-            for name, node in layer.parameters():
-                params[f"{prefix}.{name}"] = node
-        put("stem", self.stem)
-        for i, layer in enumerate(self.enc):
-            put(f"enc{i}", layer)
-        for i, layer in enumerate(self.ups):
-            put(f"up{i}", layer)
-        for i, layer in enumerate(self.dec):
-            put(f"dec{i}", layer)
-        put("head", self.head)
-        return params
+        """``<layer>.weight`` and ``<layer>.bias`` per conv; the order fixes the checkpoint."""
+        convs = [("stem", self.stem.conv), *((f"enc{i}", c) for i, c in enumerate(self.enc)),
+                 *((f"up{i}", u.conv) for i, u in enumerate(self.ups)),
+                 *((f"dec{i}", c) for i, c in enumerate(self.dec)), ("head", self.head.conv)]
+        return OrderedDict((f"{prefix}.{name}", node) for prefix, conv in convs
+                           for name, node in (("weight", conv.weight), ("bias", conv.bias)))
 
     def zero_grad(self) -> None:
         for node in self.parameters().values():
@@ -579,12 +546,12 @@ class ShuffleUNet3d:
                 skips.append(x)
                 x = track(f"pool{i}", maxpool3(x, self.spec.pool))
         for j, (up, dec) in enumerate(zip(self.ups, self.dec)):
-            skip = skips.pop()
             up_out = track(f"up{j}", up(x))
-            x = track(f"cat{j}", concat_channels(skip, up_out))
+            x = track(f"cat{j}", concat_channels(skips.pop(), up_out))
             up_out.value = None  # read only by the forward of concat_channels
             x = track(f"dec{j}", dec(x))
         logits = self.head(x)
+        del x  # under predict nothing else holds the last decoder output
         probs = softmax_channels(logits)
         logits.value = None
         self.last_activation_counts = acts

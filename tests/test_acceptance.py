@@ -87,7 +87,7 @@ class TestGradientSuite:
         w = Tensor4.gaussian(Shape4(3, 3, 3, 4), 0, 0.5, rng)
         b = Tensor4.gaussian(Shape4(1, 1, 1, 2), 0, 0.5, rng)
         errors["conv3d"] = fd_gradient_error(
-            lambda l: conv3d(l[0], l[1], l[2], (3, 3, 3), (1, 1, 1)),
+            lambda l: conv3d(l[0], l[1], l[2]),
             [x, w, b], projection(Shape4(3, 3, 3, 2), 1))
 
         relu_in = Rng(304).normal(16)

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg.blas import dgemm
 
 from conftest import fd_gradient_error, full, traced_peak
-from voxseg.nn import (BackboneSpec, Conv3d, Node, _check_one_hot, _conv_geometry,
-                       activation, backward,
+from voxseg.nn import (BackboneSpec, Conv3d, Node, _check_one_hot, activation, backward,
                        build_backbone, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
@@ -39,7 +38,7 @@ class TestEngine:
     def test_product_rule_on_scalars(self):
         # a 1x1x1 convolution of one voxel and one channel is the product x * y
         x, y = scalar(3.0), scalar(4.0)
-        backward(conv3d(x, y, scalar(0.0), (1, 1, 1)))
+        backward(conv3d(x, y, scalar(0.0)))
         assert x.grad[0, 0, 0, 0] == 4.0
         assert y.grad[0, 0, 0, 0] == 3.0
 
@@ -134,7 +133,7 @@ class TestEngine:
         x = Node(Tensor4.gaussian(Shape4(3, 3, 3, 1), 0, 1, rng))
         w = Node(Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, rng))
         b = Node(Tensor4.zeros(Shape4(1, 1, 1, 2)))
-        shared = conv3d(x, w, b, (3, 3, 3), (1, 1, 1))
+        shared = conv3d(x, w, b)
         first, second = activation(shared, "relu"), activation(shared, "identity")
         ones = np.ones(shared.value.zyxc.shape)
         backward(first, ones)
@@ -182,35 +181,36 @@ class TestActivation:
 class TestConv3d:
     def test_one_by_one_identity(self):
         t = Tensor4.gaussian(Shape4(3, 4, 2, 1), 0, 1, Rng(6))
-        out = conv3d(Node(t), scalar(1.0), scalar(0.0), (1, 1, 1), (0, 0, 0))
+        out = conv3d(Node(t), scalar(1.0), scalar(0.0))
         assert out.value.equal(t)
 
-    def test_all_ones_sum(self):
+    def test_all_ones_counts_in_bounds_taps(self):
+        # same padding: each output sums the taps that land inside the input,
+        # 3 per axis in the middle and 2 at a face
         ones = Node(full(Shape4(3, 3, 3, 1), 1.0))
-        out = conv3d(Node(full(Shape4(3, 3, 3, 1), 1.0)), ones, scalar(0.0), (3, 3, 3),
-                     (0, 0, 0))
-        assert out.value.shape == Shape4(1, 1, 1, 1)
-        assert out.value.at(0, 0, 0, 0) == 27.0
+        out = conv3d(Node(full(Shape4(3, 3, 3, 1), 1.0)), ones, scalar(0.0))
+        assert out.value.shape == Shape4(3, 3, 3, 1)
+        for x, y, z in np.ndindex(3, 3, 3):
+            want = math.prod(3 if i == 1 else 2 for i in (x, y, z))
+            assert out.value.at(x, y, z, 0) == want
 
     def test_same_padding_keeps_extents(self):
         layer = Conv3d(2, 3, rng=Rng(7))
         out = layer(Node(Tensor4.gaussian(Shape4(4, 5, 6, 2), 0, 1, Rng(8))))
         assert out.value.shape == Shape4(4, 5, 6, 3)
 
-    def test_even_kernel_same_padding_rejected(self):
-        with pytest.raises(ValueError):
-            Conv3d(1, 1, rng=Rng(0), kernel=(2, 3, 3))
+    @pytest.mark.parametrize("kernel", [(2, 3, 3), (3, 4, 3), (1, 1, 2)])
+    def test_even_kernel_weight_rejected(self, kernel):
+        x = Node(Tensor4.zeros(Shape4(4, 4, 4, 1)))
+        with pytest.raises(ValueError, match="odd kernel extents"):
+            conv3d(x, Node(Tensor4.zeros(Shape4(*kernel, 1))), scalar(0.0))
+        with pytest.raises(ValueError, match="odd kernel extents"):
+            Conv3d(1, 1, rng=Rng(0), kernel=kernel)(x)
 
     def test_channel_mismatch(self):
         layer = Conv3d(2, 1, rng=Rng(9))
         with pytest.raises(ValueError):
             layer(Node(Tensor4.zeros(Shape4(4, 4, 4, 3))))
-
-    def test_degenerate_output_extent(self):
-        weight = Node(Tensor4.zeros(Shape4(3, 3, 3, 1)))
-        with pytest.raises(ValueError):
-            conv3d(Node(Tensor4.zeros(Shape4(2, 4, 4, 1))), weight, scalar(0.0), (3, 3, 3),
-                   (0, 0, 0))
 
     def test_fd_same_padding(self):
         rng = Rng(10)
@@ -220,15 +220,17 @@ class TestConv3d:
         proj = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, Rng(11)).zyxc
 
         def build(leaves):
-            return conv3d(leaves[0], leaves[1], leaves[2], (3, 3, 3), (1, 1, 1))
+            return conv3d(leaves[0], leaves[1], leaves[2])
 
         assert fd_gradient_error(build, [x, w, b], proj) < GRAD_TOL
 
 
-def conv_oracle(x, w, b, kernel, padding):
-    """Direct nested-sum cross-correlation on zyxc arrays; also returns the
-    weight gradient for an output gradient ``g`` via the same index map."""
-    kx, ky, kz = kernel
+def conv_oracle(x, w, b):
+    """Direct nested-sum cross-correlation on zyxc arrays, zero-padded by k // 2
+    per axis; also returns the weight gradient for an output gradient ``g`` via
+    the same index map."""
+    kz, ky, kx = w.shape[:3]
+    padding = (kx // 2, ky // 2, kz // 2)
     c_in, c_out = x.shape[3], b.shape[3]
     w5 = w.reshape(kz, ky, kx, c_in, c_out)
     Z, Y, X = x.shape[:3]
@@ -261,28 +263,27 @@ def assert_rel_close(got, want, rtol=1e-12):
 
 
 CONV_CASES = [
-    # (input extents x,y,z), c_in, c_out, kernel, padding
-    ((5, 4, 6), 1, 3, (3, 3, 3), (1, 1, 1)),
-    ((4, 5, 3), 2, 1, (3, 3, 3), (0, 0, 0)),
-    ((3, 4, 5), 3, 2, (1, 1, 1), (0, 0, 0)),
-    ((3, 2, 4), 2, 2, (1, 1, 1), (1, 1, 1)),
-    ((5, 4, 5), 2, 3, (3, 3, 3), (1, 1, 1)),
-    ((6, 5, 4), 1, 1, (3, 3, 3), (0, 0, 0)),
-    ((4, 6, 5), 2, 2, (2, 3, 1), (1, 0, 0)),
+    # (input extents x,y,z), c_in, c_out, kernel
+    ((5, 4, 6), 1, 3, (3, 3, 3)),
+    ((4, 5, 3), 2, 1, (3, 3, 3)),
+    ((3, 4, 5), 3, 2, (1, 1, 1)),
+    ((3, 2, 4), 2, 2, (1, 1, 1)),
+    ((5, 4, 5), 2, 3, (3, 3, 3)),
+    ((6, 5, 4), 1, 1, (5, 3, 3)),
+    ((4, 6, 5), 2, 2, (3, 1, 5)),
+    ((2, 4, 3), 1, 2, (5, 3, 1)),  # a kernel longer than the input along x
 ]
 
 
 class TestConv3dOracle:
-    @pytest.mark.parametrize("extents,c_in,c_out,kernel,padding", CONV_CASES)
-    def test_forward_and_backward_match_direct_sums(self, extents, c_in, c_out, kernel,
-                                                    padding):
+    @pytest.mark.parametrize("extents,c_in,c_out,kernel", CONV_CASES)
+    def test_forward_and_backward_match_direct_sums(self, extents, c_in, c_out, kernel):
         rng = Rng(30 + sum(extents) + 7 * c_in + c_out)
         x = Node(Tensor4.gaussian(Shape4(*extents, c_in), 0, 1, rng))
         w = Node(Tensor4.gaussian(Shape4(*kernel, c_in * c_out), 0, 1, rng))
         b = Node(Tensor4.gaussian(Shape4(1, 1, 1, c_out), 0, 1, rng))
-        out = conv3d(x, w, b, kernel, padding)
-        want, weight_grad = conv_oracle(x.value.zyxc, w.value.zyxc, b.value.zyxc,
-                                        kernel, padding)
+        out = conv3d(x, w, b)
+        want, weight_grad = conv_oracle(x.value.zyxc, w.value.zyxc, b.value.zyxc)
         assert_rel_close(out.value.zyxc, want)
 
         g = Tensor4.gaussian(out.value.shape, 0, 1, rng)
@@ -301,9 +302,9 @@ class TestConv3dOracle:
         w = Node(Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 1, rng))
         b = Node(Tensor4.zeros(Shape4(1, 1, 1, 3)))
         ones = np.ones((4, 4, 4, 3))
-        backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), ones)
+        backward(conv3d(x, w, b), ones)
         once_x, once_w = x.grad.copy(), w.grad.copy()
-        backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), ones)
+        backward(conv3d(x, w, b), ones)
         assert_rel_close(x.grad, 2 * once_x)
         assert_rel_close(w.grad, 2 * once_w)
 
@@ -317,7 +318,7 @@ class TestConv3dOracle:
             g[..., 0] = -0.0
             g[0, 0, 0, 1] = np.nan
         for g in grads:
-            backward(conv3d(x, w, b, (1, 1, 1)), g)
+            backward(conv3d(x, w, b), g)
         want = zero_fill_then_add(b.grad.shape, *(g.sum(axis=(0, 1, 2)) for g in grads))
         assert same_bits(b.grad, want)
         assert not np.signbit(b.grad[0, 0, 0, 0]) and np.isnan(b.grad[0, 0, 0, 1])
@@ -332,7 +333,7 @@ class TestConv3dOracle:
         for needs_grad in (True, False):
             x, w, b = Node(xt), Node(wt), Node(bt)
             x._needs_grad = needs_grad
-            backward(conv3d(x, w, b, (3, 3, 3), (1, 1, 1)), g)
+            backward(conv3d(x, w, b), g)
             assert (x._grad is None) == (not needs_grad)
             grads.append((w.grad, b.grad))
         assert np.array_equal(grads[0][0], grads[1][0])
@@ -340,18 +341,17 @@ class TestConv3dOracle:
 
 
 
-def unfused_conv_relu(x, weight, bias, kernel, padding, act):
+def unfused_conv_relu(x, weight, bias, act):
     """conv3d as it ran before the activation moved into it: the closure keeps
     the padded input, dW and dX interleave per row block, and a ReLU is a node
     of its own masked by the pre-activation. Oracle only."""
-    kx, ky, kz = kernel
+    kx, ky, kz = weight.value.shape.spatial
     c_out = bias.value.shape.c
     c_in = weight.value.shape.c // c_out
-    ox, oy, _ = _conv_geometry(x.value.shape, kernel, padding)
-    valid = np.s_[:, :oy, :ox]
-    px, py, pz = padding
+    px, py, pz = kx // 2, ky // 2, kz // 2
     xp = np.pad(x.value.zyxc, ((pz, pz), (py, py), (px, px), (0, 0)))
     Z, Y, X, _ = xp.shape
+    valid = np.s_[:, : Y - ky + 1, : X - kx + 1]
     flat = xp.reshape(-1, c_in)
     taps = weight.value.zyxc.reshape(kz * ky * kx, c_in, c_out)
     offsets = [(dz * Y + dy) * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
@@ -395,11 +395,11 @@ def same_bits(a, b):
 
 class TestConv3dActivation:
     @pytest.mark.parametrize("act", ["relu", "identity"])
-    @pytest.mark.parametrize("extents,c_in,c_out,kernel,padding",
-                             CONV_CASES + [((16, 16, 18), 2, 3, (3, 3, 3), (1, 1, 1))])
+    @pytest.mark.parametrize("extents,c_in,c_out,kernel",
+                             CONV_CASES + [((16, 16, 18), 2, 3, (3, 3, 3))])
     @pytest.mark.parametrize("with_nan", [False, True])
-    def test_bit_identical_to_unfused_oracle(self, extents, c_in, c_out, kernel, padding,
-                                             act, with_nan):
+    def test_bit_identical_to_unfused_oracle(self, extents, c_in, c_out, kernel, act,
+                                             with_nan):
         # few-valued inputs give exact-zero pre-activations; the 16x16x18 case
         # spans three 2048-row blocks of the backward GEMMs
         rng = np.random.default_rng(71 + sum(extents) + c_in)
@@ -410,20 +410,18 @@ class TestConv3dActivation:
         if with_nan:
             x[0, 0, 0, 0] = np.nan
         # a non-integer gradient makes the sums depend on their order
-        g = rng.standard_normal((*_conv_geometry(Shape4(*extents, c_in), kernel,
-                                                 padding)[::-1], c_out))
+        g = rng.standard_normal((*extents[::-1], c_out))  # same padding keeps the extents
         g[rng.random(g.shape) < 0.2] = -0.0
         results = []
         for fused in (True, False):
             leaves = [Node(Tensor4(a)) for a in (x, w, b)]
             if fused:
-                out = conv3d(*leaves, kernel, padding, act)
+                out = conv3d(*leaves, act)
             else:
-                out = unfused_conv_relu(*leaves, kernel, padding, act)
+                out = unfused_conv_relu(*leaves, act)
             backward(out, g)
             results.append([out.value.zyxc] + [leaf.grad for leaf in leaves])
-        pre = unfused_conv_relu(*[Node(Tensor4(a)) for a in (x, w, b)], kernel, padding,
-                                "identity").value.zyxc
+        pre = unfused_conv_relu(*[Node(Tensor4(a)) for a in (x, w, b)], "identity").value.zyxc
         assert (pre == 0.0).any() and (pre > 0.0).any() and (pre < 0.0).any()
         assert np.isnan(pre).any() == with_nan
         for name, got, want in zip(("value", "x", "weight", "bias"), *results):
@@ -442,9 +440,9 @@ class TestConv3dActivation:
         proj = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, Rng(13)).zyxc
 
         def build(leaves):
-            return conv3d(leaves[0], leaves[1], leaves[2], (3, 3, 3), (1, 1, 1), "relu")
+            return conv3d(leaves[0], leaves[1], leaves[2], "relu")
 
-        pre = conv3d(Node(x), Node(w), Node(b), (3, 3, 3), (1, 1, 1)).value.zyxc
+        pre = conv3d(Node(x), Node(w), Node(b)).value.zyxc
         assert np.abs(pre).min() > 1e-3  # no probe crosses the kink
         assert (pre < 0).sum() > 5 and (pre > 0).sum() > 5
         assert fd_gradient_error(build, [x, w, b], proj) < GRAD_TOL
@@ -452,7 +450,7 @@ class TestConv3dActivation:
     def test_unknown_kind(self):
         x = Node(Tensor4.zeros(Shape4(2, 2, 2, 1)))
         with pytest.raises(ValueError, match="unknown activation kind"):
-            conv3d(x, scalar(1.0), scalar(0.0), (1, 1, 1), act="tanh")
+            conv3d(x, scalar(1.0), scalar(0.0), act="tanh")
 
 
 class TestMaxpool:

@@ -60,6 +60,11 @@ class TestConfigParsing:
         cfg = load_config(None, {"k": "8", "widths": "8,16"})
         assert cfg.k == 8 and cfg.widths == (8, 16)
 
+    @pytest.mark.parametrize("stride", [(0, 2, 2), (4, 0, 4), (-1, 2, 2), (-1, -1, -1)])
+    def test_stride_all_zero_or_all_positive(self, stride):
+        with pytest.raises(ConfigError, match="must be all 0"):
+            TrainConfig(stride=stride).validate()
+
     def test_divisibility_validation(self):
         with pytest.raises(ConfigError):
             load_config(None, {"patch": "30,32,32", "factors": "4,2,2"})
@@ -320,7 +325,7 @@ class TestShuffleCommand:
                    "--output", str(tmp_path / "x.vvol"),
                    "--factors", "a,2,2", "--direction", "down"])
         assert rc == EXIT_USAGE
-        assert "expected three comma-separated integers" in capsys.readouterr().err
+        assert "bad value for 'factors'" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -387,6 +392,20 @@ class TestExitCodes:
         assert main(["train", "--quiet"] + args) == EXIT_USAGE
         assert "at most patch" in capsys.readouterr().err
         assert not (tmp_path / "run" / "runlog.csv").exists()
+
+    def test_partly_zero_stride_is_config_error(self, tiny_workspace, tmp_path, capsys):
+        # it used to train until the first validation, then fail its tiling with exit 2
+        _, data, _ = tiny_workspace
+        args = common_net_args(data, tmp_path / "run") + ["--stride", "0,2,2"]
+        assert main(["train", "--quiet"] + args) == EXIT_USAGE
+        assert "must be all 0" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "runlog.csv").exists()
+        # infer validates before it reads the checkpoint
+        assert main(["infer", "--stride", "0,2,2", "--checkpoint", str(tmp_path / "absent"),
+                     "--input", str(data / "vol_000_img.vvol"), "--out-prob",
+                     str(tmp_path / "p.vvol"), "--out-labels", str(tmp_path / "l.vvol")]
+                    ) == EXIT_USAGE
+        assert not (tmp_path / "p.vvol").exists()
 
     def test_unreachable_foreground_bounds_is_config_error(self, tmp_path, capsys):
         rc = main(["gen-data", "--volumes", "2", "--train-split", "1", "--extents", "16,16,16",

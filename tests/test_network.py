@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ, fd_gradient_error, full, mutated
+from conftest import FUZZ, fd_gradient_error, full, mutated, traced_peak
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        DownShuffleConv, NonFiniteWeightsError, ShuffleUNet3d,
                        activation, Node, backward, build_backbone, ce_dice_loss,
@@ -46,7 +46,7 @@ def keep_all_forward(net: ShuffleUNet3d, patch: Tensor4) -> Node:
     x = Node(patch)
     x._needs_grad = False
     x = conv3d(down_shuffle_op(x, net.stem.factors), net.stem.conv.weight,
-               net.stem.conv.bias, net.stem.conv.kernel, net.stem.conv.padding, "relu")
+               net.stem.conv.bias, "relu")
     skips = []
     for i, layer in enumerate(net.enc):
         x = layer(x)
@@ -80,8 +80,7 @@ class TestStemLayer:
         fused = layer(Node(t))
         shuffled = down_shuffle_op(Node(t), (2, 2, 2))
         conv = layer.conv
-        composed = activation(conv3d(shuffled, conv.weight, conv.bias, conv.kernel,
-                                     conv.padding), "relu")
+        composed = activation(conv3d(shuffled, conv.weight, conv.bias), "relu")
         assert fused.value.equal(composed.value)
 
     def test_output_geometry(self):
@@ -175,6 +174,20 @@ class TestBackbone:
             + (8 * 32 + 32) + (27 * 32 + 4) + (27 * 8 + 2)
         assert sum(node.value.size for node in net.parameters().values()) == expected
 
+    def test_parameter_names_are_the_checkpoint_layout(self):
+        # the order fixes the bytes of model.vckp; up0 and dec0 are the deepest level's
+        net = ShuffleUNet3d(small_spec(widths=(4, 8, 16)), Rng(27))
+        params = net.parameters()
+        assert list(params) == [
+            "stem.weight", "stem.bias", "enc0.weight", "enc0.bias", "enc1.weight", "enc1.bias",
+            "enc2.weight", "enc2.bias", "up0.weight", "up0.bias", "up1.weight", "up1.bias",
+            "dec0.weight", "dec0.bias", "dec1.weight", "dec1.bias", "head.weight", "head.bias"]
+        convs = [net.stem.conv, *net.enc, *(up.conv for up in net.ups), *net.dec,
+                 net.head.conv]
+        assert list(params.values()) == [n for c in convs for n in (c.weight, c.bias)]
+        assert [params[f"{layer}.bias"].value.shape.c for layer in
+                ("up0", "up1", "dec0", "dec1")] == [8 * 8, 4 * 8, 8, 4]
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             BackboneSpec(class_count=1).validate()
@@ -250,6 +263,16 @@ class TestBackbone:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20, peak / 2 ** 20
 
+    def test_predict_traced_peak(self):
+        # desk net, 32^3 (1,1,1): 26.1 MiB while predict held enc0's output
+        # through the last concatenation and the last decoder output through
+        # the head conv and the softmax
+        net = ShuffleUNet3d(BackboneSpec(class_count=2, stem_channels=16, widths=(16, 32)),
+                            Rng(34))
+        t, _ = desk_step_inputs(32, 35)
+        _, peak = traced_peak(lambda: net.predict(t))
+        assert peak < 24 * 2 ** 20, peak / 2 ** 20
+
     def test_forward_releases_values_no_backward_reads(self):
         # the identity-conv outputs that feed the up-shuffles and the up-shuffle
         # outputs; each keeps its shape for the lazy gradient fill
@@ -290,13 +313,14 @@ class TestFullScaleGeometry:
         # (100, 100, 40) with k=64 feature maps
         t = Tensor4.zeros(Shape4(400, 400, 80, 1))
         shuffled = down_shuffle_op(Node(t), (4, 4, 2)).value
+        del t
         assert shuffled.shape == Shape4(100, 100, 40, 32)
-        from voxseg.nn import _conv_geometry
-
-        out_extents = _conv_geometry(shuffled.shape, (3, 3, 3), (1, 1, 1))
-        assert out_extents == (100, 100, 40)
         layer = DownShuffleConv(1, 64, ShuffleFactors(4, 4, 2), Rng(50))
         assert layer.conv.c_in == 32 and layer.conv.c_out == 64
+        # the stem's 3x3x3 kernel keeps the extents; one output map keeps this cheap
+        weight = Node(Tensor4.zeros(Shape4(*layer.conv.kernel, 32)))
+        out = conv3d(Node(shuffled), weight, Node(Tensor4.zeros(Shape4(1, 1, 1, 1))))
+        assert out.value.shape == Shape4(100, 100, 40, 1)
 
 
 class TestCostReduction:
