@@ -8,7 +8,7 @@ surface-distance metrics, and a CLI for end-to-end runs on synthetic phantoms.
 """
 
 from .tensor import Rng, Shape4, Tensor4, dot
-from .shuffle import ShuffleFactors, down_shuffle, down_shuffle_reference, up_shuffle
+from .shuffle import down_shuffle, down_shuffle_reference, up_shuffle
 from .nn import (BackboneSpec, Conv3d, ConvUpShuffle, DownShuffleConv, Node,
                  ShuffleUNet3d, activation, backward, build_backbone, ce_dice_loss,
                  concat_channels, conv3d, down_shuffle_op, load_checkpoint,

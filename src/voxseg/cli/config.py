@@ -17,6 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 from ..nn import BackboneSpec
 from ..optim import suggested_initial_lr
 from ..shuffle import divide_extents
+from ..volume import MAX_LABEL_CLASSES
 
 
 class ConfigError(Exception):
@@ -95,6 +96,8 @@ class TrainConfig:
             raise ConfigError("seed must be >= 0")
         if self.train_split < 1 or self.volumes <= self.train_split:
             raise ConfigError("need volumes > train_split >= 1 for a held-out split")
+        if self.class_count > MAX_LABEL_CLASSES:
+            raise ConfigError(f"class_count must be <= {MAX_LABEL_CLASSES}, the VVOL label limit")
         if min(self.extents) < 1 or min(self.patch) < 1:
             raise ConfigError("extents and patch must be positive")
         if any(p > e for p, e in zip(self.patch, self.extents)):

@@ -18,7 +18,7 @@ from ..inference import decode_labels, predict_volume
 from ..metrics import per_class_metrics
 from ..nn import (CheckpointError, NonFiniteWeightsError, build_backbone, load_checkpoint,
                   load_into_network)
-from ..shuffle import ShuffleFactors, down_shuffle, up_shuffle
+from ..shuffle import down_shuffle, up_shuffle
 from ..tensor import Rng
 from ..volume import Volume, VvolError, gen_synthetic, read_vvol, write_manifest, write_vvol
 from .bench import DEFAULT_ROWS, bench_report
@@ -133,7 +133,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    factors = ShuffleFactors(*parse_value("factors", args.factors))
+    factors = parse_value("factors", args.factors)
+    if min(factors) < 1:
+        raise ConfigError(f"shuffle factors {factors} must be >= 1")
     volume = read_vvol(args.input)
     op = down_shuffle if args.direction == "down" else up_shuffle
     shuffled = op(volume.tensor, factors)

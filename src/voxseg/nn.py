@@ -35,6 +35,7 @@ OpenBLAS thread pool contends with scipy's when both are used.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .atomic import write_atomic
-from .shuffle import ShuffleFactors, divide_extents, down_shuffle, up_shuffle
+from .shuffle import divide_extents, down_shuffle, up_shuffle
 from .tensor import Rng, Shape4, Tensor4
 
 
@@ -148,7 +149,9 @@ def activation(x: Node, kind: str = "relu") -> Node:
 
 
 def concat_channels(a: Node, b: Node) -> Node:
-    value = a.value.concat_channels(b.value)
+    if a.value.shape.spatial != b.value.shape.spatial:
+        raise ValueError(f"spatial mismatch: {a.value.shape.spatial} vs {b.value.shape.spatial}")
+    value = Tensor4(np.concatenate([a.value.zyxc, b.value.zyxc], axis=3))
     ca = a.value.shape.c
 
     def backprop(out: Node) -> None:
@@ -162,18 +165,17 @@ def concat_channels(a: Node, b: Node) -> Node:
 # shuffles as graph ops
 # ---------------------------------------------------------------------------
 
-def _shuffle_op(x: Node, factors: ShuffleFactors, forward, inverse) -> Node:
+def _shuffle_op(x: Node, factors: tuple[int, int, int], forward, inverse) -> Node:
     """``forward(x)``; its backward is ``inverse``, the adjoint of a permutation."""
-    factors = ShuffleFactors(*factors)
     return Node(forward(x.value, factors), (x,),
                 lambda out: x._accumulate(inverse(Tensor4(out.grad), factors).zyxc))
 
 
-def down_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
+def down_shuffle_op(x: Node, factors: tuple[int, int, int]) -> Node:
     return _shuffle_op(x, factors, down_shuffle, up_shuffle)
 
 
-def up_shuffle_op(x: Node, factors: ShuffleFactors) -> Node:
+def up_shuffle_op(x: Node, factors: tuple[int, int, int]) -> Node:
     return _shuffle_op(x, factors, up_shuffle, down_shuffle)
 
 
@@ -405,11 +407,11 @@ class DownShuffleConv:
     keeping every input element visible to the convolution.
     """
 
-    def __init__(self, c_in: int, k: int, factors: ShuffleFactors, rng: Rng,
+    def __init__(self, c_in: int, k: int, factors: tuple[int, int, int], rng: Rng,
                  kernel: tuple[int, int, int] = (3, 3, 3), act: str = "relu",
                  sigma: float = 0.01):
-        self.factors = ShuffleFactors(*factors).validate()
-        self.conv = Conv3d(c_in * self.factors.product, k, kernel=kernel,
+        self.factors = factors
+        self.conv = Conv3d(c_in * math.prod(factors), k, kernel=kernel,
                            rng=rng, sigma=sigma, act=act)
 
     def __call__(self, x: Node) -> Node:
@@ -420,10 +422,10 @@ class ConvUpShuffle:
     """Low-resolution convolution producing factor-product channel groups,
     then periodic up-shuffle back to full resolution."""
 
-    def __init__(self, c_in: int, c_out: int, factors: ShuffleFactors, rng: Rng,
+    def __init__(self, c_in: int, c_out: int, factors: tuple[int, int, int], rng: Rng,
                  kernel: tuple[int, int, int] = (3, 3, 3), sigma: float = 0.01):
-        self.factors = ShuffleFactors(*factors).validate()
-        self.conv = Conv3d(c_in, c_out * self.factors.product, kernel=kernel,
+        self.factors = factors
+        self.conv = Conv3d(c_in, c_out * math.prod(factors), kernel=kernel,
                            rng=rng, sigma=sigma)
 
     def __call__(self, x: Node) -> Node:
@@ -460,9 +462,8 @@ class BackboneSpec:
             raise ValueError("stem_channels must be >= 1")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError(f"bad encoder widths {self.widths}")
-        ShuffleFactors(*self.factors).validate()
-        if min(self.pool) < 1:
-            raise ValueError(f"pool factors must be >= 1, got {self.pool}")
+        if min(*self.factors, *self.pool) < 1:
+            raise ValueError(f"factors {self.factors} and pool {self.pool} must be >= 1")
         return self
 
     @property
@@ -489,9 +490,8 @@ class ShuffleUNet3d:
     def __init__(self, spec: BackboneSpec, rng: Rng):
         spec = spec.validate()
         self.spec = spec
-        factors = ShuffleFactors(*spec.factors)
         widths = spec.widths
-        self.stem = DownShuffleConv(1, spec.stem_channels, factors,
+        self.stem = DownShuffleConv(1, spec.stem_channels, spec.factors,
                                     rng.spawn(0), sigma=spec.init_sigma)
         self.enc: list[Conv3d] = []
         prev = spec.stem_channels
@@ -502,12 +502,12 @@ class ShuffleUNet3d:
         self.ups: list[ConvUpShuffle] = []
         self.dec: list[Conv3d] = []
         for i in range(spec.depth - 2, -1, -1):
-            self.ups.append(ConvUpShuffle(widths[i + 1], widths[i], ShuffleFactors(*spec.pool),
+            self.ups.append(ConvUpShuffle(widths[i + 1], widths[i], spec.pool,
                                           rng.spawn(100 + i), kernel=(1, 1, 1),
                                           sigma=spec.init_sigma))
             self.dec.append(Conv3d(2 * widths[i], widths[i], rng=rng.spawn(200 + i),
                                    sigma=spec.init_sigma, act="relu"))
-        self.head = ConvUpShuffle(widths[0], spec.class_count, factors,
+        self.head = ConvUpShuffle(widths[0], spec.class_count, spec.factors,
                                   rng.spawn(999), sigma=spec.init_sigma)
         self.last_activation_counts: list[tuple[str, int]] = []
 

@@ -18,32 +18,19 @@ Both directions split each spatial axis into (coarse, block offset), move the
 offsets next to the channel axis with one transpose, and copy once; nothing is
 kept per shape. ``down_shuffle_reference`` keeps a deliberately naive
 transcription of the index map for cross-checking.
+
+Factors are plain ``(n_x, n_y, n_z)`` int tuples. ``divide_extents`` owns the
+rule of the down-shuffle and pooling (each factor >= 1 and divides its extent);
+``up_shuffle`` owns its own (each factor >= 1, the product divides the channels).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
 
 import numpy as np
 
 from .tensor import Tensor4
-
-
-class ShuffleFactors(NamedTuple):
-    """Positive integer down-shuffling factors per spatial axis."""
-
-    nx: int
-    ny: int
-    nz: int
-
-    @property
-    def product(self) -> int:
-        return self.nx * self.ny * self.nz
-
-    def validate(self) -> "ShuffleFactors":
-        if min(self) < 1:
-            raise ValueError(f"shuffle factors must be >= 1, got {tuple(self)}")
-        return self
 
 
 def divide_extents(extents, factors, what: str) -> tuple[int, ...]:
@@ -54,39 +41,36 @@ def divide_extents(extents, factors, what: str) -> tuple[int, ...]:
     return tuple(e // f for e, f in zip(extents, factors))
 
 
-def down_shuffle(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
+def down_shuffle(t: Tensor4, factors: tuple[int, int, int]) -> Tensor4:
     """Periodic down-shuffle: (n_x*d, n_y*h, n_z*w, C) -> (d, h, w, C*n_x*n_y*n_z)."""
-    factors = ShuffleFactors(*factors)
     d, h, w = divide_extents(t.shape.spatial, factors, "shuffle")
     nx, ny, nz = factors
     c = t.shape.c
     # (z, y, x, c) -> (w, nz, h, ny, d, nx, c) -> (w, h, d, nz, ny, nx, c);
     # the copy also keeps the output off the input's memory at factors (1, 1, 1)
     blocks = t.zyxc.reshape(w, nz, h, ny, d, nx, c).transpose(0, 2, 4, 1, 3, 5, 6)
-    return Tensor4(blocks.copy().reshape(w, h, d, c * factors.product))
+    return Tensor4(blocks.copy().reshape(w, h, d, c * math.prod(factors)))
 
 
-def up_shuffle(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
-    """Exact inverse of :func:`down_shuffle`; expands channels back into space."""
-    factors = ShuffleFactors(*factors).validate()
-    if t.shape.c % factors.product:
-        raise ValueError(
-            f"channel count {t.shape.c} not divisible by factor product {factors.product}"
-        )
+def up_shuffle(t: Tensor4, factors: tuple[int, int, int]) -> Tensor4:
+    """Inverse of :func:`down_shuffle`; ValueError unless factors >= 1, product divides C."""
+    product = math.prod(factors)
+    if min(factors) < 1 or t.shape.c % product:
+        raise ValueError(f"shuffle factors {tuple(factors)} must be >= 1 and their product "
+                         f"must divide channel count {t.shape.c}")
     nx, ny, nz = factors
     d, h, w, _ = t.shape
-    c = t.shape.c // factors.product
+    c = t.shape.c // product
     blocks = t.zyxc.reshape(w, h, d, nz, ny, nx, c).transpose(0, 3, 1, 4, 2, 5, 6)
     return Tensor4(blocks.copy().reshape(w * nz, h * ny, d * nx, c))
 
 
-def down_shuffle_reference(t: Tensor4, factors: ShuffleFactors) -> Tensor4:
+def down_shuffle_reference(t: Tensor4, factors: tuple[int, int, int]) -> Tensor4:
     """Naive per-element transcription of the index map. Oracle only.
 
     Kept loop-shaped and separate from the transpose path on purpose; do not
     "optimize" this function.
     """
-    factors = ShuffleFactors(*factors)
     nx, ny, nz = factors
     d, h, w = divide_extents(t.shape.spatial, factors, "shuffle")
     C = t.shape.c

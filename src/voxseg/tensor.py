@@ -121,13 +121,6 @@ class Tensor4:
 
     # -- structure ----------------------------------------------------------
 
-    def concat_channels(self, other: "Tensor4") -> "Tensor4":
-        if self.shape.spatial != other.shape.spatial:
-            raise ValueError(
-                f"spatial mismatch: {self.shape.spatial} vs {other.shape.spatial}"
-            )
-        return Tensor4(np.concatenate([self._zyxc, other._zyxc], axis=3))
-
     def crop(self, origin: tuple[int, int, int], size: tuple[int, int, int]) -> "Tensor4":
         """Copy the sub-tensor at spatial ``origin`` with spatial ``size``; all channels."""
         ox, oy, oz = origin

@@ -33,6 +33,7 @@ _VVOL_MAGIC = b"VVOL"
 _VVOL_VERSION = 1
 _DTYPE_IMAGE = 0
 _DTYPE_LABELS = 1
+MAX_LABEL_CLASSES = 256  # labels are stored as uint8
 
 
 class VvolError(Exception):
@@ -76,8 +77,8 @@ class Volume:
 def write_vvol(volume: Volume, path) -> None:
     t = volume.tensor
     dtype = _DTYPE_LABELS if volume.kind == "labels" else _DTYPE_IMAGE
-    if dtype == _DTYPE_LABELS and volume.class_count > 256:
-        raise VvolError("uint8 label payload supports at most 256 classes")
+    if dtype == _DTYPE_LABELS and volume.class_count > MAX_LABEL_CLASSES:
+        raise VvolError(f"uint8 label payload supports at most {MAX_LABEL_CLASSES} classes")
     write_atomic(path, [
         _VVOL_MAGIC,
         struct.pack("<III", _VVOL_VERSION, dtype, volume.class_count),

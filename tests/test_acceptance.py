@@ -21,8 +21,7 @@ from voxseg.inference import predict_volume
 from voxseg.metrics import BinaryMask, asd, dice, hausdorff
 from voxseg.nn import (BackboneSpec, activation, ce_dice_loss, conv3d, build_backbone,
                        maxpool3, softmax_channels)
-from voxseg.shuffle import (ShuffleFactors, down_shuffle, down_shuffle_reference,
-                            up_shuffle)
+from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
 from voxseg.tensor import Rng, Shape4, Tensor4, dot
 from voxseg.volume import Volume
 
@@ -35,9 +34,9 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def random_case(rng):
-    f = ShuffleFactors(rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4))
-    shape = Shape4(f.nx * rng.randint(1, 4), f.ny * rng.randint(1, 4),
-                   f.nz * rng.randint(1, 4), rng.randint(1, 4))
+    f = (rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4))
+    shape = Shape4(f[0] * rng.randint(1, 4), f[1] * rng.randint(1, 4),
+                   f[2] * rng.randint(1, 4), rng.randint(1, 4))
     return f, Tensor4.gaussian(shape, 0.0, 1.0, rng)
 
 
@@ -117,7 +116,7 @@ class TestGradientSuite:
 
         from voxseg.nn import ConvUpShuffle, DownShuffleConv
 
-        stem = DownShuffleConv(1, 3, ShuffleFactors(2, 2, 2), Rng(306), sigma=0.3)
+        stem = DownShuffleConv(1, 3, (2, 2, 2), Rng(306), sigma=0.3)
 
         def stem_op(leaves):
             stem.conv.weight, stem.conv.bias = leaves[1], leaves[2]
@@ -129,7 +128,7 @@ class TestGradientSuite:
              stem.conv.weight.value.copy(), stem.conv.bias.value.copy()],
             projection(Shape4(2, 2, 2, 3), 5))
 
-        head = ConvUpShuffle(2, 1, ShuffleFactors(2, 2, 2), Rng(307), sigma=0.3)
+        head = ConvUpShuffle(2, 1, (2, 2, 2), Rng(307), sigma=0.3)
 
         def head_op(leaves):
             head.conv.weight, head.conv.bias = leaves[1], leaves[2]
@@ -222,6 +221,7 @@ def desk_config(data_dir, out_dir, factors, iterations, val_interval=100):
     return cfg.validate()
 
 
+@pytest.mark.slow
 class TestEndToEndLearning:
     def test_foreground_dice_reaches_target(self, synthetic_dataset, tmp_path):
         started = time.perf_counter()
@@ -246,6 +246,7 @@ class TestEndToEndLearning:
                f"loss {train_loss[1]:.4f} -> {train_loss[500]:.4f}")
 
 
+@pytest.mark.slow
 class TestFasterConvergence:
     def test_shuffled_beats_baseline_at_equal_wall_clock(self, synthetic_dataset,
                                                          tmp_path):

@@ -69,6 +69,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(None, {"patch": "30,32,32", "factors": "4,2,2"})
 
+    def test_class_count_limit_is_the_vvol_label_limit(self):
+        assert TrainConfig(class_count=256).validate().class_count == 256
+        with pytest.raises(ConfigError, match="class_count must be <= 256"):
+            TrainConfig(class_count=257).validate()
+
     def test_unknown_factors_need_explicit_lr(self):
         with pytest.raises(ConfigError):
             load_config(None, {"factors": "3,1,1", "patch": "33,32,32",
@@ -327,6 +332,14 @@ class TestShuffleCommand:
         assert rc == EXIT_USAGE
         assert "bad value for 'factors'" in capsys.readouterr().err
 
+    def test_factor_below_one_is_config_error(self, tmp_path, capsys):
+        # checked before the input is read, like a non-integer factor
+        rc = main(["shuffle", "--input", str(tmp_path / "absent.vvol"),
+                   "--output", str(tmp_path / "x.vvol"),
+                   "--factors", "0,2,2", "--direction", "down"])
+        assert rc == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     TINY = ["--k", "4", "--widths", "4,8"]
@@ -413,6 +426,14 @@ class TestExitCodes:
                    "--data-dir", str(tmp_path / "data")])
         assert rc == EXIT_USAGE
         assert "foreground fractions" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_class_count_above_label_limit_is_config_error(self, tmp_path, capsys):
+        rc = main(["gen-data", "--volumes", "2", "--train-split", "1", "--extents", "8,8,8",
+                   "--patch", "8,8,8", "--factors", "1,1,1", "--class-count", "300",
+                   "--fg-lo", "0", "--data-dir", str(tmp_path / "data")])
+        assert rc == EXIT_USAGE
+        assert "class_count must be <= 256" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_eval_out_directory_is_data_error(self, tiny_workspace, tmp_path):

@@ -13,7 +13,6 @@ from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        concat_channels, conv3d, down_shuffle_op, load_checkpoint,
                        load_into_network, maxpool3, save_checkpoint, softmax_channels,
                        up_shuffle_op)
-from voxseg.shuffle import ShuffleFactors
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
@@ -68,14 +67,14 @@ def zero_fill_then_add(node: Node, g: np.ndarray) -> None:
 class TestStemLayer:
     def test_degenerate_is_input(self):
         # factors (1,1,1), identity 1x1x1 conv, identity activation
-        layer = DownShuffleConv(1, 1, ShuffleFactors(1, 1, 1), Rng(0),
+        layer = DownShuffleConv(1, 1, (1, 1, 1), Rng(0),
                                 kernel=(1, 1, 1), act="identity")
         layer.conv.weight.value = full(Shape4(1, 1, 1, 1), 1.0)
         t = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(1))
         assert layer(Node(t)).value.equal(t)
 
     def test_matches_composition_exactly(self):
-        layer = DownShuffleConv(1, 6, ShuffleFactors(2, 2, 2), Rng(2))
+        layer = DownShuffleConv(1, 6, (2, 2, 2), Rng(2))
         t = Tensor4.gaussian(Shape4(8, 4, 4, 1), 0, 1, Rng(3))
         fused = layer(Node(t))
         shuffled = down_shuffle_op(Node(t), (2, 2, 2))
@@ -85,18 +84,18 @@ class TestStemLayer:
 
     def test_output_geometry(self):
         # high-res (8,8,4) with factors (4,4,2) lands on (2,2,2) with k maps
-        layer = DownShuffleConv(1, 5, ShuffleFactors(4, 4, 2), Rng(4))
+        layer = DownShuffleConv(1, 5, (4, 4, 2), Rng(4))
         t = Tensor4.gaussian(Shape4(8, 8, 4, 1), 0, 1, Rng(5))
         out = layer(Node(t))
         assert out.value.shape == Shape4(2, 2, 2, 5)
 
     def test_divisibility_error(self):
-        layer = DownShuffleConv(1, 2, ShuffleFactors(2, 2, 2), Rng(6))
+        layer = DownShuffleConv(1, 2, (2, 2, 2), Rng(6))
         with pytest.raises(ValueError):
             layer(Node(Tensor4.zeros(Shape4(3, 4, 4, 1))))
 
     def test_fd_gradients(self):
-        layer = DownShuffleConv(1, 3, ShuffleFactors(2, 2, 2), Rng(7))
+        layer = DownShuffleConv(1, 3, (2, 2, 2), Rng(7))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(8))
         proj = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(9)).zyxc
         w0 = layer.conv.weight.value.copy()
@@ -112,19 +111,19 @@ class TestStemLayer:
 
 class TestHeadLayer:
     def test_identity_factors_is_plain_conv(self):
-        layer = ConvUpShuffle(2, 3, ShuffleFactors(1, 1, 1), Rng(10))
+        layer = ConvUpShuffle(2, 3, (1, 1, 1), Rng(10))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, Rng(11))
         assert layer(Node(t)).value.equal(layer.conv(Node(t)).value)
 
     def test_matches_composition_exactly(self):
-        layer = ConvUpShuffle(3, 2, ShuffleFactors(2, 2, 2), Rng(12))
+        layer = ConvUpShuffle(3, 2, (2, 2, 2), Rng(12))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 3), 0, 1, Rng(13))
         fused = layer(Node(t))
         composed = up_shuffle_op(layer.conv(Node(t)), (2, 2, 2))
         assert fused.value.equal(composed.value)
 
     def test_restores_extents(self):
-        factors = ShuffleFactors(4, 4, 2)
+        factors = (4, 4, 2)
         stem = DownShuffleConv(1, 4, factors, Rng(14))
         head = ConvUpShuffle(4, 2, factors, Rng(15))
         t = Tensor4.gaussian(Shape4(8, 8, 4, 1), 0, 1, Rng(16))
@@ -132,7 +131,7 @@ class TestHeadLayer:
         assert out.value.shape == Shape4(8, 8, 4, 2)
 
     def test_fd_gradients(self):
-        layer = ConvUpShuffle(2, 1, ShuffleFactors(2, 2, 1), Rng(17))
+        layer = ConvUpShuffle(2, 1, (2, 2, 1), Rng(17))
         t = Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(18))
         proj = Tensor4.gaussian(Shape4(4, 4, 2, 1), 0, 1, Rng(19)).zyxc
 
@@ -315,7 +314,7 @@ class TestFullScaleGeometry:
         shuffled = down_shuffle_op(Node(t), (4, 4, 2)).value
         del t
         assert shuffled.shape == Shape4(100, 100, 40, 32)
-        layer = DownShuffleConv(1, 64, ShuffleFactors(4, 4, 2), Rng(50))
+        layer = DownShuffleConv(1, 64, (4, 4, 2), Rng(50))
         assert layer.conv.c_in == 32 and layer.conv.c_out == 64
         # the stem's 3x3x3 kernel keeps the extents; one output map keeps this cheap
         weight = Node(Tensor4.zeros(Shape4(*layer.conv.kernel, 32)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from voxseg.nn import Node, concat_channels
 from voxseg.tensor import Rng, Shape4, Tensor4, dot
 
 
@@ -88,29 +89,33 @@ class TestElementwise:
         assert Tensor4(np.abs(t.zyxc)).flat.tolist() == [1.0, 4.0]
 
 
+def cat(a: Tensor4, b: Tensor4) -> Tensor4:
+    return concat_channels(Node(a), Node(b)).value
+
+
 class TestConcatCrop:
     def test_concat_shapes(self):
         a = Tensor4.zeros(Shape4(2, 2, 2, 1))
         b = Tensor4.zeros(Shape4(2, 2, 2, 3))
-        assert a.concat_channels(b).shape == Shape4(2, 2, 2, 4)
+        assert cat(a, b).shape == Shape4(2, 2, 2, 4)
 
     def test_concat_empty_identity(self):
         a = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(1))
         empty = Tensor4(np.zeros((2, 2, 2, 0)))
-        assert a.concat_channels(empty).equal(a)
+        assert cat(a, empty).equal(a)
 
     def test_concat_lookup(self):
         a = Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(2))
         b = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(3))
-        cat = a.concat_channels(b)
-        assert cat.at(1, 0, 1, 3) == b.at(1, 0, 1, 1)
-        assert cat.at(1, 1, 1, 1) == a.at(1, 1, 1, 1)
+        ab = cat(a, b)
+        assert ab.at(1, 0, 1, 3) == b.at(1, 0, 1, 1)
+        assert ab.at(1, 1, 1, 1) == a.at(1, 1, 1, 1)
 
     def test_concat_spatial_mismatch(self):
         a = Tensor4.zeros(Shape4(2, 2, 2, 1))
         b = Tensor4.zeros(Shape4(2, 2, 3, 1))
-        with pytest.raises(ValueError):
-            a.concat_channels(b)
+        with pytest.raises(ValueError, match="spatial mismatch"):
+            cat(a, b)
 
     def test_crop_full_window_identity(self):
         t = Tensor4.gaussian(Shape4(3, 4, 2, 2), 0, 1, Rng(8))
