@@ -89,8 +89,8 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_pairs = load_manifest_volumes(data_dir / "train.manifest")
-    val_pairs = load_manifest_volumes(data_dir / "test.manifest")
+    train_pairs = load_manifest_volumes(data_dir / "train.manifest", cfg.patch)
+    val_pairs = load_manifest_volumes(data_dir / "test.manifest", cfg.patch)
     if not train_pairs or not val_pairs:
         raise ValueError("empty train or test manifest")
 

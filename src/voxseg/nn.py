@@ -34,11 +34,11 @@ OpenBLAS thread pool contends with scipy's when both are used.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -590,58 +590,40 @@ class NonFiniteWeightsError(CheckpointError):
 def save_checkpoint(path, params: Mapping[str, Node]) -> None:
     """Write parameters as little-endian records: magic, u32 version, then
     (u32 name length, utf-8 name, 4 x u32 extents, raw float64 data) each."""
-
-    def parts():
-        yield _CKPT_MAGIC
-        yield struct.pack("<I", _CKPT_VERSION)
-        for name, node in params.items():
-            tensor = node.value
-            encoded = name.encode("utf-8")
-            yield struct.pack("<I", len(encoded))
-            yield encoded
-            yield struct.pack("<4I", *tensor.shape)
-            yield tensor.flat.astype("<f8", copy=False)
-
-    write_atomic(path, parts())
+    parts = [_CKPT_MAGIC, struct.pack("<I", _CKPT_VERSION)]
+    for name, node in params.items():
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded,
+                  struct.pack("<4I", *node.value.shape),
+                  node.value.flat.astype("<f8", copy=False)]
+    write_atomic(path, parts)
 
 
 def load_checkpoint(path) -> "OrderedDict[str, Tensor4]":
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-    buf = io.BytesIO(raw)
-    if buf.read(4) != _CKPT_MAGIC:
+    if raw[:4] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    header = buf.read(4)
-    if len(header) < 4 or struct.unpack("<I", header)[0] != _CKPT_VERSION:
+    if raw[4:8] != struct.pack("<I", _CKPT_VERSION):
         raise CheckpointError(f"{path}: unsupported checkpoint version")
     params: OrderedDict[str, Tensor4] = OrderedDict()
-    while True:
-        head = buf.read(4)
-        if not head:
-            break
-        if len(head) < 4:
-            raise CheckpointError(f"{path}: truncated record header")
-        (name_len,) = struct.unpack("<I", head)
-        name_bytes = buf.read(name_len)
-        shape_bytes = buf.read(16)
-        if len(name_bytes) < name_len or len(shape_bytes) < 16:
-            raise CheckpointError(f"{path}: truncated record")
-        shape = Shape4(*struct.unpack("<4I", shape_bytes))
-        if min(shape) < 1:
-            raise CheckpointError(f"{path}: extents {tuple(shape)} must all be >= 1")
-        if 8 * shape.element_count > len(raw) - buf.tell():
-            raise CheckpointError(f"{path}: truncated tensor payload")
-        payload = buf.read(8 * shape.element_count)
+    offset = 8
+    while offset < len(raw):
         try:
-            name = name_bytes.decode("utf-8")
+            (name_len,) = struct.unpack_from("<I", raw, offset)
+            name, *extents = struct.unpack_from(f"<{name_len}s4I", raw, offset + 4)
+            name = name.decode("utf-8")
+            shape = Shape4(*extents).validate()
+            values = np.frombuffer(raw, "<f8", shape.element_count, offset + 20 + name_len)
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
+        except (struct.error, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad record at byte {offset}: {exc}") from exc
+        offset += 20 + name_len + values.nbytes
         if name in params:
             raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
-        values = np.frombuffer(payload, dtype="<f8")
         if not np.isfinite(values).all():
             raise NonFiniteWeightsError(f"{path}: parameter {name!r} holds NaN or "
                                         "infinite weights")

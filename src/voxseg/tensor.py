@@ -43,9 +43,8 @@ class Shape4(NamedTuple):
 
     def validate(self) -> "Shape4":
         """Check extents: every extent, channels included, must be >= 1."""
-        for name, extent in zip("xyzc", self):
-            if extent < 1:
-                raise ValueError(f"shape extent {name}={extent} must be >= 1")
+        if min(self) < 1:
+            raise ValueError(f"extents {tuple(self)} must all be >= 1")
         if self.element_count > _MAX_ELEMENTS:
             raise ValueError(f"element count {self.element_count} overflows index range")
         return self

@@ -93,38 +93,26 @@ def read_vvol(path) -> Volume:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise VvolError(f"cannot read volume: {exc}") from exc
-    if len(raw) < 4 + 12 + 16 + 24:
-        raise VvolError(f"{path}: file shorter than the fixed header")
     if raw[:4] != _VVOL_MAGIC:
         raise VvolError(f"{path}: bad magic {raw[:4]!r}")
-    version, dtype, class_count = struct.unpack_from("<III", raw, 4)
-    if version != _VVOL_VERSION:
-        raise VvolError(f"{path}: unsupported version {version}")
-    if dtype not in (_DTYPE_IMAGE, _DTYPE_LABELS):
-        raise VvolError(f"{path}: unknown dtype code {dtype}")
-    shape = Shape4(*struct.unpack_from("<4I", raw, 16))
-    if min(shape) < 1:
-        raise VvolError(f"{path}: extents {tuple(shape)} must all be >= 1")
-    spacing = struct.unpack_from("<3d", raw, 32)
-    payload = raw[56:]
-    count = shape.element_count
-    unit = 1 if dtype == _DTYPE_LABELS else 8
-    if len(payload) != count * unit:
-        raise VvolError(
-            f"{path}: payload is {len(payload)} bytes, header implies {count * unit}"
-        )
-    if dtype == _DTYPE_LABELS:
-        data = np.frombuffer(payload, dtype="<u1").astype(np.float64)
-        kind = "labels"
-    else:
-        data = np.frombuffer(payload, dtype="<f8")
-        kind = "image"
-        if not np.isfinite(data).all():
-            raise VvolError(f"{path}: image payload holds NaN or infinite values")
-    tensor = Tensor4.from_flat(shape, data)
     try:
-        return Volume(tensor, spacing, kind, class_count)
-    except ValueError as exc:
+        version, dtype, class_count = struct.unpack_from("<III", raw, 4)
+        if version != _VVOL_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        if dtype not in (_DTYPE_IMAGE, _DTYPE_LABELS):
+            raise ValueError(f"unknown dtype code {dtype}")
+        shape = Shape4(*struct.unpack_from("<4I", raw, 16)).validate()
+        spacing = struct.unpack_from("<3d", raw, 32)
+        labels = dtype == _DTYPE_LABELS
+        size = shape.element_count * (1 if labels else 8)
+        if len(raw) - 56 != size:
+            raise ValueError(f"payload is {len(raw) - 56} bytes, header implies {size}")
+        data = np.frombuffer(raw, "<u1" if labels else "<f8", offset=56)
+        if not (labels or np.isfinite(data).all()):
+            raise ValueError("image payload holds NaN or infinite values")
+        return Volume(Tensor4.from_flat(shape, data), spacing,
+                      "labels" if labels else "image", class_count)
+    except (struct.error, ValueError) as exc:
         raise VvolError(f"{path}: {exc}") from exc
 
 
@@ -312,8 +300,9 @@ def read_manifest(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def load_manifest_volumes(path) -> list[tuple[Volume, Volume]]:
-    """Read every pair in a manifest; relative paths resolve against it."""
+def load_manifest_volumes(path, patch) -> list[tuple[Volume, Volume]]:
+    """Read every pair in a manifest; relative paths resolve against it. An image
+    smaller than ``patch`` along any axis is a ``VvolError``."""
     base = Path(path).parent
     out = []
     for img_rel, lab_rel in read_manifest(path):
@@ -321,5 +310,8 @@ def load_manifest_volumes(path) -> list[tuple[Volume, Volume]]:
         lab = read_vvol(base / lab_rel)
         if img.kind != "image" or lab.kind != "labels":
             raise VvolError(f"manifest pair ({img_rel}, {lab_rel}) has wrong kinds")
+        if any(e < p for e, p in zip(img.extents, patch)):
+            raise VvolError(f"{base / img_rel}: extents {img.extents} are smaller than "
+                            f"patch {tuple(patch)}")
         out.append((img, lab))
     return out

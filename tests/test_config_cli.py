@@ -13,13 +13,14 @@ from hypothesis import given, strategies as st
 
 import voxseg
 import voxseg.atomic as atomic
+import voxseg.cli.train as cli_train
 from conftest import FUZZ, FailsHalfway, mutated
 from voxseg.cli.config import ConfigError, TrainConfig, load_config
 from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from voxseg.cli.train import run_training
 from voxseg.nn import build_backbone, save_checkpoint
 from voxseg.tensor import Rng
-from voxseg.volume import read_vvol
+from voxseg.volume import gen_synthetic, read_vvol, write_manifest, write_vvol
 
 
 FLOAT_KEYS = [f.name for f in fields(TrainConfig)
@@ -405,6 +406,27 @@ class TestExitCodes:
         assert main(["train", "--quiet"] + args) == EXIT_USAGE
         assert "at most patch" in capsys.readouterr().err
         assert not (tmp_path / "run" / "runlog.csv").exists()
+
+    def test_volume_smaller_than_patch_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # it used to train until the first validation, then fail its centre crop
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, extents in (("train", (16, 16, 16)), ("test", (8, 8, 8))):
+            image, labels = gen_synthetic(3, 1, extents, 2)[0]
+            write_vvol(image, data / f"{name}_img.vvol")
+            write_vvol(labels, data / f"{name}_lab.vvol")
+            write_manifest(data / f"{name}.manifest", [(f"{name}_img.vvol", f"{name}_lab.vvol")])
+        steps = []
+        monkeypatch.setattr(cli_train, "sgd_step", lambda *args: steps.append(args))
+        out = tmp_path / "run"
+        assert main(["train", "--quiet", "--data-dir", str(data), "--out-dir", str(out),
+                     "--patch", "16,16,16", "--factors", "1,1,1", "--k", "4",
+                     "--widths", "4,8", "--iterations", "6", "--val-interval", "5",
+                     "--augment-count", "0"]) == EXIT_DATA
+        assert steps == []
+        err = capsys.readouterr().err
+        assert "test_img.vvol" in err and "patch (16, 16, 16)" in err
+        assert not (out / "runlog.csv").exists()
 
     def test_partly_zero_stride_is_config_error(self, tiny_workspace, tmp_path, capsys):
         # it used to train until the first validation, then fail its tiling with exit 2

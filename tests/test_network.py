@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FUZZ, fd_gradient_error, full, mutated, traced_peak
+from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, main
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        DownShuffleConv, NonFiniteWeightsError, ShuffleUNet3d,
                        activation, Node, backward, build_backbone, ce_dice_loss,
@@ -387,21 +388,6 @@ class TestCheckpoint:
         t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(37))
         assert other.forward(t).value.equal(net.forward(t).value)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.vckp"
-        path.write_bytes(b"JUNKxxxx")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    def test_truncated_payload(self, tmp_path):
-        net = build_backbone(small_spec(), Rng(38))
-        path = tmp_path / "model.vckp"
-        save_checkpoint(path, net.parameters())
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-5])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
     def test_name_mismatch_rejected(self, tmp_path):
         net = build_backbone(small_spec(), Rng(39))
         path = tmp_path / "model.vckp"
@@ -418,38 +404,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_into_network(other, load_checkpoint(path))
 
-    def _one_record(self, name: bytes, value: float = 0.5) -> bytes:
-        return (struct.pack("<I", len(name)) + name + struct.pack("<4I", 1, 1, 1, 1)
-                + struct.pack("<d", value))
-
-    def test_non_utf8_name_rejected(self, tmp_path):
-        path = tmp_path / "model.vckp"
-        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + self._one_record(b"stem.\xff"))
-        with pytest.raises(CheckpointError, match="UTF-8"):
-            load_checkpoint(path)
-
-    def test_duplicate_name_rejected(self, tmp_path):
-        path = tmp_path / "model.vckp"
-        record = self._one_record(b"stem.bias")
-        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + record + record)
-        with pytest.raises(CheckpointError, match="duplicate"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_weights_rejected(self, tmp_path, value):
-        path = tmp_path / "model.vckp"
-        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + self._one_record(b"stem.bias")
-                         + self._one_record(b"head.bias", value))
-        with pytest.raises(NonFiniteWeightsError, match="'head.bias'"):
-            load_checkpoint(path)
-
-    def test_zero_extent_rejected(self, tmp_path):
-        path = tmp_path / "model.vckp"
-        path.write_bytes(b"VCKP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
-                         + struct.pack("<4I", 1, 0, 1, 1))
-        with pytest.raises(CheckpointError, match="extents"):
-            load_checkpoint(path)
-
 
 def _checkpoint_bytes(records):
     raw = b"VCKP" + struct.pack("<I", 1)
@@ -461,6 +415,57 @@ def _checkpoint_bytes(records):
 
 VALID_CHECKPOINT = _checkpoint_bytes([(b"w", (1, 1, 1, 2), [0.25, -1.0]),
                                       (b"b", (2, 1, 1, 1), [3.0, 0.0])])
+
+_HEADER = _checkpoint_bytes([])
+_BIAS = (b"stem.bias", (1, 1, 1, 1), [0.5])
+
+# case: (file bytes, typed error, message pattern)
+MALFORMED_VCKP = {
+    "bad_magic": (b"JUNKxxxx", CheckpointError, "magic"),
+    "short_header": (b"VCKP\x01", CheckpointError, "version"),
+    "bad_version": (b"VCKP" + struct.pack("<I", 2), CheckpointError, "version"),
+    "cut_name_length": (_HEADER + b"\x01\x00", CheckpointError, "record"),
+    "name_past_end": (_HEADER + struct.pack("<I", 9) + b"w", CheckpointError, "record"),
+    "cut_extents": (_HEADER + struct.pack("<I", 1) + b"w" + struct.pack("<2I", 1, 1),
+                    CheckpointError, "record"),
+    "zero_extent": (_checkpoint_bytes([(b"w", (1, 0, 1, 1), [])]), CheckpointError,
+                    "extents"),
+    "payload_past_end": (VALID_CHECKPOINT[:-5], CheckpointError, "record"),
+    "non_utf8_name": (_checkpoint_bytes([(b"stem.\xff", (1, 1, 1, 1), [0.5])]),
+                      CheckpointError, "UTF-8"),
+    "duplicate_name": (_checkpoint_bytes([_BIAS, _BIAS]), CheckpointError, "duplicate"),
+    **{f"{label}_weight": (_checkpoint_bytes([_BIAS, (b"head.bias", (1, 1, 1, 1), [value])]),
+                           NonFiniteWeightsError, "'head.bias'")
+       for label, value in (("nan", math.nan), ("inf", math.inf), ("neg_inf", -math.inf))},
+}
+
+
+class TestCheckpointMalformed:
+    def test_valid_bytes_load(self, tmp_path):
+        path = tmp_path / "ok.vckp"
+        path.write_bytes(VALID_CHECKPOINT)  # payload_past_end cuts its last record
+        loaded = load_checkpoint(path)
+        assert list(loaded) == ["w", "b"] and loaded["b"].flat.tolist() == [3.0, 0.0]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VCKP))
+    def test_typed_error(self, tmp_path, case):
+        raw, error, pattern = MALFORMED_VCKP[case]
+        path = tmp_path / "bad.vckp"
+        path.write_bytes(raw)
+        with pytest.raises(error, match=pattern):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VCKP))
+    def test_infer_exit_code(self, tmp_path, capsys, case):
+        raw, error, _ = MALFORMED_VCKP[case]
+        path = tmp_path / "bad.vckp"
+        path.write_bytes(raw)
+        out = tmp_path / "prob.vvol"
+        rc = main(["infer", "--checkpoint", str(path), "--input", str(tmp_path / "img.vvol"),
+                   "--out-prob", str(out), "--out-labels", str(tmp_path / "lab.vvol")])
+        assert rc == (EXIT_NUMERIC if error is NonFiniteWeightsError else EXIT_DATA)
+        assert str(path) in capsys.readouterr().err  # the reader failed, not a later step
+        assert not out.exists()
 
 
 class TestCheckpointFuzz:
