@@ -21,7 +21,6 @@ import scipy
 from ..nn import ShuffleUNet3d, backward, ce_dice_loss
 from ..tensor import Rng, Shape4, Tensor4
 from .config import TrainConfig
-from .train import one_hot_labels
 
 # the same backbone counts at 1x, 8x and 64x the context, then smaller backbones
 DEFAULT_ROWS = ("32,32,32:1,1,1;64,64,64:2,2,2;128,128,128:4,4,4;"
@@ -58,7 +57,7 @@ def bench_row(cfg: TrainConfig, repetitions: int) -> dict:
     px, py, pz = cfg.patch
     image = Tensor4.gaussian(Shape4(px, py, pz, 1), 0.0, 1.0, rng.spawn(13))
     label_values = rng.spawn(17).randint(0, cfg.class_count, px * py * pz)
-    labels = one_hot_labels(Tensor4(label_values.reshape(pz, py, px, 1)), cfg.class_count)
+    labels = Tensor4(label_values.reshape(pz, py, px, 1))
 
     def step() -> tuple[float, float]:
         net.zero_grad()

@@ -14,25 +14,13 @@ from ..inference import decode_labels, predict_volume
 from ..metrics import BinaryMask, dice
 from ..nn import Node, backward, build_backbone, ce_dice_loss, save_checkpoint
 from ..optim import SgdState, sgd_step
-from ..tensor import Rng, Tensor4
+from ..tensor import Rng
 from ..volume import augment_dataset, load_manifest_volumes, normalize_patch, sample_patch
 from .config import TrainConfig
 
 
 class NumericError(Exception):
     """Training hit a non-finite loss."""
-
-
-def one_hot_labels(labels: Tensor4, class_count: int) -> Tensor4:
-    """Expand an integer-coded (x, y, z, 1) label patch to one-hot channels."""
-    if labels.shape.c != 1:
-        raise ValueError("label patch must be single channel")
-    idx = labels.zyxc[..., 0].astype(np.int64)
-    if idx.min() < 0 or idx.max() >= class_count:
-        raise ValueError(f"label values outside [0, {class_count})")
-    hot = np.zeros(idx.shape + (class_count,))
-    np.put_along_axis(hot, idx[..., None], 1.0, axis=3)
-    return Tensor4(hot)
 
 
 @dataclass
@@ -59,8 +47,7 @@ def evaluate(net, val_pairs, cfg: TrainConfig) -> tuple[float, list[float]]:
         img = image.tensor.crop(origin, cfg.patch)
         lab = labels.tensor.crop(origin, cfg.patch)
         probs = Node(net.predict(normalize_patch(img)))
-        loss = ce_dice_loss(probs, one_hot_labels(lab, cfg.class_count),
-                            cfg.lambda_ce, cfg.lambda_dice)
+        loss = ce_dice_loss(probs, lab, cfg.lambda_ce, cfg.lambda_dice)
         losses.append(loss.value.at(0, 0, 0, 0))
 
         prob_vol = predict_volume(net, image, cfg.patch, cfg.resolved_stride())
@@ -75,22 +62,20 @@ def evaluate(net, val_pairs, cfg: TrainConfig) -> tuple[float, list[float]]:
 
 
 def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
-                 wall_clock_budget: float | None = None,
                  quiet: bool = True) -> RunResult:
     """Train per config; returns paths and final stats.
 
     ``dice_target`` stops at the first validation whose mean foreground Dice
-    reaches the target; ``wall_clock_budget`` (seconds) stops after the
-    iteration that exhausts it, which is then validated. Both are off by
-    default and excluded from the determinism contract.
+    reaches the target. It is off by default and excluded from the
+    determinism contract.
     """
     cfg.validate()
     data_dir = Path(cfg.data_dir)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_pairs = load_manifest_volumes(data_dir / "train.manifest", cfg.patch)
-    val_pairs = load_manifest_volumes(data_dir / "test.manifest", cfg.patch)
+    train_pairs = load_manifest_volumes(data_dir / "train.manifest", cfg.patch, cfg.class_count)
+    val_pairs = load_manifest_volumes(data_dir / "test.manifest", cfg.patch, cfg.class_count)
     if not train_pairs or not val_pairs:
         raise ValueError("empty train or test manifest")
 
@@ -116,10 +101,6 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
     last_val_dice = [math.nan] * (cfg.class_count - 1)
     iterations_run = 0
 
-    def out_of_time() -> bool:
-        return wall_clock_budget is not None and \
-            time.perf_counter() - started >= wall_clock_budget
-
     for it in range(1, cfg.iterations + 1):
         lr = state.lr  # the rate this iteration's step applies
         net.zero_grad()
@@ -129,8 +110,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
             image, labels = train_pairs[vol_idx]
             img, lab = sample_patch(image, labels, cfg.patch, sampler)
             probs = net.forward(img)
-            loss = ce_dice_loss(probs, one_hot_labels(lab, cfg.class_count),
-                                cfg.lambda_ce, cfg.lambda_dice)
+            loss = ce_dice_loss(probs, lab, cfg.lambda_ce, cfg.lambda_dice)
             loss_value = loss.value.at(0, 0, 0, 0)
             if not math.isfinite(loss_value):
                 raise NumericError(f"non-finite training loss at iteration {it}")
@@ -143,7 +123,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
             f"train,{it},{_fmt(lr)},{_fmt(last_train_loss)},{empty_dice}"
         )
 
-        if it % cfg.val_interval == 0 or it == cfg.iterations or out_of_time():
+        if it % cfg.val_interval == 0 or it == cfg.iterations:
             last_val_loss, last_val_dice = evaluate(net, val_pairs, cfg)
             dice_str = ",".join(_fmt(d) for d in last_val_dice)
             log_rows.append(
@@ -152,8 +132,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
             if not quiet:
                 print(f"iter {it}: train {last_train_loss:.4f} "
                       f"val {last_val_loss:.4f} dice {last_val_dice}")
-            if out_of_time() or (dice_target is not None and
-                                 float(np.mean(last_val_dice)) >= dice_target):
+            if dice_target is not None and float(np.mean(last_val_dice)) >= dice_target:
                 break
 
     checkpoint_path = out_dir / "model.vckp"

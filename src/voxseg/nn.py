@@ -47,6 +47,7 @@ from scipy.linalg.blas import dgemm
 from .atomic import write_atomic
 from .shuffle import divide_extents, down_shuffle, up_shuffle
 from .tensor import Rng, Shape4, Tensor4
+from .volume import check_label_values
 
 
 _recording = True  # cleared only while ShuffleUNet3d.predict runs
@@ -315,12 +316,6 @@ def softmax_channels(x: Node) -> Node:
     return Node(value, (x,), backprop)
 
 
-def _check_one_hot(labels: Tensor4) -> None:
-    g = labels.zyxc
-    if not (((g == 0.0) | (g == 1.0)).all() and (_channel_fold(np.add, g) == 1.0).all()):
-        raise ValueError("labels must be one-hot over the channel axis")
-
-
 _DICE_SMOOTH = 1e-5
 _PROB_FLOOR = 1e-12
 
@@ -329,28 +324,31 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
                  lam_dice: float = 1.0) -> Node:
     """Weighted sum of mean voxelwise cross-entropy and soft-Dice losses.
 
+    ``labels`` is the integer-coded (x, y, z, 1) patch of class indices in
+    [0, K), K being the channel count of ``probs``; g below is its one-hot mask.
     Soft Dice per foreground class is (2*sum(p*g) + smooth) /
     (sum(p) + sum(g) + smooth) with smooth = 1e-5; the Dice loss is one minus
     the mean over foreground classes (channel 0 is background). Probabilities
     are floored at 1e-12 inside the log only.
     """
-    if probs.value.shape != labels.shape:
+    if labels.shape != probs.value.shape._replace(c=1):
         raise ValueError(f"shape mismatch: {probs.value.shape} vs {labels.shape}")
-    K = labels.shape.c
+    K = probs.value.shape.c
     if K < 2:
         raise ValueError("need at least 2 classes (background + foreground)")
-    _check_one_hot(labels)
+    check_label_values(labels.zyxc, K)
 
     p = probs.value.zyxc
-    g = labels.zyxc
+    lab = labels.zyxc[..., 0]
+    g = np.stack([lab == c for c in range(K)], axis=-1)  # g * x: the bits a 0/1 float mask gives
     n_vox = p.shape[0] * p.shape[1] * p.shape[2]
     p_safe = np.maximum(p, _PROB_FLOOR)
     ce = -(g * np.log(p_safe)).sum() / n_vox
 
-    fg = range(1, K)
-    sums_pg = [(p[..., c] * g[..., c]).sum() for c in fg]
+    fg = range(1, K)  # the sums read contiguous class masks, not g's strided channels
+    sums_pg = [(p[..., c] * (lab == c)).sum() for c in fg]
     sums_p = [p[..., c].sum() for c in fg]
-    sums_g = [g[..., c].sum() for c in fg]
+    sums_g = [(lab == c).sum() for c in fg]
     dices = [
         (2.0 * spg + _DICE_SMOOTH) / (sp + sg + _DICE_SMOOTH)
         for spg, sp, sg in zip(sums_pg, sums_p, sums_g)

@@ -40,6 +40,14 @@ class VvolError(Exception):
     """Malformed or inconsistent VVOL file."""
 
 
+def check_label_values(zyxc: np.ndarray, class_count: int) -> None:
+    """The label rule: every value is an integer in [0, class_count). NaN fails it.
+    Floors one z slab at a time, not the whole array as one copy."""
+    if not (all((s == np.floor(s)).all() for s in zyxc) and zyxc.min() >= 0
+            and zyxc.max() < class_count):
+        raise ValueError(f"label values must be integers in [0, {class_count})")
+
+
 @dataclass
 class Volume:
     """A 3-D image or label map with voxel spacing in mm.
@@ -62,12 +70,7 @@ class Volume:
         if self.kind == "labels":
             if self.class_count < 1:
                 raise ValueError("label volumes need class_count >= 1")
-            vals = self.tensor.zyxc  # floored one z slab at a time, not as a whole copy
-            if not (all((s == np.floor(s)).all() for s in vals) and vals.min() >= 0
-                    and vals.max() < self.class_count):
-                raise ValueError(
-                    f"label values must be integers in [0, {self.class_count})"
-                )
+            check_label_values(self.tensor.zyxc, self.class_count)
 
     @property
     def extents(self) -> tuple[int, int, int]:
@@ -300,18 +303,26 @@ def read_manifest(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def load_manifest_volumes(path, patch) -> list[tuple[Volume, Volume]]:
-    """Read every pair in a manifest; relative paths resolve against it. An image
-    smaller than ``patch`` along any axis is a ``VvolError``."""
+def load_manifest_volumes(path, patch, class_count: int) -> list[tuple[Volume, Volume]]:
+    """Read every pair in a manifest; relative paths resolve against it. Each pair
+    must be an image at least ``patch`` along every axis and single-channel labels
+    of the same extents whose values are in [0, class_count); else ``VvolError``."""
     base = Path(path).parent
     out = []
     for img_rel, lab_rel in read_manifest(path):
-        img = read_vvol(base / img_rel)
-        lab = read_vvol(base / lab_rel)
+        img_path, lab_path = base / img_rel, base / lab_rel
+        img, lab = read_vvol(img_path), read_vvol(lab_path)
         if img.kind != "image" or lab.kind != "labels":
             raise VvolError(f"manifest pair ({img_rel}, {lab_rel}) has wrong kinds")
         if any(e < p for e, p in zip(img.extents, patch)):
-            raise VvolError(f"{base / img_rel}: extents {img.extents} are smaller than "
+            raise VvolError(f"{img_path}: extents {img.extents} are smaller than "
                             f"patch {tuple(patch)}")
+        if lab.tensor.shape != (*img.extents, 1):
+            raise VvolError(f"{lab_path}: shape {tuple(lab.tensor.shape)} is not "
+                            f"{img_path}'s extents with one channel, {(*img.extents, 1)}")
+        try:
+            check_label_values(lab.tensor.zyxc, class_count)
+        except ValueError as exc:
+            raise VvolError(f"{lab_path}: {exc}") from exc
         out.append((img, lab))
     return out

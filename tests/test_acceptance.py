@@ -7,11 +7,18 @@ to watch progress.
 
 import hashlib
 import itertools
+import math
+import os
+import subprocess
+import sys
 import time
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxseg
 from conftest import fd_gradient_error
 from test_metrics import brute_asd_hd, mask_from_voxels
 from voxseg.cli.config import TrainConfig, load_config
@@ -106,10 +113,7 @@ class TestGradientSuite:
             [Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, rng)],
             projection(Shape4(2, 2, 2, 3), 4))
 
-        idx = Rng(305).randint(0, 2, 64).reshape(4, 4, 4)
-        hot = np.zeros((4, 4, 4, 2))
-        np.put_along_axis(hot, np.asarray(idx)[..., None], 1.0, axis=3)
-        labels = Tensor4(hot)
+        labels = Tensor4(Rng(305).randint(0, 2, 64).reshape(4, 4, 4, 1))
         errors["ce-dice-loss"] = fd_gradient_error(
             lambda l: ce_dice_loss(softmax_channels(l[0]), labels),
             [Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, rng)])
@@ -152,10 +156,7 @@ class TestGradientSuite:
                             widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
         net = build_backbone(spec, Rng(308))
         x = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(309))
-        idx = Rng(310).randint(0, 2, 8 ** 3).reshape(8, 8, 8)
-        hot = np.zeros((8, 8, 8, 2))
-        np.put_along_axis(hot, np.asarray(idx)[..., None], 1.0, axis=3)
-        labels = Tensor4(hot)
+        labels = Tensor4(Rng(310).randint(0, 2, 8 ** 3).reshape(8, 8, 8, 1))
 
         params = net.parameters()
         names = list(params)
@@ -246,26 +247,78 @@ class TestEndToEndLearning:
                f"loss {train_loss[1]:.4f} -> {train_loss[500]:.4f}")
 
 
+# Run as a child process with config overrides as key=value arguments: trains
+# per config and prints the CPU seconds of each iteration after the first, taken
+# between consecutive SGD steps of run_training.
+ITERATION_CPU_SECONDS = """
+import sys, time
+import voxseg.cli.train as train
+from voxseg.cli.config import load_config
+stamps = []
+sgd_step = train.sgd_step
+def timed_sgd_step(*args):
+    sgd_step(*args)
+    stamps.append(time.process_time())
+train.sgd_step = timed_sgd_step
+train.run_training(load_config(None, dict(a.split("=", 1) for a in sys.argv[1:])))
+print(*(b - a for a, b in zip(stamps, stamps[1:])))
+"""
+
+
 @pytest.mark.slow
 class TestFasterConvergence:
+    @staticmethod
+    def least_iteration_cpu_seconds(runs):
+        """Least CPU seconds of one training iteration per (config, iterations).
+
+        The runs go at once, each a child process with one BLAS thread, so they
+        share the machine's load and speed. CPU time leaves out the time other
+        processes hold the CPUs, and a lone BLAS thread has no peer to spin-wait
+        for; the least over a run's iterations drops those the machine slowed.
+        """
+        src = str(Path(voxseg.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        default = TrainConfig()
+        children = []
+        for cfg, iterations in runs:
+            cfg = replace(cfg, iterations=iterations, val_interval=iterations,
+                          out_dir=f"{cfg.out_dir}-timing")
+            overrides = [f"{f.name}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+                         for f in fields(cfg)
+                         if (v := getattr(cfg, f.name)) != getattr(default, f.name)]
+            children.append(subprocess.Popen(
+                [sys.executable, "-c", ITERATION_CPU_SECONDS, *overrides],
+                stdout=subprocess.PIPE, text=True, env=env))
+        seconds = []
+        for child in children:
+            out, _ = child.communicate(timeout=600)
+            assert child.returncode == 0
+            seconds.append(min(map(float, out.split())))
+        return seconds
+
     def test_shuffled_beats_baseline_at_equal_wall_clock(self, synthetic_dataset,
                                                          tmp_path):
         """Validation loss at iteration 500 for factors (2,2,2) versus the
-        plain baseline given the same wall-clock budget. Tolerance 10%;
-        a failure here is a trigger for investigation, since the property
-        depends on the synthetic task."""
+        plain baseline given the same wall-clock budget on one core: as many
+        iterations as cost the CPU time of 500 shuffled ones, both timed on one
+        BLAS thread at once, so under the same load. Sustained contention still
+        raises a baseline iteration's CPU time more than a shuffled one's, which
+        shrinks the budget. Tolerance 10%; a failure here is a trigger for
+        investigation, since the property depends on the synthetic task."""
         cfg_s = desk_config(synthetic_dataset, tmp_path / "shuffled", (2, 2, 2), 500,
                             val_interval=500)
+        cfg_b = desk_config(synthetic_dataset, tmp_path / "baseline", (1, 1, 1), 500)
+        # a baseline iteration costs about seven shuffled ones, so both runs end together
+        step_s, step_b = self.least_iteration_cpu_seconds([(cfg_s, 160), (cfg_b, 24)])
+        iterations_b = math.ceil(500 * step_s / step_b)  # the one that exhausts the budget
         res_s = run_training(cfg_s)
-        budget = res_s.wall_seconds
-        cfg_b = desk_config(synthetic_dataset, tmp_path / "baseline", (1, 1, 1), 500,
-                            val_interval=500)
-        res_b = run_training(cfg_b, wall_clock_budget=budget)
+        res_b = run_training(replace(cfg_b, iterations=iterations_b, val_interval=iterations_b))
         ok = res_s.final_val_loss <= 1.10 * res_b.final_val_loss
         report("faster-convergence", ok,
-               f"shuffled val {res_s.final_val_loss:.4f} (500 iters, {budget:.0f}s) "
-               f"vs baseline val {res_b.final_val_loss:.4f} "
-               f"({res_b.iterations_run} iters in the same budget)")
+               f"shuffled val {res_s.final_val_loss:.4f} (500 iters at "
+               f"{1e3 * step_s:.0f} ms) vs baseline val {res_b.final_val_loss:.4f} "
+               f"({iterations_b} iters at {1e3 * step_b:.0f} ms, the same budget)")
 
 
 class TestMetricsOracle:

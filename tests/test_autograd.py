@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg.blas import dgemm
 
 from conftest import fd_gradient_error, full, traced_peak
-from voxseg.nn import (BackboneSpec, Conv3d, Node, _check_one_hot, activation, backward,
+from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward,
                        build_backbone, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
@@ -91,8 +92,7 @@ class TestEngine:
         spec = BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=2,
                             widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
         x = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(40))
-        idx = np.asarray(Rng(41).randint(0, 2, 8 ** 3)).reshape(8, 8, 8)
-        labels = one_hot_from(idx, 2)
+        labels = label_patch(Rng(41).randint(0, 2, 8 ** 3).reshape(8, 8, 8))
         grads = []
         for seed in (None, 0.5):
             net = build_backbone(spec, Rng(42))
@@ -107,7 +107,7 @@ class TestEngine:
         spec = BackboneSpec(class_count=2, factors=(1, 1, 1), stem_channels=2,
                             widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
         x = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(43))
-        labels = one_hot_from(np.asarray(Rng(44).randint(0, 2, 4 ** 3)).reshape(4, 4, 4), 2)
+        labels = label_patch(Rng(44).randint(0, 2, 4 ** 3).reshape(4, 4, 4))
         grads = []
         for _ in range(2):
             net = build_backbone(spec, Rng(45))
@@ -620,24 +620,9 @@ class TestSoftmax:
         assert peak <= 1.5 * out.value.zyxc.nbytes, peak / out.value.zyxc.nbytes
 
 
-class TestOneHotCheck:
-    @pytest.mark.parametrize("K", [2, 3, 4, 5])
-    def test_agrees_with_sum_oracle(self, K):
-        rng = np.random.default_rng(70 + K)
-        hot = one_hot_from(rng.integers(0, K, size=(3, 3, 3)), K).zyxc
-        none, every, half, signed = (hot.copy() for _ in range(4))
-        none[1, 1, 1] = 0.0
-        every[0, 2, 1] = 1.0
-        half[2, 0, 0, :2] = 0.5  # fractional entries that still sum to one
-        signed[signed == 0.0] = -0.0  # still one-hot
-        for g in (hot, none, every, half, signed):
-            want = ((g == 0.0) | (g == 1.0)).all() and (g.sum(axis=3) == 1.0).all()
-            try:
-                _check_one_hot(Tensor4(g))
-                ok = True
-            except ValueError:
-                ok = False
-            assert ok == want
+def label_patch(idx):
+    """The integer-coded (x, y, z, 1) labels of a (z, y, x) index array."""
+    return Tensor4(np.asarray(idx)[..., None])
 
 
 def one_hot_from(idx, class_count):
@@ -648,33 +633,40 @@ def one_hot_from(idx, class_count):
 
 class TestCeDiceLoss:
     def test_perfect_prediction_is_zero(self):
-        idx = Rng(25).randint(0, 2, 8).reshape(2, 2, 2)
-        labels = one_hot_from(np.asarray(idx), 2)
-        loss = ce_dice_loss(Node(labels), labels)
+        idx = np.asarray(Rng(25).randint(0, 2, 8)).reshape(2, 2, 2)
+        loss = ce_dice_loss(Node(one_hot_from(idx, 2)), label_patch(idx))
         assert loss.value.at(0, 0, 0, 0) == 0.0
 
     def test_uniform_ce_is_ln2(self):
         probs = full(Shape4(2, 2, 2, 2), 0.5)
-        idx = Rng(26).randint(0, 2, 8).reshape(2, 2, 2)
-        labels = one_hot_from(np.asarray(idx), 2)
+        labels = label_patch(Rng(26).randint(0, 2, 8).reshape(2, 2, 2))
         loss = ce_dice_loss(Node(probs), labels, lam_ce=1.0, lam_dice=0.0)
         assert abs(loss.value.at(0, 0, 0, 0) - math.log(2.0)) < 1e-12
 
-    def test_non_one_hot_rejected(self):
-        probs = full(Shape4(2, 2, 2, 2), 0.5)
-        with pytest.raises(ValueError):
-            ce_dice_loss(Node(probs), probs)
+    @pytest.mark.parametrize("bad", ["0.5", "-1", "K", "nan", "two-channel"])
+    def test_bad_labels_rejected(self, bad):
+        K = 3
+        probs = full(Shape4(2, 2, 2, K), 1.0 / K)
+        idx = np.zeros((2, 2, 2))
+        if bad == "two-channel":
+            labels = Tensor4(np.stack([idx, idx], axis=3))
+        else:
+            idx[1, 0, 1] = {"0.5": 0.5, "-1": -1.0, "K": K, "nan": math.nan}[bad]
+            labels = label_patch(idx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                ce_dice_loss(Node(probs), labels)
 
     def test_shape_mismatch(self):
         probs = full(Shape4(2, 2, 2, 2), 0.5)
-        labels = one_hot_from(np.zeros((2, 2, 4), dtype=np.int64), 2)
+        labels = label_patch(np.zeros((2, 2, 4), dtype=np.int64))
         with pytest.raises(ValueError):
             ce_dice_loss(Node(probs), labels)
 
     def test_fd_through_softmax(self):
         logits = Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, Rng(27))
-        idx = Rng(28).randint(0, 2, 64).reshape(4, 4, 4)
-        labels = one_hot_from(np.asarray(idx), 2)
+        labels = label_patch(Rng(28).randint(0, 2, 64).reshape(4, 4, 4))
 
         def build(leaves):
             return ce_dice_loss(softmax_channels(leaves[0]), labels)
@@ -685,22 +677,25 @@ class TestCeDiceLoss:
         # a hard zero probability on the labeled class stays finite via the floor
         probs = np.full((2, 2, 2, 2), 0.5)
         probs[0, 0, 0] = [0.0, 1.0]
-        labels = one_hot_from(np.zeros((2, 2, 2), dtype=np.int64), 2)
+        labels = label_patch(np.zeros((2, 2, 2), dtype=np.int64))
         loss = ce_dice_loss(Node(Tensor4(probs)), labels)
         assert math.isfinite(loss.value.at(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("K", [2, 3, 9])
     @pytest.mark.parametrize("lam_dice", [1.0, 0.0])
-    def test_gradient_bits_match_zero_fill_oracle(self, lam_dice):
+    def test_gradient_bits_match_zero_fill_oracle(self, K, lam_dice):
         # a voxel's non-label channels give -0.0 cross-entropy terms; floored
-        # probabilities and lam_dice = 0 give exact zeros in the Dice terms too
+        # probabilities and lam_dice = 0 give exact zeros in the Dice terms too.
+        # The oracle reads the one-hot tensor built here, not the loss's mask.
         rng = np.random.default_rng(46)
-        p = rng.random((3, 2, 4, 3))
+        p = rng.random((3, 2, 4, K))
         p[rng.random(p.shape) < 0.2] = 0.0
-        labels = one_hot_from(rng.integers(0, 3, size=(3, 2, 4)), 3)
+        idx = rng.integers(0, K, size=(3, 2, 4))
+        hot = one_hot_from(idx, K).zyxc
         probs = Node(Tensor4(p))
         for seed in (1.0, 0.5):  # the second pass adds to the first, as a batch does
-            backward(ce_dice_loss(probs, labels, 1.0, lam_dice), seed)
-        want = zero_fill_then_add(p.shape, *(ce_dice_grad_oracle(p, labels.zyxc, lam_dice, s)
+            backward(ce_dice_loss(probs, label_patch(idx), 1.0, lam_dice), seed)
+        want = zero_fill_then_add(p.shape, *(ce_dice_grad_oracle(p, hot, lam_dice, s)
                                              for s in (1.0, 0.5)))
         assert same_bits(probs.grad, want)
 
@@ -708,8 +703,7 @@ class TestCeDiceLoss:
         rng = Rng(29)
         raw = 0.1 + 0.8 * rng.uniform(4 * 4 * 4 * 2)
         probs = Tensor4.from_flat(Shape4(4, 4, 4, 2), raw)
-        idx = rng.randint(0, 2, 64).reshape(4, 4, 4)
-        labels = one_hot_from(np.asarray(idx), 2)
+        labels = label_patch(rng.randint(0, 2, 64).reshape(4, 4, 4))
 
         def build(leaves):
             return ce_dice_loss(leaves[0], labels)

@@ -407,26 +407,50 @@ class TestExitCodes:
         assert "at most patch" in capsys.readouterr().err
         assert not (tmp_path / "run" / "runlog.csv").exists()
 
-    def test_volume_smaller_than_patch_is_data_error(self, tmp_path, monkeypatch, capsys):
-        # it used to train until the first validation, then fail its centre crop
+    @staticmethod
+    def train_steps(tmp_path, monkeypatch, pairs, patch="16,16,16", class_count=2):
+        """``train`` on one (image, labels) pair per split; returns its exit code,
+        the ``sgd_step`` calls it made and whether it wrote a run log."""
         data = tmp_path / "data"
         data.mkdir()
-        for name, extents in (("train", (16, 16, 16)), ("test", (8, 8, 8))):
-            image, labels = gen_synthetic(3, 1, extents, 2)[0]
+        for name, (image, labels) in zip(("train", "test"), pairs):
             write_vvol(image, data / f"{name}_img.vvol")
             write_vvol(labels, data / f"{name}_lab.vvol")
             write_manifest(data / f"{name}.manifest", [(f"{name}_img.vvol", f"{name}_lab.vvol")])
         steps = []
         monkeypatch.setattr(cli_train, "sgd_step", lambda *args: steps.append(args))
         out = tmp_path / "run"
-        assert main(["train", "--quiet", "--data-dir", str(data), "--out-dir", str(out),
-                     "--patch", "16,16,16", "--factors", "1,1,1", "--k", "4",
-                     "--widths", "4,8", "--iterations", "6", "--val-interval", "5",
-                     "--augment-count", "0"]) == EXIT_DATA
-        assert steps == []
+        rc = main(["train", "--quiet", "--data-dir", str(data), "--out-dir", str(out),
+                   "--patch", patch, "--factors", "1,1,1", "--k", "4", "--widths", "4,8",
+                   "--iterations", "6", "--val-interval", "5", "--augment-count", "0",
+                   "--class-count", str(class_count)])
+        return rc, len(steps), (out / "runlog.csv").exists()
+
+    def test_volume_smaller_than_patch_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # it used to train until the first validation, then fail its centre crop
+        pairs = [gen_synthetic(3, 1, n, 2)[0] for n in ((16, 16, 16), (8, 8, 8))]
+        assert self.train_steps(tmp_path, monkeypatch, pairs) == (EXIT_DATA, 0, False)
         err = capsys.readouterr().err
         assert "test_img.vvol" in err and "patch (16, 16, 16)" in err
-        assert not (out / "runlog.csv").exists()
+
+    def test_label_extents_differ_from_image_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # it used to train until the first validation, then fail on the extent mismatch
+        train_pair = gen_synthetic(3, 1, (16, 16, 16), 2)[0]
+        held_out = (train_pair[0], gen_synthetic(4, 1, (24, 24, 24), 2)[0][1])
+        rc = self.train_steps(tmp_path, monkeypatch, [train_pair, held_out])
+        assert rc == (EXIT_DATA, 0, False)
+        err = capsys.readouterr().err
+        assert "test_lab.vvol" in err and "test_img.vvol" in err and "(24, 24, 24, 1)" in err
+
+    def test_label_values_beyond_class_count_are_data_error(self, tmp_path, monkeypatch, capsys):
+        # three-class data under class_count 2 used to train until a patch held class 2
+        # (5 steps on this seed)
+        pairs = gen_synthetic(7, 2, (16, 16, 16), 3, fg_bounds=(0.01, 0.04))
+        assert all(labels.tensor.zyxc.max() == 2 for _, labels in pairs)
+        rc = self.train_steps(tmp_path, monkeypatch, pairs, patch="4,4,4")
+        assert rc == (EXIT_DATA, 0, False)
+        err = capsys.readouterr().err
+        assert "train_lab.vvol" in err and "[0, 2)" in err
 
     def test_partly_zero_stride_is_config_error(self, tiny_workspace, tmp_path, capsys):
         # it used to train until the first validation, then fail its tiling with exit 2
@@ -605,12 +629,11 @@ class TestRunlog:
     @pytest.mark.parametrize("stop,rows", [
         ({}, ["train,1", "train,2", "val,2", "train,3", "train,4", "val,4", "train,5",
               "val,5"]),
-        ({"wall_clock_budget": 0.0}, ["train,1", "val,1"]),
         ({"dice_target": 0.0}, ["train,1", "train,2", "val,2"]),
     ])
     def test_validation_rows(self, tiny_workspace, tmp_path, stop, rows):
-        # validation at each multiple of val_interval, at the last iteration, and
-        # at the iteration that spends the budget; a reached target stops there
+        # validation at each multiple of val_interval and at the last iteration;
+        # a reached target stops there
         _, data, _ = tiny_workspace
         cfg = replace(self._config(data, tmp_path), iterations=5, val_interval=2)
         result = run_training(cfg, **stop)

@@ -35,10 +35,9 @@ def interior_nodes(root: Node) -> list[Node]:
 
 
 def desk_step_inputs(n: int, seed: int) -> tuple[Tensor4, Tensor4]:
-    """A one-channel n^3 patch and two-class one-hot labels."""
+    """A one-channel n^3 patch and its two-class integer-coded labels."""
     t = Tensor4.gaussian(Shape4(n, n, n, 1), 0, 1, Rng(seed))
-    fg = (Tensor4.gaussian(t.shape, 0, 1, Rng(seed + 1)).zyxc > 0.0).astype(np.float64)
-    return t, Tensor4(np.concatenate([1.0 - fg, fg], axis=3))
+    return t, Tensor4(Tensor4.gaussian(t.shape, 0, 1, Rng(seed + 1)).zyxc > 0.0)
 
 
 def keep_all_forward(net: ShuffleUNet3d, patch: Tensor4) -> Node:
@@ -345,10 +344,7 @@ class TestFullBackboneGradient:
                             widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
         net = build_backbone(spec, Rng(32))
         x = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(33))
-        idx = Rng(34).randint(0, 2, 8 ** 3).reshape(8, 8, 8)
-        hot = np.zeros((8, 8, 8, 2))
-        np.put_along_axis(hot, np.asarray(idx)[..., None], 1.0, axis=3)
-        labels = Tensor4(hot)
+        labels = Tensor4(Rng(34).randint(0, 2, 8 ** 3).reshape(8, 8, 8, 1))
 
         params = net.parameters()
         names = list(params)

@@ -405,10 +405,24 @@ class TestManifest:
         write_vvol(img, tmp_path / "i.vvol")
         write_vvol(lab, tmp_path / "l.vvol")
         write_manifest(tmp_path / "m.manifest", [("i.vvol", "l.vvol")])
-        pairs = load_manifest_volumes(tmp_path / "m.manifest", (6, 5, 4))  # an exact fit
+        pairs = load_manifest_volumes(tmp_path / "m.manifest", (6, 5, 4), 3)  # an exact fit
         assert len(pairs) == 1
         assert pairs[0][0].tensor.equal(img.tensor)
         assert pairs[0][1].tensor.equal(lab.tensor)
+
+    @pytest.mark.parametrize("labels,class_count,match", [
+        (random_labels(52, extents=(6, 5, 5)), 3, r"l\.vvol: shape \(6, 5, 5, 1\) is not .*i\.vvol"),
+        (Volume(Tensor4(np.zeros((4, 5, 6, 2))), kind="labels", class_count=3), 3,
+         r"l\.vvol: shape \(6, 5, 4, 2\) is not .*i\.vvol's extents with one channel"),
+        (random_labels(52), 2, r"l\.vvol: label values must be integers in \[0, 2\)"),
+        (random_image(52), 3, "wrong kinds"),
+    ])
+    def test_bad_pair_rejected(self, tmp_path, labels, class_count, match):
+        write_vvol(random_image(51), tmp_path / "i.vvol")
+        write_vvol(labels, tmp_path / "l.vvol")
+        write_manifest(tmp_path / "m.manifest", [("i.vvol", "l.vvol")])
+        with pytest.raises(VvolError, match=match):
+            load_manifest_volumes(tmp_path / "m.manifest", (4, 4, 4), class_count)
 
 
 class TestManifestFuzz:
