@@ -10,14 +10,17 @@ raises ``RuntimeError``. A node whose parents need no gradient, and the network
 input, keep no parents; ``ShuffleUNet3d.predict`` records nothing.
 
 Each closure keeps only what its backward reads, and so does the graph: no
-backward reads an identity conv's output that feeds an up-shuffle, nor an
-up-shuffle's output, so ``ConvUpShuffle`` and ``ShuffleUNet3d.forward`` set such
-a node's ``value`` to None once its one consumer's forward has run (its
-``shape`` stays). ``conv3d`` re-pads its input node's value for the weight
-gradient and allocates the input gradient, if one is needed, only after it. A
-ReLU folded into ``conv3d`` masks by its output, > 0 exactly where the
-pre-activation is (NaN and ±0 included). Every op hands each parent one array it
-gives up to ``Node._accumulate``; no op writes a gradient itself. The first
+backward reads an identity conv's output that feeds an up-shuffle, nor the
+head's up-shuffle output (the logits), so ``ConvUpShuffle`` and
+``ShuffleUNet3d.forward`` set such a node's ``value`` to None once its one
+consumer's forward has run (its ``shape`` stays). ``conv3d`` reads a tuple of
+input nodes as their channel concatenation without building it, so the
+decoder has no concatenation node. It re-pads its inputs' values for the
+weight gradient, allocates the input gradient, if one is needed, only after
+it, and holds one full-size copy of the output gradient at a time. A ReLU
+folded into ``conv3d`` masks by its output, > 0 exactly where the
+pre-activation is (NaN and ±0 included). Every op hands each parent one array
+it gives up to ``Node._accumulate``; no op writes a gradient itself. The first
 array becomes the gradient in place and in its own layout as 0.0 + g, the bits
 a zero fill plus g gives; later ones are added to it.
 
@@ -150,6 +153,7 @@ def activation(x: Node, kind: str = "relu") -> Node:
 
 
 def concat_channels(a: Node, b: Node) -> Node:
+    """``a``'s channels, then ``b``'s: what ``conv3d`` reads a tuple ``(a, b)`` as."""
     if a.value.shape.spatial != b.value.shape.spatial:
         raise ValueError(f"spatial mismatch: {a.value.shape.spatial} vs {b.value.shape.spatial}")
     value = Tensor4(np.concatenate([a.value.zyxc, b.value.zyxc], axis=3))
@@ -184,29 +188,42 @@ def up_shuffle_op(x: Node, factors: tuple[int, int, int]) -> Node:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv3d(x: Node, weight: Node, bias: Node, act: str = "identity") -> Node:
+def _channel_slices(nodes: tuple[Node, ...], a: np.ndarray):
+    """Each node with its slice of ``a``'s channels, in order."""
+    start = 0
+    for node in nodes:
+        yield node, a[..., start : start + node.shape.c]
+        start += node.shape.c
+
+
+def conv3d(x: Node | tuple[Node, ...], weight: Node, bias: Node, act: str = "identity") -> Node:
     """Cross-correlate ``x`` with a filter bank at stride 1, same padding, then apply ``act``.
 
-    ``weight`` has Tensor4 shape (kx, ky, kz, c_in*c_out), odd extents, with channel
-    index ci * c_out + co; ``bias`` has shape (1, 1, 1, c_out).
+    ``x`` is one node or a tuple of nodes with equal extents, read as their
+    channel concatenation in order without building it. ``weight`` has Tensor4
+    shape (kx, ky, kz, c_in*c_out), odd extents, with channel index
+    ci * c_out + co; ``bias`` has shape (1, 1, 1, c_out).
     """
     _check_activation(act)
+    xs = x if isinstance(x, tuple) else (x,)
     kx, ky, kz = kernel = weight.value.shape.spatial
     if any(k % 2 == 0 for k in kernel):
         raise ValueError(f"same padding needs odd kernel extents, got {kernel}")
+    if any(node.shape.spatial != xs[0].shape.spatial for node in xs):
+        raise ValueError(f"spatial mismatch: {[node.shape.spatial for node in xs]}")
     c_out = bias.value.shape.c
     c_in = weight.value.shape.c // c_out
-    if x.value.shape.c != c_in:
-        raise ValueError(
-            f"channel mismatch: input has {x.value.shape.c}, filter expects {c_in}"
-        )
+    if sum(node.shape.c for node in xs) != c_in:
+        raise ValueError(f"channel mismatch: inputs have {[node.shape.c for node in xs]}, "
+                         f"filter expects {c_in} in all")
     px, py, pz = kx // 2, ky // 2, kz // 2
-    Z, Y, X = (e + 2 * p for e, p in zip(x.value.zyxc.shape[:3], (pz, py, px)))
+    Z, Y, X = (e + 2 * p for e, p in zip(xs[0].value.zyxc.shape[:3], (pz, py, px)))
     valid = np.s_[:, : Y - 2 * py, : X - 2 * px]
 
     def padded() -> np.ndarray:  # rebuilt by the backward rather than kept
         xp = np.zeros((Z, Y, X, c_in))
-        xp[pz : Z - pz, py : Y - py, px : X - px] = x.value.zyxc
+        for node, part in _channel_slices(xs, xp[pz : Z - pz, py : Y - py, px : X - px]):
+            part[...] = node.value.zyxc
         return xp.reshape(-1, c_in)
 
     flat = padded()
@@ -215,7 +232,8 @@ def conv3d(x: Node, weight: Node, bias: Node, act: str = "identity") -> Node:
     # outputs over the padded grid; rows past a row end wrap and are dropped
     grid = (Z - kz + 1, Y, X)
     n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
-    acc = np.tile(bias.value.zyxc[0, 0, 0], (grid[0] * Y * X, 1))
+    acc = np.empty((grid[0] * Y * X, c_out))  # one array: np.tile returns a view of another
+    acc[...] = bias.value.zyxc[0, 0, 0]
     for t, o in enumerate(offsets):  # acc[:n] += flat[o:o+n] @ taps[t], in place
         dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
     del flat  # before the output is copied out of acc
@@ -224,13 +242,14 @@ def conv3d(x: Node, weight: Node, bias: Node, act: str = "identity") -> Node:
     value = Tensor4(acc.reshape(*grid, c_out)[valid])
 
     def backprop(out_node: Node) -> None:
-        g = out_node.grad  # (oz, oy, ox, c_out)
+        g = out_node.grad  # (oz, oy, ox, c_out); the node's own, so masked in place
         if act == "relu":  # value > 0 exactly where the pre-activation is
-            g = g * (out_node.value.zyxc > 0.0)
+            g *= out_node.value.zyxc > 0.0
         bias._accumulate(g.sum(axis=(0, 1, 2)).reshape(bias.value.zyxc.shape))
         gacc = np.zeros((*grid, c_out))
         gacc[valid] = g
         del g
+        out_node.grad = None  # gacc holds the one full-size copy from here on
         gmat = gacc.reshape(-1, c_out)
         flat = padded()
         gw = np.zeros_like(taps)
@@ -242,14 +261,17 @@ def conv3d(x: Node, weight: Node, bias: Node, act: str = "identity") -> Node:
                   c=gw[t].T, overwrite_c=True)
         del flat
         weight._accumulate(gw.reshape(weight.value.zyxc.shape))
-        if x._needs_grad:
+        if any(node._needs_grad for node in xs):
             gflat = np.zeros((Z * Y * X, c_in))
             for s, e, t, o in blocks:  # dX[o+s:o+e] += g[s:e] @ W[t]^T
                 dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
                       c=gflat[o + s : o + e].T, overwrite_c=True)
-            x._accumulate(gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px])
+            gx = gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
+            for node, part in _channel_slices(xs, gx):
+                if node._needs_grad:
+                    node._accumulate(part)
 
-    return Node(value, (x, weight, bias), backprop)
+    return Node(value, (*xs, weight, bias), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +416,7 @@ class Conv3d:
         self.weight = Node(Tensor4.gaussian(Shape4(*self.kernel, c_in * c_out), 0.0, sigma, rng))
         self.bias = Node(Tensor4.zeros(Shape4(1, 1, 1, c_out)))
 
-    def __call__(self, x: Node) -> Node:
+    def __call__(self, x: Node | tuple[Node, ...]) -> Node:
         return conv3d(x, self.weight, self.bias, self.act)
 
 
@@ -482,7 +504,8 @@ class ShuffleUNet3d:
     With factors (1, 1, 1) at both ends this is a plain U-net baseline.
     Each forward pass records the element count of every backbone activation
     (stem output through the last decoder feature map) in
-    ``last_activation_counts`` for cost instrumentation.
+    ``last_activation_counts`` for cost instrumentation; ``cat{j}`` counts the
+    skip and up branches that decoder conv j reads as one concatenation.
     """
 
     def __init__(self, spec: BackboneSpec, rng: Rng):
@@ -544,9 +567,9 @@ class ShuffleUNet3d:
                 skips.append(x)
                 x = track(f"pool{i}", maxpool3(x, self.spec.pool))
         for j, (up, dec) in enumerate(zip(self.ups, self.dec)):
-            up_out = track(f"up{j}", up(x))
-            x = track(f"cat{j}", concat_channels(skips.pop(), up_out))
-            up_out.value = None  # read only by the forward of concat_channels
+            # the decoder conv reads the skip and up branches as one concatenation
+            x = (skips.pop(), track(f"up{j}", up(x)))
+            acts.append((f"cat{j}", sum(node.value.size for node in x)))
             x = track(f"dec{j}", dec(x))
         logits = self.head(x)
         del x  # under predict nothing else holds the last decoder output

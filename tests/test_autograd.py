@@ -453,6 +453,97 @@ class TestConv3dActivation:
             conv3d(x, scalar(1.0), scalar(0.0), act="tanh")
 
 
+def few_valued(rng, shape):
+    """Integers in [-2, 2] with about a fifth of them -0.0: exact-zero sums and ties."""
+    a = rng.integers(-2, 3, size=shape).astype(np.float64)
+    a[rng.random(shape) < 0.2] = -0.0
+    return a
+
+
+class TestConv3dInputs:
+    """A tuple of inputs is read as their channel concatenation, in order."""
+
+    @pytest.mark.parametrize("act", ["relu", "identity"])
+    @pytest.mark.parametrize("extents,c_a,c_b,c_out,kernel", [
+        ((5, 4, 6), 1, 2, 3, (3, 3, 3)),
+        ((4, 5, 3), 2, 2, 1, (3, 3, 3)),
+        ((3, 4, 5), 3, 1, 2, (1, 1, 1)),
+        ((4, 6, 5), 2, 3, 2, (3, 1, 5)),
+        ((4, 5, 6), 1, 1, 2, (1, 3, 1)),
+        ((16, 16, 18), 2, 1, 3, (3, 3, 3)),  # three 2048-row blocks in the backward
+    ])
+    def test_bit_identical_to_concat_oracle(self, extents, c_a, c_b, c_out, kernel, act):
+        rng = np.random.default_rng(81 + sum(extents) + c_a)
+        zyx = extents[::-1]
+        a, b = few_valued(rng, (*zyx, c_a)), few_valued(rng, (*zyx, c_b))
+        a[0, 0, 0, 0] = np.nan
+        w = rng.integers(-1, 2, size=(*kernel[::-1], (c_a + c_b) * c_out)).astype(np.float64)
+        bias = rng.integers(-1, 2, size=(1, 1, 1, c_out)).astype(np.float64)
+        g = rng.standard_normal((*zyx, c_out))
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[-1, -1, -1, -1] = np.nan
+        results = []
+        for fused in (True, False):
+            leaves = [Node(Tensor4(v.copy())) for v in (a, b, w, bias)]
+            x = tuple(leaves[:2]) if fused else concat_channels(*leaves[:2])
+            out = conv3d(x, *leaves[2:], act)
+            backward(out, g)
+            results.append([out.value.zyxc] + [leaf.grad for leaf in leaves])
+        assert all(np.isnan(grad).any() for grad in results[0][1:])
+        for name, got, want in zip(("value", "a", "b", "weight", "bias"), *results):
+            assert same_bits(got, want), name
+
+    def test_one_node_on_both_sides_accumulates_both_slices(self):
+        # the second slice adds to the first, as it would after a zero fill
+        rng = np.random.default_rng(91)
+        x = few_valued(rng, (3, 4, 2, 2))
+        x[0, 0, 0, 1] = np.nan
+        w = Tensor4(few_valued(rng, (3, 3, 3, 12)))
+        g = signed_zeros_and_nan((3, 4, 2, 3), 92)
+        shared = Node(Tensor4(x))
+        backward(conv3d((shared, shared), Node(w), Node(Tensor4.zeros(Shape4(1, 1, 1, 3)))), g)
+        a, b = Node(Tensor4(x)), Node(Tensor4(x))
+        backward(conv3d((a, b), Node(w), Node(Tensor4.zeros(Shape4(1, 1, 1, 3)))), g)
+        assert np.isnan(a.grad).any() and np.isnan(b.grad).any()
+        assert same_bits(shared.grad, zero_fill_then_add(x.shape, a.grad, b.grad))
+
+    def test_input_without_gradient_gets_none(self):
+        rng = Rng(93)
+        a, b = (Node(Tensor4.gaussian(Shape4(3, 3, 3, c), 0, 1, rng)) for c in (2, 1))
+        b._needs_grad = False
+        w = Node(Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 1, rng))
+        backward(conv3d((a, b), w, Node(Tensor4.zeros(Shape4(1, 1, 1, 2)))),
+                 np.ones((3, 3, 3, 2)))
+        assert b._grad is None and a.grad.any()
+
+    def test_mismatched_extents_rejected(self):
+        a = Node(Tensor4.zeros(Shape4(4, 4, 4, 1)))
+        b = Node(Tensor4.zeros(Shape4(4, 4, 2, 1)))
+        w = Node(Tensor4.zeros(Shape4(3, 3, 3, 2)))
+        with pytest.raises(ValueError, match="spatial mismatch"):
+            conv3d((a, b), w, scalar(0.0))
+
+    @pytest.mark.parametrize("channels", [(1, 1), (2, 2), (1, 1, 1, 1)])
+    def test_channel_sum_must_match_filter(self, channels):
+        xs = tuple(Node(Tensor4.zeros(Shape4(4, 4, 4, c))) for c in channels)
+        w = Node(Tensor4.zeros(Shape4(3, 3, 3, 6)))  # 3 input channels, 2 output
+        with pytest.raises(ValueError, match="channel mismatch"):
+            conv3d(xs, w, Node(Tensor4.zeros(Shape4(1, 1, 1, 2))))
+
+    def test_fd_two_inputs(self):
+        rng = Rng(94)
+        a = Tensor4.gaussian(Shape4(3, 3, 2, 1), 0, 1, rng)
+        b = Tensor4.gaussian(Shape4(3, 3, 2, 2), 0, 1, rng)
+        w = Tensor4.gaussian(Shape4(3, 3, 3, 6), 0, 0.5, rng)
+        bias = Tensor4.gaussian(Shape4(1, 1, 1, 2), 0, 0.5, rng)
+        proj = Tensor4.gaussian(Shape4(3, 3, 2, 2), 0, 1, Rng(95)).zyxc
+
+        def build(leaves):
+            return conv3d((leaves[0], leaves[1]), leaves[2], leaves[3])
+
+        assert fd_gradient_error(build, [a, b, w, bias], proj) < GRAD_TOL
+
+
 class TestMaxpool:
     def test_constant_input(self):
         out = maxpool3(Node(full(Shape4(4, 4, 4, 1), 2.5)), (2, 2, 2))

@@ -245,9 +245,11 @@ class TestBackbone:
 
     # desk net, 32^3 (1,1,1): 82.1 MiB while every conv kept its padded input and
     # every ReLU its pre-activation for the backward, 56.2 MiB while the graph
-    # kept the values no backward reads and compacted strided input gradients;
-    # 64^3 (4,4,4): 31.7 MiB then
-    @pytest.mark.parametrize("n,factors,bound_mib", [(32, (1, 1, 1), 44),
+    # kept the values no backward reads and compacted strided input gradients,
+    # 41.5 MiB while the decoder built a concatenation node and a conv backward
+    # held three full-size copies of its output gradient; 64^3 (4,4,4): 31.7 MiB
+    # then
+    @pytest.mark.parametrize("n,factors,bound_mib", [(32, (1, 1, 1), 34),
                                                      (64, (4, 4, 4), 26)])
     def test_train_step_traced_peak(self, n, factors, bound_mib):
         net = ShuffleUNet3d(BackboneSpec(class_count=2, factors=factors, stem_channels=16,
@@ -273,13 +275,21 @@ class TestBackbone:
         assert peak < 24 * 2 ** 20, peak / 2 ** 20
 
     def test_forward_releases_values_no_backward_reads(self):
-        # the identity-conv outputs that feed the up-shuffles and the up-shuffle
-        # outputs; each keeps its shape for the lazy gradient fill
+        # the identity-conv outputs that feed the up-shuffles and the head's
+        # up-shuffle output; each keeps its shape for the lazy gradient fill.
+        # The decoder conv's backward re-pads the up-shuffle output it reads,
+        # and no concatenated (8, 8, 8, 8) node is built.
         net = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(37))
         probs = net.forward(Tensor4.gaussian(Shape4(16, 16, 16, 1), 0, 1, Rng(38)))
-        released = [n for n in interior_nodes(probs) if n.value is None]
-        assert sorted(n.shape for n in released) == [(4, 4, 4, 32), (8, 8, 8, 4),
-                                                     (8, 8, 8, 16), (16, 16, 16, 2)]
+        nodes = interior_nodes(probs)
+        released = [n for n in nodes if n.value is None]
+        assert sorted(n.shape for n in released) == [(4, 4, 4, 32), (8, 8, 8, 16),
+                                                     (16, 16, 16, 2)]
+        assert (8, 8, 8, 8) not in [n.shape for n in nodes]
+        dec = next(n for n in nodes if net.dec[0].weight in n._parents)
+        skip, up_out = dec._parents[:2]
+        assert skip.shape == up_out.shape == (8, 8, 8, 4)
+        assert up_out.value is not None and up_out._parents[0] in released
         logits = probs._parents[0]
         assert logits in released and logits._parents[0] in released
         for node in released:
