@@ -347,11 +347,11 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
     """Weighted sum of mean voxelwise cross-entropy and soft-Dice losses.
 
     ``labels`` is the integer-coded (x, y, z, 1) patch of class indices in
-    [0, K), K being the channel count of ``probs``; g below is its one-hot mask.
-    Soft Dice per foreground class is (2*sum(p*g) + smooth) /
-    (sum(p) + sum(g) + smooth) with smooth = 1e-5; the Dice loss is one minus
-    the mean over foreground classes (channel 0 is background). Probabilities
-    are floored at 1e-12 inside the log only.
+    [0, K), K being the channel count of ``probs``; the loss reads it as one
+    boolean mask g per class. Soft Dice per foreground class is
+    (2*sum(p*g) + smooth) / (sum(p) + sum(g) + smooth) with smooth = 1e-5; the
+    Dice loss is one minus the mean over foreground classes (channel 0 is
+    background). Probabilities are floored at 1e-12 inside the log only.
     """
     if labels.shape != probs.value.shape._replace(c=1):
         raise ValueError(f"shape mismatch: {probs.value.shape} vs {labels.shape}")
@@ -361,34 +361,33 @@ def ce_dice_loss(probs: Node, labels: Tensor4, lam_ce: float = 1.0,
     check_label_values(labels.zyxc, K)
 
     p = probs.value.zyxc
-    lab = labels.zyxc[..., 0]
-    g = np.stack([lab == c for c in range(K)], axis=-1)  # g * x: the bits a 0/1 float mask gives
-    n_vox = p.shape[0] * p.shape[1] * p.shape[2]
-    p_safe = np.maximum(p, _PROB_FLOOR)
-    ce = -(g * np.log(p_safe)).sum() / n_vox
+    masks = [labels.zyxc[..., 0] == c for c in range(K)]  # contiguous; mask * x is x or a signed 0
+    n_vox = masks[0].size
+    log_p = np.log(np.maximum(p, _PROB_FLOOR))
+    for c, mask in enumerate(masks):
+        log_p[..., c] *= mask
+    ce = -log_p.sum() / n_vox
 
-    fg = range(1, K)  # the sums read contiguous class masks, not g's strided channels
-    sums_pg = [(p[..., c] * (lab == c)).sum() for c in fg]
-    sums_p = [p[..., c].sum() for c in fg]
-    sums_g = [(lab == c).sum() for c in fg]
-    dices = [
-        (2.0 * spg + _DICE_SMOOTH) / (sp + sg + _DICE_SMOOTH)
-        for spg, sp, sg in zip(sums_pg, sums_p, sums_g)
-    ]
-    dice_mean = sum(dices) / len(dices)
+    pairs = [(2.0 * (p[..., c] * masks[c]).sum() + _DICE_SMOOTH,
+              p[..., c].sum() + masks[c].sum() + _DICE_SMOOTH) for c in range(1, K)]
+    dice_mean = sum(num / denom for num, denom in pairs) / len(pairs)
     total = lam_ce * ce + lam_dice * (1.0 - dice_mean)
     value = Tensor4(np.array([[[[total]]]]))
 
     def backprop(out: Node) -> None:
-        gl = out.grad[0, 0, 0, 0]
-        # cross-entropy: -g/p per element where the floor is inactive
-        grad = lam_ce * (-(g / p_safe) * (p > _PROB_FLOOR)) / n_vox
-        # soft Dice, foreground channels only
-        for c, spg, sp, sg in zip(fg, sums_pg, sums_p, sums_g):
-            denom = sp + sg + _DICE_SMOOTH
-            ddice = (2.0 * g[..., c] * denom - (2.0 * spg + _DICE_SMOOTH)) / (denom * denom)
-            grad[..., c] -= lam_dice * ddice / len(dices)
-        probs._accumulate(gl * grad)
+        grad = np.empty_like(p)
+        for c, mask in enumerate(masks):
+            # cross-entropy: -(g & (p > floor)) / p, the bits of -(g / p) * (p > floor)
+            grad_c = np.maximum(p[..., c], _PROB_FLOOR)
+            np.divide(mask & (grad_c > _PROB_FLOOR), grad_c, out=grad_c)
+            np.negative(grad_c, out=grad_c)
+            grad_c *= lam_ce
+            grad_c /= n_vox
+            if c:  # soft Dice, foreground channels only
+                num, denom = pairs[c - 1]
+                grad_c -= lam_dice * ((2.0 * mask * denom - num) / (denom * denom)) / len(pairs)
+            np.multiply(out.grad[0, 0, 0, 0], grad_c, out=grad[..., c])
+        probs._accumulate(grad)
 
     return Node(value, (probs,), backprop)
 

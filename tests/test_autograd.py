@@ -785,10 +785,23 @@ class TestCeDiceLoss:
         hot = one_hot_from(idx, K).zyxc
         probs = Node(Tensor4(p))
         for seed in (1.0, 0.5):  # the second pass adds to the first, as a batch does
-            backward(ce_dice_loss(probs, label_patch(idx), 1.0, lam_dice), seed)
+            loss = ce_dice_loss(probs, label_patch(idx), 1.0, lam_dice)
+            assert same_bits(loss.value.zyxc, ce_dice_value_oracle(p, hot, lam_dice))
+            backward(loss, seed)
         want = zero_fill_then_add(p.shape, *(ce_dice_grad_oracle(p, hot, lam_dice, s)
                                              for s in (1.0, 0.5)))
         assert same_bits(probs.grad, want)
+
+    def test_traced_peak_near_its_input(self):
+        # a one-hot stack, a floored copy of p and full-size backward temporaries
+        # made 3.5x the probabilities; per-class masks and one gradient buffer 2.1x
+        rng = np.random.default_rng(65)
+        p = rng.random((32, 32, 32, 3))
+        p /= p.sum(axis=3, keepdims=True)
+        probs = Node(Tensor4(p))
+        labels = label_patch(rng.integers(0, 3, size=(32, 32, 32)))
+        _, peak = traced_peak(lambda: backward(ce_dice_loss(probs, labels)))
+        assert peak <= 2.8 * p.nbytes, peak / p.nbytes
 
     def test_fd_direct_probs(self):
         rng = Rng(29)
@@ -800,6 +813,14 @@ class TestCeDiceLoss:
             return ce_dice_loss(leaves[0], labels)
 
         assert fd_gradient_error(build, [probs]) < GRAD_TOL
+
+
+def ce_dice_value_oracle(p, g, lam_dice):
+    """ce_dice_loss's value (lam_ce 1) from the one-hot tensor ``g``, as first written."""
+    ce = -(g * np.log(np.maximum(p, 1e-12))).sum() / p[..., 0].size
+    dices = [(2.0 * (p[..., c] * g[..., c]).sum() + 1e-5)
+             / (p[..., c].sum() + g[..., c].sum() + 1e-5) for c in range(1, p.shape[3])]
+    return np.array([[[[ce + lam_dice * (1.0 - sum(dices) / len(dices))]]]])
 
 
 def ce_dice_grad_oracle(p, g, lam_dice, seed):
