@@ -7,7 +7,7 @@ a small float64 autodiff engine, SGD training, tiled whole-volume inference,
 surface-distance metrics, and a CLI for end-to-end runs on synthetic phantoms.
 """
 
-from .tensor import Rng, Shape4, Tensor4, dot
+from .tensor import Rng, Shape4, Tensor4
 from .shuffle import down_shuffle, down_shuffle_reference, up_shuffle
 from .nn import (BackboneSpec, CheckpointError, Conv3d, ConvUpShuffle, DownShuffleConv,
                  Node, NonFiniteWeightsError, ShuffleUNet3d, activation, backward,

@@ -7,6 +7,7 @@ what was live before the call) depend on the machine.
 from __future__ import annotations
 
 import ctypes
+import gc
 import os
 import platform
 import statistics
@@ -38,7 +39,9 @@ def _blas_threads() -> int | None:
 
 
 def traced_peak_mib(run) -> float:
-    """Peak traced memory that ``run()`` holds above what was live before it."""
+    """Peak traced memory that ``run()`` holds above what was live before it. Garbage
+    is collected first, which empties the interpreter's free lists, so they count in no row."""
+    gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -324,16 +324,25 @@ def _channel_fold(op, a: np.ndarray) -> np.ndarray:
 
 
 def softmax_channels(x: Node) -> Node:
-    """Per-voxel channel distribution, stabilized by max subtraction."""
+    """Per-voxel channel distribution, stabilized by max subtraction. Without a graph
+    (``predict``) it is computed in the logits' own buffer."""
     a = x.value.zyxc
-    p = a - _channel_fold(np.maximum, a)[..., None]  # the one full-size array
+    p = np.subtract(a, _channel_fold(np.maximum, a)[..., None], out=None if _recording else a)
     np.exp(p, out=p)
     p /= _channel_fold(np.add, p)[..., None]
     value = Tensor4(p)
 
     def backprop(out: Node) -> None:
-        inner = _channel_fold(np.add, out.grad * p)[..., None]
-        x._accumulate(p * (out.grad - inner))
+        g = out.grad  # released once this returns, so it becomes x's gradient in place
+        if g.shape[3] >= 8:
+            inner = np.add.reduce(g * p, axis=3)
+        else:  # _channel_fold of g * p, one channel product at a time
+            inner = g[..., 0] * p[..., 0]
+            for c in range(1, g.shape[3]):
+                inner += g[..., c] * p[..., c]
+        g -= inner[..., None]
+        g *= p
+        x._accumulate(g)
 
     return Node(value, (x,), backprop)
 

@@ -16,13 +16,15 @@ over and must not modify it afterwards.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 # Largest element count we accept; keeps all offset arithmetic inside int64.
 _MAX_ELEMENTS = 1 << 62
+# Values per slab of the data path's temporaries (normal samples, or voxels in whole z
+# planes), so generation and augmentation hold bounded scratch at any volume size.
+SLAB_VOXELS = 1 << 15
 
 
 class Shape4(NamedTuple):
@@ -53,8 +55,9 @@ class Shape4(NamedTuple):
 class Tensor4:
     """Immutable-by-convention dense 4-D float64 tensor.
 
-    The only sanctioned in-place mutation is the optimizer update, which owns
-    its parameters exclusively while stepping.
+    The only sanctioned in-place mutations are the optimizer update, which owns
+    its parameters exclusively while stepping, and ``predict``'s softmax, which
+    reuses the logits' buffer that nothing else holds.
     """
 
     __slots__ = ("_zyxc",)
@@ -133,27 +136,9 @@ class Tensor4:
             )
         return Tensor4(self._zyxc[oz : oz + sz, oy : oy + sy, ox : ox + sx, :].copy())
 
-    # -- comparisons ----------------------------------------------------------
-
-    def equal(self, other: "Tensor4") -> bool:
-        return self.shape == other.shape and bool(
-            np.array_equal(self._zyxc, other._zyxc)
-        )
-
     def __repr__(self) -> str:
         s = self.shape
         return f"Tensor4(x={s.x}, y={s.y}, z={s.z}, c={s.c})"
-
-
-def dot(a: Tensor4, b: Tensor4) -> float:
-    """Exactly rounded inner product (math.fsum over elementwise products).
-
-    Using an exactly rounded sum makes the result independent of element
-    order, so permutation adjoint identities hold with zero error.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return math.fsum(np.multiply(a.flat, b.flat).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -199,31 +184,47 @@ class Rng:
     def seed(self) -> int:
         return int(self._seed)
 
-    def _block(self, n: int) -> np.ndarray:
+    def _block(self, n: int, start: int | None = None) -> np.ndarray:
+        """Words ``start + 1 .. start + n``; by default from the counter, which advances."""
         if n < 0:
             raise ValueError("block size must be >= 0")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        self._counter += n
+        if start is None:
+            start = self._counter
+            self._counter += n
+        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             state = self._seed + idx * _GAMMA
         return _mix64(state)
 
-    def uniform(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1)."""
-        return (self._block(n) >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+    def uniform(self, n: int, start: int | None = None) -> np.ndarray:
+        """n doubles uniform on [0, 1); ``start`` as for ``_block``."""
+        return (self._block(n, start) >> np.uint64(11)).astype(np.float64) * _TWO53_INV
 
     def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """n i.i.d. normal samples via Box-Muller on consecutive uniforms."""
+        """n i.i.d. normal samples via Box-Muller on consecutive uniforms.
+
+        With pairs = ceil(n / 2), pair i reads words counter + 1 + i and
+        counter + 1 + pairs + i; sample i is its radius times cos(theta), sample
+        pairs + i its radius times sin(theta). Pairs are drawn SLAB_VOXELS at a time.
+        """
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         pairs = (n + 1) // 2
-        u1 = self.uniform(pairs)
-        u2 = self.uniform(pairs)
-        u1 = np.where(u1 == 0.0, _TWO53_INV, u1)  # keep log argument positive
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n]
-        return mu + sigma * z
+        out = np.empty(n)
+        first, self._counter = self._counter, self._counter + 2 * pairs
+        for s in range(0, pairs, SLAB_VOXELS):
+            e = min(s + SLAB_VOXELS, pairs)
+            radius = self.uniform(e - s, first + s)
+            radius[radius == 0.0] = _TWO53_INV  # keep log argument positive
+            np.sqrt(np.log(radius, out=radius) * -2.0, out=radius)
+            theta = self.uniform(e - s, first + pairs + s) * (2.0 * np.pi)
+            for part, trig in ((out[s:e], np.cos), (out[pairs + s:pairs + e], np.sin)):
+                m = len(part)  # n odd: the last pair has no sin sample
+                trig(theta[:m], out=part)
+                part *= radius[:m]
+                part *= sigma
+                part += mu
+        return out
 
     def randint(self, lo: int, hi: int, n: int | None = None):
         """Integers uniform on [lo, hi). Scalar when n is None."""

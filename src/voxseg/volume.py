@@ -27,7 +27,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .atomic import write_atomic
-from .tensor import Rng, Shape4, Tensor4
+from .tensor import SLAB_VOXELS, Rng, Shape4, Tensor4
 
 _VVOL_MAGIC = b"VVOL"
 _VVOL_VERSION = 1
@@ -123,6 +123,13 @@ def read_vvol(path) -> Volume:
 # synthetic dataset
 # ---------------------------------------------------------------------------
 
+def z_slabs(z_count: int, plane: int) -> list[slice]:
+    """``range(z_count)`` cut into runs of whole z planes of ``plane`` voxels each,
+    at most SLAB_VOXELS voxels per run but at least one plane."""
+    step = max(1, SLAB_VOXELS // plane)
+    return [slice(z, min(z + step, z_count)) for z in range(0, z_count, step)]
+
+
 def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
                   class_count: int, noise_sigma: float = 0.08,
                   fg_bounds: tuple[float, float] = (0.01, 0.35),
@@ -133,6 +140,7 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
     Labels are the exact generating masks; the image is a per-class intensity
     ramp plus Gaussian noise. Each foreground class's voxel fraction is kept
     inside ``fg_bounds`` (redrawn deterministically when a draw lands outside).
+    Both are built one ``z_slabs`` slab at a time.
     """
     if class_count < 2:
         raise ValueError("need at least one foreground class")
@@ -140,34 +148,41 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
     master = Rng(seed)
     xs = np.arange(X)[None, None, :, None]
     ys = np.arange(Y)[None, :, None, None]
-    zs = np.arange(Z)[:, None, None, None]
     levels = np.linspace(0.2, 0.8, class_count)
+    slabs = z_slabs(Z, X * Y)
     dataset = []
     for vi in range(n_volumes):
         rng = master.spawn(vi)
+        labels = np.empty((Z, Y, X, 1))
         for _attempt in range(200):
-            labels = np.zeros((Z, Y, X, 1))
-            for cls in range(1, class_count):
-                cx = X * (0.3 + 0.4 * rng.uniform(1)[0])
-                cy = Y * (0.3 + 0.4 * rng.uniform(1)[0])
-                cz = Z * (0.3 + 0.4 * rng.uniform(1)[0])
-                rx = X * (0.12 + 0.16 * rng.uniform(1)[0])
-                ry = Y * (0.12 + 0.16 * rng.uniform(1)[0])
-                rz = Z * (0.12 + 0.16 * rng.uniform(1)[0])
-                if rng.uniform(1)[0] < 0.5:
-                    inside = (((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2
-                              + ((zs - cz) / rz) ** 2) <= 1.0
-                else:
-                    inside = ((np.abs(xs - cx) <= rx) & (np.abs(ys - cy) <= ry)
-                              & (np.abs(zs - cz) <= rz))
-                labels[inside] = float(cls)
-            fracs = [(labels == c).mean() for c in range(1, class_count)]
-            if all(fg_bounds[0] <= f <= fg_bounds[1] for f in fracs):
+            # per foreground class: centre and half-extent fractions along x, y, z, then
+            # ellipsoid or box; all drawn before any voxel is written
+            u = rng.uniform(7 * (class_count - 1)).reshape(-1, 7)
+            centres = np.array(extents) * (0.3 + 0.4 * u[:, :3])
+            radii = np.array(extents) * (0.12 + 0.16 * u[:, 3:6])
+            counts = np.zeros(class_count - 1, dtype=np.int64)
+            for sl in slabs:
+                zs = np.arange(sl.start, sl.stop)[:, None, None, None]
+                slab = labels[sl]
+                slab.fill(0.0)
+                for cls, ((cx, cy, cz), (rx, ry, rz), ellipsoid) in enumerate(
+                        zip(centres, radii, u[:, 6] < 0.5), 1):
+                    if ellipsoid:
+                        inside = (((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2
+                                  + ((zs - cz) / rz) ** 2) <= 1.0
+                    else:
+                        inside = ((np.abs(xs - cx) <= rx) & (np.abs(ys - cy) <= ry)
+                                  & (np.abs(zs - cz) <= rz))
+                    slab[inside] = float(cls)
+                counts += [np.count_nonzero(slab == c) for c in range(1, class_count)]
+            if all(fg_bounds[0] <= f <= fg_bounds[1] for f in counts / labels.size):
                 break
         else:
             raise RuntimeError("could not draw foreground fractions inside bounds")
-        image = levels[labels.astype(np.int64)]
-        image = image + noise_sigma * rng.normal(image.size).reshape(image.shape)
+        image = rng.normal(labels.size).reshape(labels.shape)
+        image *= noise_sigma
+        for sl in slabs:  # levels[labels] + noise_sigma * noise, in place
+            image[sl] += levels[labels[sl].astype(np.int64)]
         dataset.append((
             Volume(Tensor4(image), spacing, "image"),
             Volume(Tensor4(labels), spacing, "labels", class_count),
@@ -226,6 +241,11 @@ def random_deformation(rng: Rng, sigma: float = 15.0) -> np.ndarray:
     return rng.normal(24, mu=0.0, sigma=sigma).reshape(2, 2, 2, 3)
 
 
+def _lerp_ramp(n: int) -> np.ndarray:
+    """Lerp fractions 0 .. 1 over n samples (a single sample takes the low end)."""
+    return np.arange(n) * (1.0 / (n - 1)) if n > 1 else np.zeros(1)
+
+
 def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
                     ) -> tuple[Volume, Volume]:
     """Warp an aligned pair by a trilinear field spanned by eight corner vectors.
@@ -243,22 +263,29 @@ def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
         raise ValueError(f"corners must have shape (2, 2, 2, 3), got {np.shape(corners)}")
     X, Y, Z = image.extents
     # separable lerp a + f*(b - a) of the (z, y, x) components, so constant corners densify
-    # exactly: x gives (axis, 2, 2, X), then y gives (axis, 2, Y, X), then z (axis, Z, Y, X)
+    # exactly: x gives (axis, 2, 2, X), then y gives (axis, 2, Y, X), then z one slab of
+    # (axis, slab, Y, X) at a time; map_coordinates at order <= 1 reads each point alone
     d = np.moveaxis(np.asarray(corners, dtype=np.float64)[..., ::-1], 3, 0)
-    for dim, n in ((3, X), (2, Y), (1, Z)):
-        ramp = np.arange(n) * (1.0 / (n - 1)) if n > 1 else np.zeros(1)
+    for dim, n in ((3, X), (2, Y)):
         a, b = np.split(d, 2, axis=dim)
-        d = a + ramp.reshape((n,) + (1,) * (3 - dim)) * (b - a)
-    d[0] += np.arange(Z)[:, None, None]  # displacement to source coordinate, in place
-    d[1] += np.arange(Y)[:, None]
-    d[2] += np.arange(X)
-    src = d.reshape(3, -1)
-    img_out = map_coordinates(image.tensor.zyxc[..., 0], src, order=1, mode="nearest")
-    lab_out = map_coordinates(labels.tensor.zyxc[..., 0], src, order=0, mode="nearest")
+        d = a + _lerp_ramp(n).reshape((n,) + (1,) * (3 - dim)) * (b - a)
+    a, b = np.split(d, 2, axis=1)
+    b = b - a
+    ramp = _lerp_ramp(Z)
+    img_out, lab_out = np.empty((Z, Y, X, 1)), np.empty((Z, Y, X, 1))
+    for sl in z_slabs(Z, X * Y):
+        src = ramp[sl, None, None] * b
+        src += a
+        src[0] += np.arange(sl.start, sl.stop)[:, None, None]  # displacement to source coordinate
+        src[1] += np.arange(Y)[:, None]
+        src[2] += np.arange(X)
+        map_coordinates(image.tensor.zyxc[..., 0], src, output=img_out[sl, ..., 0],
+                        order=1, mode="nearest")
+        map_coordinates(labels.tensor.zyxc[..., 0], src, output=lab_out[sl, ..., 0],
+                        order=0, mode="nearest")
     return (
-        Volume(Tensor4(img_out.reshape(Z, Y, X, 1)), image.spacing, "image"),
-        Volume(Tensor4(lab_out.reshape(Z, Y, X, 1)), labels.spacing, "labels",
-               labels.class_count),
+        Volume(Tensor4(img_out), image.spacing, "image"),
+        Volume(Tensor4(lab_out), labels.spacing, "labels", labels.class_count),
     )
 
 

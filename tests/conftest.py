@@ -1,4 +1,5 @@
 import errno
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,22 @@ from voxseg.tensor import Shape4, Tensor4
 def full(shape: Shape4, value: float) -> Tensor4:
     """Tensor of the given shape with every element equal to ``value``."""
     return Tensor4(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
+
+
+def tensors_equal(a: Tensor4, b: Tensor4) -> bool:
+    """Same shape and the same values (NaN counts as unequal)."""
+    return a.shape == b.shape and bool(np.array_equal(a.zyxc, b.zyxc))
+
+
+def dot(a: Tensor4, b: Tensor4) -> float:
+    """Exactly rounded inner product (math.fsum over elementwise products).
+
+    Using an exactly rounded sum makes the result independent of element
+    order, so permutation adjoint identities hold with zero error.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return math.fsum(np.multiply(a.flat, b.flat).tolist())
 
 
 def traced_peak(run):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import voxseg
-from conftest import fd_gradient_error
+from conftest import dot, fd_gradient_error, tensors_equal
 from test_metrics import brute_asd_hd, mask_from_voxels
 from voxseg.cli.config import TrainConfig, load_config
 from voxseg.cli.main import main
@@ -29,7 +29,7 @@ from voxseg.metrics import BinaryMask, asd, dice, hausdorff
 from voxseg.nn import (BackboneSpec, activation, ce_dice_loss, conv3d, build_backbone,
                        maxpool3, softmax_channels)
 from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
-from voxseg.tensor import Rng, Shape4, Tensor4, dot
+from voxseg.tensor import Rng, Shape4, Tensor4
 from voxseg.volume import Volume
 
 
@@ -54,9 +54,9 @@ class TestShuffleCorrectness:
         for _ in range(200):
             f, t = random_case(rng)
             fast = down_shuffle(t, f)
-            assert fast.equal(down_shuffle_reference(t, f))
-            assert up_shuffle(fast, f).equal(t)
-            assert down_shuffle(up_shuffle(fast, f), f).equal(fast)
+            assert tensors_equal(fast, down_shuffle_reference(t, f))
+            assert tensors_equal(up_shuffle(fast, f), t)
+            assert tensors_equal(down_shuffle(up_shuffle(fast, f), f), fast)
             assert np.array_equal(np.sort(fast.flat), np.sort(t.flat))
         elapsed = time.perf_counter() - started
         report("shuffle-correctness", elapsed < 10.0,

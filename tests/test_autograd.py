@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dgemm
 
-from conftest import fd_gradient_error, full, traced_peak
+from conftest import fd_gradient_error, full, tensors_equal, traced_peak
 from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward,
                        build_backbone, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
@@ -164,7 +164,7 @@ class TestActivation:
 
     def test_identity_kind(self):
         t = Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(3))
-        assert activation(Node(t), "identity").value.equal(t)
+        assert tensors_equal(activation(Node(t), "identity").value, t)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ class TestConv3d:
     def test_one_by_one_identity(self):
         t = Tensor4.gaussian(Shape4(3, 4, 2, 1), 0, 1, Rng(6))
         out = conv3d(Node(t), scalar(1.0), scalar(0.0))
-        assert out.value.equal(t)
+        assert tensors_equal(out.value, t)
 
     def test_all_ones_counts_in_bounds_taps(self):
         # same padding: each output sums the taps that land inside the input,
@@ -557,7 +557,7 @@ class TestMaxpool:
 
     def test_identity_factors(self):
         t = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, Rng(14))
-        assert maxpool3(Node(t), (1, 1, 1)).value.equal(t)
+        assert tensors_equal(maxpool3(Node(t), (1, 1, 1)).value, t)
 
     def test_tie_routes_to_first_in_layout_order(self):
         x = Node(full(Shape4(2, 2, 2, 1), 1.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import tensors_equal, traced_peak
 from voxseg.inference import decode_labels, plan_tiling, predict_volume
 from voxseg.nn import BackboneSpec, build_backbone
 from voxseg.tensor import Rng, Shape4, Tensor4
@@ -84,7 +84,7 @@ class TestPredictVolume:
         vol = image_volume(3, (16, 16, 16))
         out = predict_volume(net, vol, (16, 16, 16), (16, 16, 16))
         direct = net.predict(normalize_patch(vol.tensor))
-        assert out.tensor.equal(direct)
+        assert tensors_equal(out.tensor, direct)
 
     def test_constant_network_constant_output(self):
         # dyadic probabilities so the overlap mean is exact for any cover count
@@ -169,7 +169,7 @@ class TestPredictVolume:
         finally:
             inf.plan_tiling = orig
         labels_rev = decode_labels(out_rev)
-        assert labels_fwd.tensor.equal(labels_rev.tensor)
+        assert tensors_equal(labels_fwd.tensor, labels_rev.tensor)
 
 
 class TestPredictVolumeMemory:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ, fd_gradient_error, full, mutated, traced_peak
+from conftest import FUZZ, fd_gradient_error, full, mutated, tensors_equal, traced_peak
 from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, main
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        DownShuffleConv, NonFiniteWeightsError, ShuffleUNet3d,
@@ -71,7 +71,7 @@ class TestStemLayer:
                                 kernel=(1, 1, 1), act="identity")
         layer.conv.weight.value = full(Shape4(1, 1, 1, 1), 1.0)
         t = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(1))
-        assert layer(Node(t)).value.equal(t)
+        assert tensors_equal(layer(Node(t)).value, t)
 
     def test_matches_composition_exactly(self):
         layer = DownShuffleConv(1, 6, (2, 2, 2), Rng(2))
@@ -80,7 +80,7 @@ class TestStemLayer:
         shuffled = down_shuffle_op(Node(t), (2, 2, 2))
         conv = layer.conv
         composed = activation(conv3d(shuffled, conv.weight, conv.bias), "relu")
-        assert fused.value.equal(composed.value)
+        assert tensors_equal(fused.value, composed.value)
 
     def test_output_geometry(self):
         # high-res (8,8,4) with factors (4,4,2) lands on (2,2,2) with k maps
@@ -113,14 +113,14 @@ class TestHeadLayer:
     def test_identity_factors_is_plain_conv(self):
         layer = ConvUpShuffle(2, 3, (1, 1, 1), Rng(10))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 2), 0, 1, Rng(11))
-        assert layer(Node(t)).value.equal(layer.conv(Node(t)).value)
+        assert tensors_equal(layer(Node(t)).value, layer.conv(Node(t)).value)
 
     def test_matches_composition_exactly(self):
         layer = ConvUpShuffle(3, 2, (2, 2, 2), Rng(12))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 3), 0, 1, Rng(13))
         fused = layer(Node(t))
         composed = up_shuffle_op(layer.conv(Node(t)), (2, 2, 2))
-        assert fused.value.equal(composed.value)
+        assert tensors_equal(fused.value, composed.value)
 
     def test_restores_extents(self):
         factors = (4, 4, 2)
@@ -202,7 +202,7 @@ class TestBackbone:
         a = build_backbone(small_spec(factors=(2, 2, 2)), Rng(28))
         b = build_backbone(small_spec(factors=(2, 2, 2)), Rng(28))
         t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(29))
-        assert a.forward(t).value.equal(b.forward(t).value)
+        assert tensors_equal(a.forward(t).value, b.forward(t).value)
 
     def test_predict_records_nothing(self):
         net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(30))
@@ -210,7 +210,7 @@ class TestBackbone:
         outputs = []
         forward = net.forward
         net.forward = lambda patch: outputs.append(forward(patch)) or outputs[-1]
-        assert net.predict(t).equal(forward(t).value)
+        assert tensors_equal(net.predict(t), forward(t).value)
         assert not outputs[0]._parents and outputs[0]._backprop is None
 
     # predict's traced peaks at 16^3 while each ReLU was a node of its own;
@@ -383,7 +383,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert list(loaded) == list(net.parameters())
         for name, node in net.parameters().items():
-            assert loaded[name].equal(node.value)
+            assert tensors_equal(loaded[name], node.value)
 
     def test_load_into_compatible_network(self, tmp_path):
         net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(36))
@@ -392,7 +392,7 @@ class TestCheckpoint:
         other = build_backbone(small_spec(factors=(2, 2, 2)), Rng(999))
         load_into_network(other, load_checkpoint(path))
         t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(37))
-        assert other.forward(t).value.equal(net.forward(t).value)
+        assert tensors_equal(other.forward(t).value, net.forward(t).value)
 
     def test_name_mismatch_rejected(self, tmp_path):
         net = build_backbone(small_spec(), Rng(39))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dot, tensors_equal
+
 from voxseg.nn import BackboneSpec, Node, maxpool3
 from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
-from voxseg.tensor import Rng, Shape4, Tensor4, dot
+from voxseg.tensor import Rng, Shape4, Tensor4
 
 
 def arange_spatial(nx, ny, nz):
@@ -49,7 +51,7 @@ class TestFactorRules:
 class TestDownShuffle:
     def test_identity_factors(self):
         t = Tensor4.gaussian(Shape4(3, 4, 5, 2), 0, 1, Rng(1))
-        assert down_shuffle(t, (1, 1, 1)).equal(t)
+        assert tensors_equal(down_shuffle(t, (1, 1, 1)), t)
 
     def test_eight_voxel_arange(self):
         # value x + 2y + 4z lands on channel x + 2y + 4z after a (2,2,2) shuffle
@@ -83,22 +85,22 @@ class TestDownShuffle:
 class TestUpShuffle:
     def test_identity_factors(self):
         t = Tensor4.gaussian(Shape4(2, 2, 2, 4), 0, 1, Rng(3))
-        assert up_shuffle(t, (1, 1, 1)).equal(t)
+        assert tensors_equal(up_shuffle(t, (1, 1, 1)), t)
 
     def test_inverse_of_arange_case(self):
         t = Tensor4.from_flat(Shape4(1, 1, 1, 8), np.arange(8.0))
         out = up_shuffle(t, (2, 2, 2))
-        assert out.equal(arange_spatial(2, 2, 2))
+        assert tensors_equal(out, arange_spatial(2, 2, 2))
 
     def test_round_trip_random(self):
         t = Tensor4.gaussian(Shape4(4, 4, 4, 3), 0, 1, Rng(4))
         f = (2, 2, 2)
-        assert up_shuffle(down_shuffle(t, f), f).equal(t)
+        assert tensors_equal(up_shuffle(down_shuffle(t, f), f), t)
 
     def test_other_round_trip(self):
         t = Tensor4.gaussian(Shape4(2, 3, 1, 12), 0, 1, Rng(5))
         f = (2, 3, 2)
-        assert down_shuffle(up_shuffle(t, f), f).equal(t)
+        assert tensors_equal(down_shuffle(up_shuffle(t, f), f), t)
 
     def test_non_divisible_channels_rejected(self):
         t = Tensor4.zeros(Shape4(2, 2, 2, 6))
@@ -121,7 +123,7 @@ class TestAdjoint:
     def test_identity_factors(self):
         t = Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, Rng(6))
         # a permutation's adjoint is its inverse: down_shuffle's is up_shuffle
-        assert up_shuffle(t, (1, 1, 1)).equal(t)
+        assert tensors_equal(up_shuffle(t, (1, 1, 1)), t)
 
     def test_inner_product_exact(self):
         rng = Rng(7)
@@ -136,15 +138,15 @@ class TestAdjoint:
     def test_adjoint_of_forward_is_identity(self):
         t = Tensor4.gaussian(Shape4(4, 2, 2, 1), 0, 1, Rng(8))
         f = (2, 2, 2)
-        assert up_shuffle(down_shuffle(t, f), f).equal(t)
-        assert down_shuffle(up_shuffle(down_shuffle(t, f), f), f).equal(
-            down_shuffle(t, f))
+        assert tensors_equal(up_shuffle(down_shuffle(t, f), f), t)
+        assert tensors_equal(down_shuffle(up_shuffle(down_shuffle(t, f), f), f),
+                             down_shuffle(t, f))
 
 
 class TestReferenceOracle:
     def test_identity_factors(self):
         t = Tensor4.gaussian(Shape4(2, 3, 2, 2), 0, 1, Rng(9))
-        assert down_shuffle_reference(t, (1, 1, 1)).equal(t)
+        assert tensors_equal(down_shuffle_reference(t, (1, 1, 1)), t)
 
     def test_fig_style_2d_layout(self):
         # (3,3,1) factors on a 3x3 plane with value x + 3y: the nine block
@@ -161,7 +163,7 @@ class TestReferenceOracle:
             sh = Shape4(f[0] * rng.randint(1, 3), f[1] * rng.randint(1, 3),
                         f[2] * rng.randint(1, 3), rng.randint(1, 4))
             t = Tensor4.gaussian(sh, 0, 1, rng)
-            assert down_shuffle(t, f).equal(down_shuffle_reference(t, f))
+            assert tensors_equal(down_shuffle(t, f), down_shuffle_reference(t, f))
 
 
 @st.composite
@@ -180,7 +182,7 @@ class TestProperties:
         f, shape, seed = case
         t = Tensor4.gaussian(shape, 0, 1, Rng(seed))
         down = down_shuffle(t, f)
-        assert up_shuffle(down, f).equal(t)
+        assert tensors_equal(up_shuffle(down, f), t)
         # permutation: multisets of elements agree
         assert np.array_equal(np.sort(down.flat), np.sort(t.flat))
         # shape law
@@ -194,4 +196,4 @@ class TestProperties:
         if shape.element_count > 4096:
             shape = Shape4(f[0], f[1], f[2], 2)
         t = Tensor4.gaussian(shape, 0, 1, Rng(seed))
-        assert down_shuffle(t, f).equal(down_shuffle_reference(t, f))
+        assert tensors_equal(down_shuffle(t, f), down_shuffle_reference(t, f))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ, FailsHalfway, full, mutated
+from conftest import FUZZ, FailsHalfway, full, mutated, tensors_equal
 import voxseg.atomic as atomic
 from voxseg.cli.main import EXIT_DATA, main
 from voxseg.nn import Node, save_checkpoint
@@ -54,7 +54,7 @@ class TestVvolRoundTrip:
         back = read_vvol(path)
         assert back.kind == "image"
         assert back.spacing == vol.spacing
-        assert back.tensor.equal(vol.tensor)
+        assert tensors_equal(back.tensor, vol.tensor)
 
     def test_labels_bit_exact(self, tmp_path):
         vol = random_labels(2)
@@ -63,7 +63,7 @@ class TestVvolRoundTrip:
         back = read_vvol(path)
         assert back.kind == "labels"
         assert back.class_count == 3
-        assert back.tensor.equal(vol.tensor)
+        assert tensors_equal(back.tensor, vol.tensor)
 
     def test_write_is_deterministic(self, tmp_path):
         vol = random_image(3)
@@ -200,8 +200,8 @@ class TestSynthetic:
         a = gen_synthetic(11, 2, (16, 16, 16), 2)
         b = gen_synthetic(11, 2, (16, 16, 16), 2)
         for (ia, la), (ib, lb) in zip(a, b):
-            assert ia.tensor.equal(ib.tensor)
-            assert la.tensor.equal(lb.tensor)
+            assert tensors_equal(ia.tensor, ib.tensor)
+            assert tensors_equal(la.tensor, lb.tensor)
 
     def test_label_values_in_range(self):
         data = gen_synthetic(12, 2, (16, 16, 16), 3)
@@ -241,7 +241,7 @@ class TestPatchSampling:
         img = random_image(24, (10, 10, 10))
         lab = Volume(img.tensor.copy(), img.spacing, "image")  # same payload
         patch, aligned = sample_patch(img, lab, (4, 4, 4), Rng(25))
-        assert patch.equal(normalize_patch(aligned))
+        assert tensors_equal(patch, normalize_patch(aligned))
 
     @pytest.mark.parametrize("extents", [(6, 4, 4), (0, 4, 4)])
     def test_patch_too_large_or_empty(self, extents):
@@ -284,8 +284,8 @@ class TestElastic:
         img = random_image(41, (8, 8, 8))
         lab = random_labels(42, (8, 8, 8))
         img2, lab2 = elastic_augment(img, lab, np.zeros((2, 2, 2, 3)))
-        assert img2.tensor.equal(img.tensor)
-        assert lab2.tensor.equal(lab.tensor)
+        assert tensors_equal(img2.tensor, img.tensor)
+        assert tensors_equal(lab2.tensor, lab.tensor)
 
     def test_integer_translation_matches_hand_shift(self):
         img = random_image(43, (8, 8, 8))
@@ -377,8 +377,8 @@ class TestAugmentDataset:
         a = augment_dataset(self.base(), 2, Rng(50), sigma=3.0)
         b = augment_dataset(self.base(), 2, Rng(50), sigma=3.0)
         for (ia, la), (ib, lb) in zip(a, b):
-            assert ia.tensor.equal(ib.tensor)
-            assert la.tensor.equal(lb.tensor)
+            assert tensors_equal(ia.tensor, ib.tensor)
+            assert tensors_equal(la.tensor, lb.tensor)
 
 
 class TestManifest:
@@ -407,8 +407,8 @@ class TestManifest:
         write_manifest(tmp_path / "m.manifest", [("i.vvol", "l.vvol")])
         pairs = load_manifest_volumes(tmp_path / "m.manifest", (6, 5, 4), 3)  # an exact fit
         assert len(pairs) == 1
-        assert pairs[0][0].tensor.equal(img.tensor)
-        assert pairs[0][1].tensor.equal(lab.tensor)
+        assert tensors_equal(pairs[0][0].tensor, img.tensor)
+        assert tensors_equal(pairs[0][1].tensor, lab.tensor)
 
     @pytest.mark.parametrize("labels,class_count,match", [
         (random_labels(52, extents=(6, 5, 5)), 3, r"l\.vvol: shape \(6, 5, 5, 1\) is not .*i\.vvol"),
