@@ -11,9 +11,9 @@ from .tensor import Rng, Shape4, Tensor4
 from .shuffle import down_shuffle, down_shuffle_reference, up_shuffle
 from .nn import (BackboneSpec, CheckpointError, Conv3d, ConvUpShuffle, DownShuffleConv,
                  Node, NonFiniteWeightsError, ShuffleUNet3d, activation, backward,
-                 build_backbone, ce_dice_loss, concat_channels, conv3d, down_shuffle_op,
-                 load_checkpoint, load_into_network, maxpool3, save_checkpoint,
-                 softmax_channels, up_shuffle_op)
+                 ce_dice_loss, concat_channels, conv3d, down_shuffle_op, load_checkpoint,
+                 load_into_network, maxpool3, save_checkpoint, softmax_channels,
+                 up_shuffle_op)
 from .optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step, suggested_initial_lr
 from .volume import (Volume, VvolError, augment_dataset, elastic_augment, gen_synthetic,
                      normalize_patch, random_deformation, read_vvol, sample_patch,

@@ -16,7 +16,7 @@ from pathlib import Path
 from ..atomic import write_atomic
 from ..inference import decode_labels, predict_volume
 from ..metrics import per_class_metrics
-from ..nn import (CheckpointError, NonFiniteWeightsError, build_backbone, load_checkpoint,
+from ..nn import (CheckpointError, NonFiniteWeightsError, ShuffleUNet3d, load_checkpoint,
                   load_into_network)
 from ..shuffle import down_shuffle, up_shuffle
 from ..tensor import Rng
@@ -104,11 +104,13 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _collect_config(args)
-    net = build_backbone(cfg.backbone_spec(), Rng(cfg.seed).spawn(7))
+    net = ShuffleUNet3d(cfg.backbone_spec(), Rng(cfg.seed).spawn(7))
     load_into_network(net, load_checkpoint(args.checkpoint))
     volume = read_vvol(args.input)
     if volume.kind != "image":
         raise VvolError(f"{args.input}: inference needs an image volume")
+    if volume.tensor.shape.c != 1:
+        raise VvolError(f"{args.input}: image has {volume.tensor.shape.c} channels, not one")
     probs = predict_volume(net, volume, cfg.patch, cfg.resolved_stride())
     labels = decode_labels(probs)
     write_vvol(probs, args.out_prob)

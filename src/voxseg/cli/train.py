@@ -12,7 +12,7 @@ import numpy as np
 from ..atomic import write_atomic
 from ..inference import decode_labels, predict_volume
 from ..metrics import BinaryMask, dice
-from ..nn import Node, backward, build_backbone, ce_dice_loss, save_checkpoint
+from ..nn import Node, ShuffleUNet3d, backward, ce_dice_loss, save_checkpoint
 from ..optim import SgdState, sgd_step
 from ..tensor import Rng
 from ..volume import augment_dataset, load_manifest_volumes, normalize_patch, sample_patch
@@ -76,15 +76,13 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
 
     train_pairs = load_manifest_volumes(data_dir / "train.manifest", cfg.patch, cfg.class_count)
     val_pairs = load_manifest_volumes(data_dir / "test.manifest", cfg.patch, cfg.class_count)
-    if not train_pairs or not val_pairs:
-        raise ValueError("empty train or test manifest")
 
     root = Rng(cfg.seed)
     if cfg.augment_count:
         train_pairs = augment_dataset(train_pairs, cfg.augment_count,
                                       root.spawn(3), sigma=cfg.augment_sigma)
 
-    net = build_backbone(cfg.backbone_spec(), root.spawn(7))
+    net = ShuffleUNet3d(cfg.backbone_spec(), root.spawn(7))
     params = net.parameters()
     state = SgdState(params, cfg.resolved_initial_lr(), cfg.momentum, cfg.weight_decay,
                      cfg.lr_halving_period)

@@ -295,21 +295,18 @@ def maxpool3(x: Node, factors: tuple[int, int, int]) -> Node:
     best = slots[0].copy()
     for s in slots[1:]:
         np.maximum(s, best, out=best)  # a tie keeps the second argument, the earlier slot
-    value = Tensor4(best)
-    if not x._needs_grad:
-        return Node(value, (x,))
-
-    first = np.zeros(best.shape, dtype=np.min_scalar_type(len(slots) - 1))
-    for w in range(len(slots) - 1, -1, -1):
-        np.copyto(first, w, where=(slots[w] == best) | np.isnan(slots[w]))
 
     def backprop(out: Node) -> None:
+        slots, best = slot_views(x.value.zyxc), out.value.zyxc
+        first = np.zeros(best.shape, dtype=np.min_scalar_type(len(slots) - 1))
+        for w in range(len(slots) - 1, -1, -1):
+            np.copyto(first, w, where=(slots[w] == best) | np.isnan(slots[w]))
         gx = np.zeros_like(x.value.zyxc)
         for w, slot in enumerate(slot_views(gx)):
             np.copyto(slot, out.grad, where=first == w)
         x._accumulate(gx)
 
-    return Node(value, (x,), backprop)
+    return Node(Tensor4(best), (x,), backprop)
 
 
 def _channel_fold(op, a: np.ndarray) -> np.ndarray:
@@ -580,7 +577,6 @@ class ShuffleUNet3d:
             acts.append((f"cat{j}", sum(node.value.size for node in x)))
             x = track(f"dec{j}", dec(x))
         logits = self.head(x)
-        del x  # under predict nothing else holds the last decoder output
         probs = softmax_channels(logits)
         logits.value = None
         self.last_activation_counts = acts
@@ -596,8 +592,8 @@ class ShuffleUNet3d:
             _recording = True
 
 
-def build_backbone(spec: BackboneSpec, rng: Rng) -> ShuffleUNet3d:
-    return ShuffleUNet3d(spec, rng)
+# Only perfbench calls this alias; it goes with the next benchmark edit.
+build_backbone = ShuffleUNet3d
 
 
 # ---------------------------------------------------------------------------

@@ -331,16 +331,22 @@ def read_manifest(path) -> list[tuple[str, str]]:
 
 
 def load_manifest_volumes(path, patch, class_count: int) -> list[tuple[Volume, Volume]]:
-    """Read every pair in a manifest; relative paths resolve against it. Each pair
-    must be an image at least ``patch`` along every axis and single-channel labels
-    of the same extents whose values are in [0, class_count); else ``VvolError``."""
+    """Read every pair in a non-empty manifest; relative paths resolve against it.
+    Each pair must be a single-channel image at least ``patch`` along every axis and
+    single-channel labels of the same extents whose values are in [0, class_count);
+    else ``VvolError``."""
     base = Path(path).parent
+    pairs = read_manifest(path)
+    if not pairs:
+        raise VvolError(f"{path}: manifest lists no volume pairs")
     out = []
-    for img_rel, lab_rel in read_manifest(path):
+    for img_rel, lab_rel in pairs:
         img_path, lab_path = base / img_rel, base / lab_rel
         img, lab = read_vvol(img_path), read_vvol(lab_path)
         if img.kind != "image" or lab.kind != "labels":
             raise VvolError(f"manifest pair ({img_rel}, {lab_rel}) has wrong kinds")
+        if img.tensor.shape.c != 1:
+            raise VvolError(f"{img_path}: image has {img.tensor.shape.c} channels, not one")
         if any(e < p for e, p in zip(img.extents, patch)):
             raise VvolError(f"{img_path}: extents {img.extents} are smaller than "
                             f"patch {tuple(patch)}")

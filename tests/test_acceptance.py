@@ -26,7 +26,7 @@ from voxseg.cli.main import main
 from voxseg.cli.train import run_training
 from voxseg.inference import predict_volume
 from voxseg.metrics import BinaryMask, asd, dice, hausdorff
-from voxseg.nn import (BackboneSpec, activation, ce_dice_loss, conv3d, build_backbone,
+from voxseg.nn import (BackboneSpec, ShuffleUNet3d, activation, ce_dice_loss, conv3d,
                        maxpool3, softmax_channels)
 from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
 from voxseg.tensor import Rng, Shape4, Tensor4
@@ -154,7 +154,7 @@ class TestGradientSuite:
         started = time.perf_counter()
         spec = BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=2,
                             widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
-        net = build_backbone(spec, Rng(308))
+        net = ShuffleUNet3d(spec, Rng(308))
         x = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(309))
         labels = Tensor4(Rng(310).randint(0, 2, 8 ** 3).reshape(8, 8, 8, 1))
 
@@ -184,7 +184,7 @@ class TestCostReduction:
         def counts(factors):
             spec = BackboneSpec(class_count=2, factors=factors, stem_channels=8,
                                 widths=(8, 16), pool=(2, 2, 2))
-            net = build_backbone(spec, Rng(404))
+            net = ShuffleUNet3d(spec, Rng(404))
             net.forward(Tensor4.gaussian(Shape4(32, 32, 32, 1), 0, 1, Rng(405)))
             return dict(net.last_activation_counts)
 
@@ -379,7 +379,7 @@ class TestInferenceStitching:
     def test_probability_sums_and_mean_oracle(self):
         spec = BackboneSpec(class_count=3, factors=(2, 2, 2), stem_channels=4,
                             widths=(4, 8))
-        net = build_backbone(spec, Rng(606))
+        net = ShuffleUNet3d(spec, Rng(606))
         vol = Volume(Tensor4.gaussian(Shape4(24, 20, 16, 1), 0, 1, Rng(607)),
                      (1.0, 1.0, 1.0), "image")
         probs = predict_volume(net, vol, (8, 8, 8))

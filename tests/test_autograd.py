@@ -7,7 +7,7 @@ from scipy.linalg.blas import dgemm
 
 from conftest import fd_gradient_error, full, tensors_equal, traced_peak
 from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward,
-                       build_backbone, ce_dice_loss, concat_channels, conv3d,
+                       ShuffleUNet3d, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
 from voxseg.tensor import Rng, Shape4, Tensor4
 
@@ -95,7 +95,7 @@ class TestEngine:
         labels = label_patch(Rng(41).randint(0, 2, 8 ** 3).reshape(8, 8, 8))
         grads = []
         for seed in (None, 0.5):
-            net = build_backbone(spec, Rng(42))
+            net = ShuffleUNet3d(spec, Rng(42))
             backward(ce_dice_loss(net.forward(x), labels), seed)
             grads.append({name: node.grad for name, node in net.parameters().items()})
         full_grads, half_grads = grads
@@ -110,7 +110,7 @@ class TestEngine:
         labels = label_patch(Rng(44).randint(0, 2, 4 ** 3).reshape(4, 4, 4))
         grads = []
         for _ in range(2):
-            net = build_backbone(spec, Rng(45))
+            net = ShuffleUNet3d(spec, Rng(45))
             root = ce_dice_loss(net.forward(x), labels)
             interior, stack = [], [root]
             while stack:

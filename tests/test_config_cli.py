@@ -18,9 +18,9 @@ from conftest import FUZZ, FailsHalfway, mutated
 from voxseg.cli.config import ConfigError, TrainConfig, load_config
 from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from voxseg.cli.train import run_training
-from voxseg.nn import build_backbone, save_checkpoint
-from voxseg.tensor import Rng
-from voxseg.volume import gen_synthetic, read_vvol, write_manifest, write_vvol
+from voxseg.nn import ShuffleUNet3d, save_checkpoint
+from voxseg.tensor import Rng, Tensor4
+from voxseg.volume import Volume, gen_synthetic, read_vvol, write_manifest, write_vvol
 
 
 FLOAT_KEYS = [f.name for f in fields(TrainConfig)
@@ -452,6 +452,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "train_lab.vvol" in err and "[0, 2)" in err
 
+    def test_multi_channel_image_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # it used to fail in the first conv with a channel mismatch that named no file
+        image, labels = gen_synthetic(3, 1, (16, 16, 16), 2)[0]
+        two = Volume(Tensor4(np.concatenate([image.tensor.zyxc] * 2, axis=3)))
+        rc = self.train_steps(tmp_path, monkeypatch, [(two, labels), (image, labels)])
+        assert rc == (EXIT_DATA, 0, False)
+        assert "train_img.vvol: image has 2 channels, not one" in capsys.readouterr().err
+
+    def test_infer_multi_channel_image_is_data_error(self, tiny_workspace, tmp_path, capsys):
+        _, data, _ = tiny_workspace
+        cfg = load_config(None, dict(k="4", widths="4,8", class_count="2"))
+        save_checkpoint(tmp_path / "m.vckp",
+                        ShuffleUNet3d(cfg.backbone_spec(), Rng(cfg.seed).spawn(7)).parameters())
+        image = read_vvol(data / "vol_000_img.vvol")
+        write_vvol(Volume(Tensor4(np.concatenate([image.tensor.zyxc] * 2, axis=3))),
+                   tmp_path / "two.vvol")
+        rc = main(["infer"] + common_net_args(data, tmp_path) + [
+            "--checkpoint", str(tmp_path / "m.vckp"), "--input", str(tmp_path / "two.vvol"),
+            "--out-prob", str(tmp_path / "p.vvol"), "--out-labels", str(tmp_path / "l.vvol")])
+        assert rc == EXIT_DATA
+        assert "two.vvol: image has 2 channels, not one" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.vckp", "two.vvol"]
+
+    def test_empty_manifest_is_data_error(self, tmp_path, capsys):
+        # it used to raise a bare "empty train or test manifest" naming neither file
+        data = tmp_path / "data"
+        data.mkdir()
+        image, labels = gen_synthetic(3, 1, (16, 16, 16), 2)[0]
+        write_vvol(image, data / "img.vvol")
+        write_vvol(labels, data / "lab.vvol")
+        write_manifest(data / "train.manifest", [("img.vvol", "lab.vvol")])
+        write_manifest(data / "test.manifest", [])
+        rc = main(["train", "--quiet", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"),
+                   "--patch", "8,8,8", "--factors", "1,1,1", "--k", "4", "--widths", "4,8"])
+        assert rc == EXIT_DATA
+        assert "test.manifest: manifest lists no volume pairs" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "runlog.csv").exists()
+
     def test_partly_zero_stride_is_config_error(self, tiny_workspace, tmp_path, capsys):
         # it used to train until the first validation, then fail its tiling with exit 2
         _, data, _ = tiny_workspace
@@ -546,7 +584,7 @@ class TestExitCodes:
         _, data, _ = tiny_workspace
         args = common_net_args(data, tmp_path)
         cfg = load_config(None, dict(k="4", widths="4,8", class_count="2"))
-        params = build_backbone(cfg.backbone_spec(), Rng(cfg.seed).spawn(7)).parameters()
+        params = ShuffleUNet3d(cfg.backbone_spec(), Rng(cfg.seed).spawn(7)).parameters()
         params["head.bias"].value.zyxc[0, 0, 0, 0] = math.nan
         save_checkpoint(tmp_path / "nan.vckp", params)
         rc = main(["infer"] + args + [

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import tensors_equal, traced_peak
 from voxseg.inference import decode_labels, plan_tiling, predict_volume
-from voxseg.nn import BackboneSpec, build_backbone
+from voxseg.nn import BackboneSpec, ShuffleUNet3d
 from voxseg.tensor import Rng, Shape4, Tensor4
 from voxseg.volume import Volume, normalize_patch
 
@@ -80,7 +80,7 @@ class TestPredictVolume:
     def test_single_patch_equals_forward(self):
         spec = BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=4,
                             widths=(4, 8))
-        net = build_backbone(spec, Rng(2))
+        net = ShuffleUNet3d(spec, Rng(2))
         vol = image_volume(3, (16, 16, 16))
         out = predict_volume(net, vol, (16, 16, 16), (16, 16, 16))
         direct = net.predict(normalize_patch(vol.tensor))
@@ -97,7 +97,7 @@ class TestPredictVolume:
     def test_probabilities_sum_to_one(self):
         spec = BackboneSpec(class_count=3, factors=(2, 2, 2), stem_channels=4,
                             widths=(4, 8))
-        net = build_backbone(spec, Rng(5))
+        net = ShuffleUNet3d(spec, Rng(5))
         vol = image_volume(6, (20, 20, 12))
         out = predict_volume(net, vol, (8, 8, 8))
         sums = out.tensor.zyxc.sum(axis=3)
@@ -140,7 +140,7 @@ class TestPredictVolume:
     def test_visit_order_does_not_change_decode(self):
         spec = BackboneSpec(class_count=2, factors=(1, 1, 1), stem_channels=4,
                             widths=(4,))
-        net = build_backbone(spec, Rng(9))
+        net = ShuffleUNet3d(spec, Rng(9))
         vol = image_volume(10, (9, 6, 6))
         out = predict_volume(net, vol, (6, 6, 6), (3, 3, 3))
         labels_fwd = decode_labels(out)
@@ -175,7 +175,7 @@ class TestPredictVolume:
 class TestPredictVolumeMemory:
     def test_mean_bit_identical_to_counted_cover_oracle(self):
         spec = BackboneSpec(class_count=3, factors=(2, 2, 2), stem_channels=4, widths=(4, 8))
-        net = build_backbone(spec, Rng(12))
+        net = ShuffleUNet3d(spec, Rng(12))
         vol = image_volume(13, (20, 12, 16))
         out = predict_volume(net, vol, (8, 8, 8), (4, 3, 8))
         total = np.zeros((16, 12, 20, 3))

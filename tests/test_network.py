@@ -10,7 +10,7 @@ from conftest import FUZZ, fd_gradient_error, full, mutated, tensors_equal, trac
 from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, main
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        DownShuffleConv, NonFiniteWeightsError, ShuffleUNet3d,
-                       activation, Node, backward, build_backbone, ce_dice_loss,
+                       activation, Node, backward, ce_dice_loss,
                        concat_channels, conv3d, down_shuffle_op, load_checkpoint,
                        load_into_network, maxpool3, save_checkpoint, softmax_channels,
                        up_shuffle_op)
@@ -147,12 +147,12 @@ class TestHeadLayer:
 
 class TestBackbone:
     def test_depth1_baseline_shape(self):
-        net = build_backbone(small_spec(widths=(4,)), Rng(20))
+        net = ShuffleUNet3d(small_spec(widths=(4,)), Rng(20))
         out = net.forward(Tensor4.gaussian(Shape4(6, 6, 6, 1), 0, 1, Rng(21)))
         assert out.value.shape == Shape4(6, 6, 6, 2)
 
     def test_factors_2_shapes(self):
-        net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(22))
+        net = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(22))
         out = net.forward(Tensor4.gaussian(Shape4(32, 32, 32, 1), 0, 1, Rng(23)))
         assert out.value.shape == Shape4(32, 32, 32, 2)
         # backbone ran at 16^3: stem activation holds 16^3 * k elements
@@ -160,7 +160,7 @@ class TestBackbone:
         assert counts["stem"] == 16 ** 3 * 4
 
     def test_output_is_distribution(self):
-        net = build_backbone(small_spec(factors=(2, 2, 2), classes=3), Rng(24))
+        net = ShuffleUNet3d(small_spec(factors=(2, 2, 2), classes=3), Rng(24))
         out = net.forward(Tensor4.gaussian(Shape4(16, 16, 16, 1), 0, 1, Rng(25)))
         sums = out.value.zyxc.sum(axis=3)
         assert np.abs(sums - 1.0).max() < 1e-12
@@ -168,7 +168,7 @@ class TestBackbone:
     def test_parameter_count_depth2(self):
         # hand-computed: stem 27*1*4+4, enc0 27*4*4+4, enc1 27*4*8+8,
         # up (1x1x1) 8*(4*8)+32, dec0 27*8*4+4, head 27*4*2+2
-        net = build_backbone(small_spec(), Rng(26))
+        net = ShuffleUNet3d(small_spec(), Rng(26))
         expected = (27 * 4 + 4) + (27 * 16 + 4) + (27 * 32 + 8) \
             + (8 * 32 + 32) + (27 * 32 + 4) + (27 * 8 + 2)
         assert sum(node.value.size for node in net.parameters().values()) == expected
@@ -194,18 +194,18 @@ class TestBackbone:
             BackboneSpec(class_count=2, widths=()).validate()
 
     def test_input_divisibility_checked(self):
-        net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(27))
+        net = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(27))
         with pytest.raises(ValueError):
             net.forward(Tensor4.zeros(Shape4(10, 8, 8, 1)))
 
     def test_determinism_same_seed(self):
-        a = build_backbone(small_spec(factors=(2, 2, 2)), Rng(28))
-        b = build_backbone(small_spec(factors=(2, 2, 2)), Rng(28))
+        a = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(28))
+        b = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(28))
         t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(29))
         assert tensors_equal(a.forward(t).value, b.forward(t).value)
 
     def test_predict_records_nothing(self):
-        net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(30))
+        net = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(30))
         t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(31))
         outputs = []
         forward = net.forward
@@ -218,8 +218,8 @@ class TestBackbone:
     @pytest.mark.parametrize("factors,unfused_peak", [((1, 1, 1), 4_259_830),
                                                       ((2, 2, 2), 625_502)])
     def test_predict_retains_only_its_output(self, factors, unfused_peak):
-        net = build_backbone(BackboneSpec(class_count=2, factors=factors, stem_channels=16,
-                                          widths=(16, 32)), Rng(32))
+        net = ShuffleUNet3d(BackboneSpec(class_count=2, factors=factors, stem_channels=16,
+                                         widths=(16, 32)), Rng(32))
         t = Tensor4.gaussian(Shape4(16, 16, 16, 1), 0, 1, Rng(33))
         runs = []
         tracemalloc.start()
@@ -334,7 +334,7 @@ class TestFullScaleGeometry:
 
 class TestCostReduction:
     def run_counts(self, factors, widths=(4, 8), k=4):
-        net = build_backbone(small_spec(factors=factors, widths=widths, k=k), Rng(30))
+        net = ShuffleUNet3d(small_spec(factors=factors, widths=widths, k=k), Rng(30))
         net.forward(Tensor4.gaussian(Shape4(16, 16, 16, 1), 0, 1, Rng(31)))
         return dict(net.last_activation_counts)
 
@@ -352,7 +352,7 @@ class TestFullBackboneGradient:
     def test_depth2_fd_check(self):
         spec = BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=2,
                             widths=(2, 3), pool=(2, 2, 2), init_sigma=0.2)
-        net = build_backbone(spec, Rng(32))
+        net = ShuffleUNet3d(spec, Rng(32))
         x = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(33))
         labels = Tensor4(Rng(34).randint(0, 2, 8 ** 3).reshape(8, 8, 8, 1))
 
@@ -377,7 +377,7 @@ class TestFullBackboneGradient:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(35))
+        net = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(35))
         path = tmp_path / "model.vckp"
         save_checkpoint(path, net.parameters())
         loaded = load_checkpoint(path)
@@ -386,27 +386,27 @@ class TestCheckpoint:
             assert tensors_equal(loaded[name], node.value)
 
     def test_load_into_compatible_network(self, tmp_path):
-        net = build_backbone(small_spec(factors=(2, 2, 2)), Rng(36))
+        net = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(36))
         path = tmp_path / "model.vckp"
         save_checkpoint(path, net.parameters())
-        other = build_backbone(small_spec(factors=(2, 2, 2)), Rng(999))
+        other = ShuffleUNet3d(small_spec(factors=(2, 2, 2)), Rng(999))
         load_into_network(other, load_checkpoint(path))
         t = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(37))
         assert tensors_equal(other.forward(t).value, net.forward(t).value)
 
     def test_name_mismatch_rejected(self, tmp_path):
-        net = build_backbone(small_spec(), Rng(39))
+        net = ShuffleUNet3d(small_spec(), Rng(39))
         path = tmp_path / "model.vckp"
         save_checkpoint(path, net.parameters())
-        other = build_backbone(small_spec(widths=(4, 8, 8)), Rng(40))
+        other = ShuffleUNet3d(small_spec(widths=(4, 8, 8)), Rng(40))
         with pytest.raises(CheckpointError):
             load_into_network(other, load_checkpoint(path))
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        net = build_backbone(small_spec(), Rng(41))
+        net = ShuffleUNet3d(small_spec(), Rng(41))
         path = tmp_path / "model.vckp"
         save_checkpoint(path, net.parameters())
-        other = build_backbone(small_spec(k=6), Rng(42))
+        other = ShuffleUNet3d(small_spec(k=6), Rng(42))
         with pytest.raises(CheckpointError):
             load_into_network(other, load_checkpoint(path))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dot, tensors_equal
+from conftest import dot, tensors_equal, traced_peak
 from voxseg.nn import Node, concat_channels
 from voxseg.tensor import Rng, Shape4, Tensor4
 
@@ -42,6 +42,22 @@ class TestConstructors:
     def test_from_flat_length_mismatch(self):
         with pytest.raises(ValueError):
             Tensor4.from_flat(Shape4(2, 2, 2, 1), np.zeros(7))
+
+    @pytest.mark.parametrize("buffer", [np.arange(24, dtype=np.uint8), np.arange(24.0) / 7,
+                                        [i / 7 for i in range(24)]])
+    def test_from_flat_bits_and_own_buffer(self, buffer):
+        t = Tensor4.from_flat(Shape4(2, 3, 4, 1), buffer)
+        # the bits of the former two-copy construction
+        expected = np.ascontiguousarray(buffer, dtype=np.float64).reshape(4, 3, 2, 1).copy()
+        assert t.zyxc.tobytes() == expected.tobytes() and t.zyxc.flags.c_contiguous
+        assert not np.shares_memory(t.zyxc, np.asarray(buffer))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_from_flat_copies_once(self, dtype):
+        # a 64^3 label read used to trace 4.0 MiB for a 2.0 MiB tensor
+        buffer = np.zeros(64 ** 3, dtype=dtype)
+        t, peak = traced_peak(lambda: Tensor4.from_flat(Shape4(64, 64, 64, 1), buffer))
+        assert peak <= 1.05 * t.zyxc.nbytes
 
 
 class TestLayoutLaw:

@@ -424,6 +424,18 @@ class TestManifest:
         with pytest.raises(VvolError, match=match):
             load_manifest_volumes(tmp_path / "m.manifest", (4, 4, 4), class_count)
 
+    def test_multi_channel_image_rejected(self, tmp_path):
+        write_vvol(Volume(Tensor4(np.zeros((4, 5, 6, 2)))), tmp_path / "i.vvol")
+        write_vvol(random_labels(52), tmp_path / "l.vvol")
+        write_manifest(tmp_path / "m.manifest", [("i.vvol", "l.vvol")])
+        with pytest.raises(VvolError, match=r"i\.vvol: image has 2 channels, not one"):
+            load_manifest_volumes(tmp_path / "m.manifest", (4, 4, 4), 3)
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        (tmp_path / "m.manifest").write_text("\n")
+        with pytest.raises(VvolError, match=r"m\.manifest: manifest lists no volume pairs"):
+            load_manifest_volumes(tmp_path / "m.manifest", (4, 4, 4), 3)
+
 
 class TestManifestFuzz:
     """Whatever the bytes, read_manifest returns (image, labels) pairs or raises VvolError."""
