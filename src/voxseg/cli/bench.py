@@ -60,7 +60,7 @@ def bench_row(cfg: TrainConfig, repetitions: int) -> dict:
     px, py, pz = cfg.patch
     image = Tensor4.gaussian(Shape4(px, py, pz, 1), 0.0, 1.0, rng.spawn(13))
     label_values = rng.spawn(17).randint(0, cfg.class_count, px * py * pz)
-    labels = Tensor4(label_values.reshape(pz, py, px, 1))
+    labels = Tensor4(label_values.reshape(pz, py, px, 1).astype(np.uint8))
 
     def step() -> tuple[float, float]:
         net.zero_grad()

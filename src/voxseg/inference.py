@@ -92,9 +92,10 @@ def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
 
 
 def decode_labels(prob_volume: Volume) -> Volume:
-    """Per-voxel argmax over channels; ties go to the lowest class index."""
+    """Per-voxel argmax over channels as a uint8 label volume; ties go to the lowest
+    class index. More than 256 channels raise ``Volume``'s class-count ValueError."""
     probs = prob_volume.tensor.zyxc
-    labels = np.empty((*probs.shape[:3], 1))
+    labels = np.empty((*probs.shape[:3], 1), np.uint8)
     for z, slab in enumerate(probs):  # no full-volume integer temporary
         labels[z, :, :, 0] = slab.argmax(axis=2)
     return Volume(Tensor4(labels), prob_volume.spacing, "labels", probs.shape[3])

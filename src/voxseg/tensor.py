@@ -1,8 +1,8 @@
 """Dense 4-D tensor value type plus the seeded PRNG used everywhere.
 
-A ``Tensor4`` is a dense block of float64 scalars indexed by ``(x, y, z, c)``
-with a single fixed memory layout: channel varies fastest, then x, then y,
-then z slowest, i.e.
+A ``Tensor4`` is a dense block of float64 scalars, or of uint8 class indices
+for label maps, indexed by ``(x, y, z, c)`` with a single fixed memory layout:
+channel varies fastest, then x, then y, then z slowest, i.e.
 
     linear offset = c + C * (x + X * (y + Y * z))
 
@@ -10,8 +10,8 @@ Internally the buffer is held as a C-contiguous numpy array with axes
 ``(z, y, x, c)``, which realizes exactly that offset law. Every operation in
 the package goes through this one layout; there are no hidden transposes.
 ``Tensor4(zyxc)`` wraps such an array without a copy when it is already
-C-contiguous float64 (converting it otherwise); the caller hands the array
-over and must not modify it afterwards.
+C-contiguous float64 or uint8 (converting it to float64 otherwise); the caller
+hands the array over and must not modify it afterwards.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Shape4(NamedTuple):
 
 
 class Tensor4:
-    """Immutable-by-convention dense 4-D float64 tensor.
+    """Immutable-by-convention dense 4-D float64 (or uint8 label) tensor.
 
     The only sanctioned in-place mutations are the optimizer update, which owns
     its parameters exclusively while stepping, and ``predict``'s softmax, which
@@ -63,8 +63,9 @@ class Tensor4:
     __slots__ = ("_zyxc",)
 
     def __init__(self, zyxc: np.ndarray):
-        if zyxc.dtype != np.float64 or not zyxc.flags.c_contiguous:
-            zyxc = np.ascontiguousarray(zyxc, dtype=np.float64)
+        dtype = np.uint8 if zyxc.dtype == np.uint8 else np.float64
+        if zyxc.dtype != dtype or not zyxc.flags.c_contiguous:
+            zyxc = np.ascontiguousarray(zyxc, dtype=dtype)
         if zyxc.ndim != 4:
             raise ValueError(f"expected 4 axes, got {zyxc.ndim}")
         self._zyxc = zyxc

@@ -19,6 +19,7 @@ Round trips are bit-exact for both dtypes.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,9 +43,9 @@ class VvolError(Exception):
 
 def check_label_values(zyxc: np.ndarray, class_count: int) -> None:
     """The label rule: every value is an integer in [0, class_count). NaN fails it.
-    Floors one z slab at a time, not the whole array as one copy."""
-    if not (all((s == np.floor(s)).all() for s in zyxc) and zyxc.min() >= 0
-            and zyxc.max() < class_count):
+    uint8 is integral by type; a float array is floored one z slab at a time."""
+    if not ((zyxc.dtype == np.uint8 or all((s == np.floor(s)).all() for s in zyxc))
+            and zyxc.min() >= 0 and zyxc.max() < class_count):
         raise ValueError(f"label values must be integers in [0, {class_count})")
 
 
@@ -52,8 +53,9 @@ def check_label_values(zyxc: np.ndarray, class_count: int) -> None:
 class Volume:
     """A 3-D image or label map with voxel spacing in mm.
 
-    Images may carry any channel count (probability maps are multi-channel);
-    label maps are integer-coded and must stay inside [0, class_count).
+    Images hold float64 and may carry any channel count (probability maps are
+    multi-channel). Label maps hold uint8 class indices in [0, class_count), with
+    class_count in [1, 256]; float-coded labels are checked, then converted once.
     """
 
     tensor: Tensor4
@@ -67,10 +69,16 @@ class Volume:
         self.spacing = tuple(float(s) for s in self.spacing)
         if not all(0 < s < math.inf for s in self.spacing):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        a = self.tensor.zyxc
         if self.kind == "labels":
-            if self.class_count < 1:
-                raise ValueError("label volumes need class_count >= 1")
-            check_label_values(self.tensor.zyxc, self.class_count)
+            if not 1 <= self.class_count <= MAX_LABEL_CLASSES:
+                raise ValueError(f"label volumes need class_count in [1, {MAX_LABEL_CLASSES}], "
+                                 f"got {self.class_count}")
+            check_label_values(a, self.class_count)
+            if a.dtype != np.uint8:
+                self.tensor = Tensor4(a.astype(np.uint8))
+        elif a.dtype != np.float64:
+            self.tensor = Tensor4(a.astype(np.float64))
 
     @property
     def extents(self) -> tuple[int, int, int]:
@@ -92,29 +100,33 @@ def write_vvol(volume: Volume, path) -> None:
 
 
 def read_vvol(path) -> Volume:
+    """Read a VVOL file; the payload goes straight into the array the Volume keeps."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            head = f.read(56)
+            if head[:4] != _VVOL_MAGIC:
+                raise VvolError(f"{path}: bad magic {head[:4]!r}")
+            version, dtype, class_count = struct.unpack_from("<III", head, 4)
+            if version != _VVOL_VERSION:
+                raise ValueError(f"unsupported version {version}")
+            if dtype not in (_DTYPE_IMAGE, _DTYPE_LABELS):
+                raise ValueError(f"unknown dtype code {dtype}")
+            shape = Shape4(*struct.unpack_from("<4I", head, 16)).validate()
+            spacing = struct.unpack_from("<3d", head, 32)
+            labels = dtype == _DTYPE_LABELS
+            size = shape.element_count * (1 if labels else 8)
+            payload = os.fstat(f.fileno()).st_size - len(head)
+            if payload != size:
+                raise ValueError(f"payload is {payload} bytes, header implies {size}")
+            data = np.empty((shape.z, shape.y, shape.x, shape.c), "<u1" if labels else "<f8")
+            if f.readinto(data) != size:
+                raise ValueError(f"payload ended before the {size} bytes the header implies")
+        # min and max propagate NaN and meet any infinity, with no boolean temporary
+        if not (labels or math.isfinite(data.min()) and math.isfinite(data.max())):
+            raise ValueError("image payload holds NaN or infinite values")
+        return Volume(Tensor4(data), spacing, "labels" if labels else "image", class_count)
     except OSError as exc:
         raise VvolError(f"cannot read volume: {exc}") from exc
-    if raw[:4] != _VVOL_MAGIC:
-        raise VvolError(f"{path}: bad magic {raw[:4]!r}")
-    try:
-        version, dtype, class_count = struct.unpack_from("<III", raw, 4)
-        if version != _VVOL_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        if dtype not in (_DTYPE_IMAGE, _DTYPE_LABELS):
-            raise ValueError(f"unknown dtype code {dtype}")
-        shape = Shape4(*struct.unpack_from("<4I", raw, 16)).validate()
-        spacing = struct.unpack_from("<3d", raw, 32)
-        labels = dtype == _DTYPE_LABELS
-        size = shape.element_count * (1 if labels else 8)
-        if len(raw) - 56 != size:
-            raise ValueError(f"payload is {len(raw) - 56} bytes, header implies {size}")
-        data = np.frombuffer(raw, "<u1" if labels else "<f8", offset=56)
-        if not (labels or np.isfinite(data).all()):
-            raise ValueError("image payload holds NaN or infinite values")
-        return Volume(Tensor4.from_flat(shape, data), spacing,
-                      "labels" if labels else "image", class_count)
     except (struct.error, ValueError) as exc:
         raise VvolError(f"{path}: {exc}") from exc
 
@@ -142,8 +154,9 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
     inside ``fg_bounds`` (redrawn deterministically when a draw lands outside).
     Both are built one ``z_slabs`` slab at a time.
     """
-    if class_count < 2:
-        raise ValueError("need at least one foreground class")
+    if not 2 <= class_count <= MAX_LABEL_CLASSES:
+        raise ValueError(f"class_count {class_count} must be in [2, {MAX_LABEL_CLASSES}]: "
+                         "background, at least one foreground class, and uint8 labels")
     X, Y, Z = extents
     master = Rng(seed)
     xs = np.arange(X)[None, None, :, None]
@@ -153,7 +166,7 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
     dataset = []
     for vi in range(n_volumes):
         rng = master.spawn(vi)
-        labels = np.empty((Z, Y, X, 1))
+        labels = np.empty((Z, Y, X, 1), np.uint8)
         for _attempt in range(200):
             # per foreground class: centre and half-extent fractions along x, y, z, then
             # ellipsoid or box; all drawn before any voxel is written
@@ -164,7 +177,7 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
             for sl in slabs:
                 zs = np.arange(sl.start, sl.stop)[:, None, None, None]
                 slab = labels[sl]
-                slab.fill(0.0)
+                slab.fill(0)
                 for cls, ((cx, cy, cz), (rx, ry, rz), ellipsoid) in enumerate(
                         zip(centres, radii, u[:, 6] < 0.5), 1):
                     if ellipsoid:
@@ -173,7 +186,7 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
                     else:
                         inside = ((np.abs(xs - cx) <= rx) & (np.abs(ys - cy) <= ry)
                                   & (np.abs(zs - cz) <= rz))
-                    slab[inside] = float(cls)
+                    slab[inside] = cls
                 counts += [np.count_nonzero(slab == c) for c in range(1, class_count)]
             if all(fg_bounds[0] <= f <= fg_bounds[1] for f in counts / labels.size):
                 break
@@ -182,7 +195,7 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
         image = rng.normal(labels.size).reshape(labels.shape)
         image *= noise_sigma
         for sl in slabs:  # levels[labels] + noise_sigma * noise, in place
-            image[sl] += levels[labels[sl].astype(np.int64)]
+            image[sl] += levels[labels[sl]]
         dataset.append((
             Volume(Tensor4(image), spacing, "image"),
             Volume(Tensor4(labels), spacing, "labels", class_count),
@@ -272,7 +285,7 @@ def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
     a, b = np.split(d, 2, axis=1)
     b = b - a
     ramp = _lerp_ramp(Z)
-    img_out, lab_out = np.empty((Z, Y, X, 1)), np.empty((Z, Y, X, 1))
+    img_out, lab_out = np.empty((Z, Y, X, 1)), np.empty((Z, Y, X, 1), np.uint8)
     for sl in z_slabs(Z, X * Y):
         src = ramp[sl, None, None] * b
         src += a

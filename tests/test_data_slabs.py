@@ -3,7 +3,9 @@
 ``Rng.normal``, ``gen_synthetic`` and ``elastic_augment`` fill their outputs
 one ``SLAB_VOXELS`` slab at a time. The oracles below are the whole-volume
 forms they replaced; each test asserts the same bytes and the same PRNG
-counter, and the traced tests bound the scratch held above the output.
+counter, and the traced tests bound the scratch held above the output. The
+oracles build float-coded labels, so label bytes are compared against the
+oracle's labels cast to uint8.
 """
 
 import numpy as np
@@ -139,14 +141,15 @@ class TestGenSyntheticSlabs:
         ref = gen_synthetic_oracle(77, 2, extents, class_count, fg_bounds=fg_bounds)
         for (img, lab), (ref_img, ref_lab) in zip(ours, ref):
             assert same_bits(img.tensor.zyxc, ref_img)
-            assert same_bits(lab.tensor.zyxc, ref_lab)
+            assert same_bits(lab.tensor.zyxc, ref_lab.astype(np.uint8))
 
     def test_redraws_follow_the_oracle(self):
         # tight bounds force many rejected draws before one is kept
         kw = dict(fg_bounds=(0.1, 0.35))
         (img, lab), = gen_synthetic(5, 1, (24, 20, 18), 2, **kw)
         (ref_img, ref_lab), = gen_synthetic_oracle(5, 1, (24, 20, 18), 2, **kw)
-        assert same_bits(img.tensor.zyxc, ref_img) and same_bits(lab.tensor.zyxc, ref_lab)
+        assert same_bits(img.tensor.zyxc, ref_img)
+        assert same_bits(lab.tensor.zyxc, ref_lab.astype(np.uint8))
 
     def test_traced_scratch_at_96_cubed(self):
         _, peak = traced_peak(lambda: gen_synthetic(3, 1, (96, 96, 96), 3))
@@ -169,9 +172,10 @@ class TestElasticSlabs:
         image, labels = _pair(extents)
         corners = random_deformation(Rng(int(sigma * 10) + 1), sigma=sigma)
         img, lab = elastic_augment(image, labels, corners)
-        ref_img, ref_lab = elastic_oracle(image.tensor.zyxc, labels.tensor.zyxc, corners)
+        ref_img, ref_lab = elastic_oracle(image.tensor.zyxc,
+                                          labels.tensor.zyxc.astype(np.float64), corners)
         assert same_bits(img.tensor.zyxc, ref_img)
-        assert same_bits(lab.tensor.zyxc, ref_lab)
+        assert same_bits(lab.tensor.zyxc, ref_lab.astype(np.uint8))
 
     def test_traced_scratch_at_96_cubed(self):
         image, labels = _pair((96, 96, 96))

@@ -98,6 +98,7 @@ MALFORMED_VVOL = {
     "nan_image_payload": vvol_bytes(0, 0, (2, 1, 1, 1), (1, 1, 1), [0.0, math.nan]),
     "infinite_image_payload": vvol_bytes(0, 0, (2, 1, 1, 1), (1, 1, 1), [-math.inf, 1.0]),
     "label_out_of_range": vvol_bytes(1, 2, (2, 1, 1, 1), (1, 1, 1), [0, 2]),
+    "label_class_count_over_256": vvol_bytes(1, 300, (2, 1, 1, 1), (1, 1, 1), [0, 2]),
 }
 
 
