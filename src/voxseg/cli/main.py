@@ -107,7 +107,7 @@ def cmd_infer(args) -> int:
     net = ShuffleUNet3d(cfg.backbone_spec(), Rng(cfg.seed).spawn(7))
     load_into_network(net, load_checkpoint(args.checkpoint))
     volume = read_vvol(args.input)
-    if volume.kind != "image":
+    if volume.class_count:
         raise VvolError(f"{args.input}: inference needs an image volume")
     if volume.tensor.shape.c != 1:
         raise VvolError(f"{args.input}: image has {volume.tensor.shape.c} channels, not one")
@@ -122,7 +122,7 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     pred = read_vvol(args.prediction)
     ref = read_vvol(args.reference)
-    if pred.kind != "labels" or ref.kind != "labels":
+    if not (pred.class_count and ref.class_count):
         raise VvolError("eval expects two label volumes")
     rows = per_class_metrics(pred, ref)
     name = Path(args.prediction).stem
@@ -141,7 +141,7 @@ def cmd_shuffle(args) -> int:
     volume = read_vvol(args.input)
     op = down_shuffle if args.direction == "down" else up_shuffle
     shuffled = op(volume.tensor, factors)
-    out = Volume(shuffled, volume.spacing, volume.kind, volume.class_count)
+    out = Volume(shuffled, volume.spacing, volume.class_count)
     write_vvol(out, args.output)
     print(f"wrote {args.direction}-shuffled volume to {args.output}")
     return EXIT_OK

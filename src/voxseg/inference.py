@@ -67,7 +67,7 @@ def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
     work = volume
     if any(pad):
         padded = np.pad(volume.tensor.zyxc, ((0, pad[2]), (0, pad[1]), (0, pad[0]), (0, 0)))
-        work = Volume(Tensor4(padded), volume.spacing, volume.kind, volume.class_count)
+        work = Volume(Tensor4(padded), volume.spacing, volume.class_count)
     plan = plan_tiling(work.extents, patch, stride)
 
     wx, wy, wz = work.extents
@@ -88,7 +88,7 @@ def predict_volume(net, volume: Volume, patch: tuple[int, int, int],
     cover_yx = np.multiply.outer(cy, cx)[..., None]
     for z, slab in enumerate(prob_sum):  # in place, one z slab of the cover at a time
         slab /= cz[z] * cover_yx
-    return Volume(Tensor4(prob_sum[:Z, :Y, :X, :]), volume.spacing, "image")
+    return Volume(Tensor4(prob_sum[:Z, :Y, :X, :]), volume.spacing)
 
 
 def decode_labels(prob_volume: Volume) -> Volume:
@@ -98,4 +98,4 @@ def decode_labels(prob_volume: Volume) -> Volume:
     labels = np.empty((*probs.shape[:3], 1), np.uint8)
     for z, slab in enumerate(probs):  # no full-volume integer temporary
         labels[z, :, :, 0] = slab.argmax(axis=2)
-    return Volume(Tensor4(labels), prob_volume.spacing, "labels", probs.shape[3])
+    return Volume(Tensor4(labels), prob_volume.spacing, probs.shape[3])

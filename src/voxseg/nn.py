@@ -38,10 +38,10 @@ OpenBLAS thread pool contends with scipy's when both are used.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -50,7 +50,7 @@ from scipy.linalg.blas import dgemm
 from .atomic import write_atomic
 from .shuffle import divide_extents, down_shuffle, up_shuffle
 from .tensor import Rng, Shape4, Tensor4
-from .volume import check_label_values
+from .volume import check_label_values, read_payload
 
 
 _recording = True  # cleared only while ShuffleUNet3d.predict runs
@@ -625,39 +625,39 @@ def save_checkpoint(path, params: Mapping[str, Node]) -> None:
 
 
 def load_checkpoint(path) -> "OrderedDict[str, Tensor4]":
+    """Read the records in file order, each payload straight into its tensor."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            head, size = f.read(8), os.fstat(f.fileno()).st_size
+            if head[:4] != _CKPT_MAGIC:
+                raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+            if head[4:8] != struct.pack("<I", _CKPT_VERSION):
+                raise CheckpointError(f"{path}: unsupported checkpoint version")
+            params: OrderedDict[str, Tensor4] = OrderedDict()
+            while (offset := f.tell()) < size:
+                try:
+                    (name_len,) = struct.unpack("<I", f.read(4))
+                    name = read_payload(f, (name_len,), "u1").tobytes().decode("utf-8")
+                    shape = Shape4(*struct.unpack("<4I", f.read(16))).validate()
+                    values = read_payload(f, (shape.z, shape.y, shape.x, shape.c), "<f8")
+                except UnicodeDecodeError as exc:
+                    raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
+                except (struct.error, ValueError) as exc:
+                    raise CheckpointError(f"{path}: bad record at byte {offset}: {exc}") from exc
+                if name in params:
+                    raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
+                if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+                    raise NonFiniteWeightsError(f"{path}: parameter {name!r} holds NaN or "
+                                                "infinite weights")
+                params[name] = Tensor4(values)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-    if raw[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    if raw[4:8] != struct.pack("<I", _CKPT_VERSION):
-        raise CheckpointError(f"{path}: unsupported checkpoint version")
-    params: OrderedDict[str, Tensor4] = OrderedDict()
-    offset = 8
-    while offset < len(raw):
-        try:
-            (name_len,) = struct.unpack_from("<I", raw, offset)
-            name, *extents = struct.unpack_from(f"<{name_len}s4I", raw, offset + 4)
-            name = name.decode("utf-8")
-            shape = Shape4(*extents).validate()
-            values = np.frombuffer(raw, "<f8", shape.element_count, offset + 20 + name_len)
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
-        except (struct.error, ValueError) as exc:
-            raise CheckpointError(f"{path}: bad record at byte {offset}: {exc}") from exc
-        offset += 20 + name_len + values.nbytes
-        if name in params:
-            raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
-        if not np.isfinite(values).all():
-            raise NonFiniteWeightsError(f"{path}: parameter {name!r} holds NaN or "
-                                        "infinite weights")
-        params[name] = Tensor4.from_flat(shape, values)
     return params
 
 
 def load_into_network(net: ShuffleUNet3d, params: Mapping[str, Tensor4]) -> None:
-    """Copy checkpoint tensors into a compatible network, checking names and shapes."""
+    """All or nothing: check every name and shape, then the network takes ownership of
+    the checkpoint tensors (no copy), so the caller must not use them afterwards."""
     own = net.parameters()
     if set(own) != set(params):
         missing = sorted(set(own) - set(params))
@@ -671,5 +671,6 @@ def load_into_network(net: ShuffleUNet3d, params: Mapping[str, Tensor4]) -> None
                 f"shape mismatch for {name}: checkpoint {params[name].shape} "
                 f"vs network {node.value.shape}"
             )
-        node.value = params[name].copy()
+    for name, node in own.items():
+        node.value = params[name]
         node.grad = None

@@ -84,17 +84,6 @@ class Tensor4:
         samples = rng.normal(shape.element_count, mu=mu, sigma=sigma)
         return cls(samples.reshape(shape.z, shape.y, shape.x, shape.c))
 
-    @classmethod
-    def from_flat(cls, shape: Shape4, buffer: np.ndarray) -> "Tensor4":
-        """Build from a flat buffer already in layout order (copies)."""
-        shape = Shape4(*shape).validate()
-        buf = np.array(buffer, dtype=np.float64, order="C").reshape(-1)
-        if buf.size != shape.element_count:
-            raise ValueError(
-                f"buffer length {buf.size} != element count {shape.element_count}"
-            )
-        return cls(buf.reshape(shape.z, shape.y, shape.x, shape.c))
-
     # -- views and lookups -------------------------------------------------
 
     @property

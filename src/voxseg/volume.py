@@ -8,7 +8,7 @@ VVOL file layout (all little-endian):
     magic   4 bytes  "VVOL"
     version u32      1
     dtype   u32      0 = float64 image, 1 = uint8 labels
-    classes u32      class count for labels, 0 for images
+    classes u32      class count: 0 for an image, 1 to 256 for labels
     extents 4 x u32  x, y, z, c
     spacing 3 x f64  mm per voxel along x, y, z
     payload          tensor buffer in layout order (c fastest, z slowest)
@@ -51,26 +51,23 @@ def check_label_values(zyxc: np.ndarray, class_count: int) -> None:
 
 @dataclass
 class Volume:
-    """A 3-D image or label map with voxel spacing in mm.
+    """A 3-D image or label map with voxel spacing in mm; ``class_count`` tells which.
 
-    Images hold float64 and may carry any channel count (probability maps are
-    multi-channel). Label maps hold uint8 class indices in [0, class_count), with
-    class_count in [1, 256]; float-coded labels are checked, then converted once.
+    Images (class_count 0) hold float64 and may carry any channel count (probability
+    maps are multi-channel). Label maps (class_count in [1, 256]) hold uint8 class
+    indices in [0, class_count); float-coded labels are checked, then converted once.
     """
 
     tensor: Tensor4
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    kind: str = "image"
     class_count: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("image", "labels"):
-            raise ValueError(f"kind must be 'image' or 'labels', got {self.kind!r}")
         self.spacing = tuple(float(s) for s in self.spacing)
         if not all(0 < s < math.inf for s in self.spacing):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         a = self.tensor.zyxc
-        if self.kind == "labels":
+        if self.class_count:
             if not 1 <= self.class_count <= MAX_LABEL_CLASSES:
                 raise ValueError(f"label volumes need class_count in [1, {MAX_LABEL_CLASSES}], "
                                  f"got {self.class_count}")
@@ -85,17 +82,27 @@ class Volume:
         return self.tensor.shape.spatial
 
 
+def read_payload(f, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    """Read a C-order ``shape`` array of ``dtype`` from binary file ``f`` straight into
+    the array returned; ValueError, before any allocation, if the rest is too short."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"payload of {size} bytes runs past the file's {left} remaining")
+    data = np.empty(shape, dtype)
+    if f.readinto(data) != size:
+        raise ValueError(f"payload ended before the {size} bytes the header implies")
+    return data
+
+
 def write_vvol(volume: Volume, path) -> None:
-    t = volume.tensor
-    dtype = _DTYPE_LABELS if volume.kind == "labels" else _DTYPE_IMAGE
-    if dtype == _DTYPE_LABELS and volume.class_count > MAX_LABEL_CLASSES:
-        raise VvolError(f"uint8 label payload supports at most {MAX_LABEL_CLASSES} classes")
+    t, dtype = volume.tensor, _DTYPE_LABELS if volume.class_count else _DTYPE_IMAGE
     write_atomic(path, [
         _VVOL_MAGIC,
         struct.pack("<III", _VVOL_VERSION, dtype, volume.class_count),
         struct.pack("<4I", *t.shape),
         struct.pack("<3d", *volume.spacing),
-        t.flat.astype("<u1" if dtype == _DTYPE_LABELS else "<f8", copy=False),
+        t.flat.astype("<u1" if volume.class_count else "<f8", copy=False),
     ])
 
 
@@ -111,20 +118,19 @@ def read_vvol(path) -> Volume:
                 raise ValueError(f"unsupported version {version}")
             if dtype not in (_DTYPE_IMAGE, _DTYPE_LABELS):
                 raise ValueError(f"unknown dtype code {dtype}")
+            labels = dtype == _DTYPE_LABELS
+            if labels != (class_count > 0):
+                raise ValueError(f"dtype code {dtype} disagrees with class count {class_count}")
             shape = Shape4(*struct.unpack_from("<4I", head, 16)).validate()
             spacing = struct.unpack_from("<3d", head, 32)
-            labels = dtype == _DTYPE_LABELS
-            size = shape.element_count * (1 if labels else 8)
-            payload = os.fstat(f.fileno()).st_size - len(head)
-            if payload != size:
-                raise ValueError(f"payload is {payload} bytes, header implies {size}")
-            data = np.empty((shape.z, shape.y, shape.x, shape.c), "<u1" if labels else "<f8")
-            if f.readinto(data) != size:
-                raise ValueError(f"payload ended before the {size} bytes the header implies")
+            data = read_payload(f, (shape.z, shape.y, shape.x, shape.c),
+                                "<u1" if labels else "<f8")
+            if f.read(1):
+                raise ValueError("file runs on past the payload the header implies")
         # min and max propagate NaN and meet any infinity, with no boolean temporary
         if not (labels or math.isfinite(data.min()) and math.isfinite(data.max())):
             raise ValueError("image payload holds NaN or infinite values")
-        return Volume(Tensor4(data), spacing, "labels" if labels else "image", class_count)
+        return Volume(Tensor4(data), spacing, class_count)
     except OSError as exc:
         raise VvolError(f"cannot read volume: {exc}") from exc
     except (struct.error, ValueError) as exc:
@@ -197,8 +203,8 @@ def gen_synthetic(seed: int, n_volumes: int, extents: tuple[int, int, int],
         for sl in slabs:  # levels[labels] + noise_sigma * noise, in place
             image[sl] += levels[labels[sl]]
         dataset.append((
-            Volume(Tensor4(image), spacing, "image"),
-            Volume(Tensor4(labels), spacing, "labels", class_count),
+            Volume(Tensor4(image), spacing),
+            Volume(Tensor4(labels), spacing, class_count),
         ))
     return dataset
 
@@ -297,8 +303,8 @@ def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
         map_coordinates(labels.tensor.zyxc[..., 0], src, output=lab_out[sl, ..., 0],
                         order=0, mode="nearest")
     return (
-        Volume(Tensor4(img_out), image.spacing, "image"),
-        Volume(Tensor4(lab_out), labels.spacing, "labels", labels.class_count),
+        Volume(Tensor4(img_out), image.spacing),
+        Volume(Tensor4(lab_out), labels.spacing, labels.class_count),
     )
 
 
@@ -356,7 +362,7 @@ def load_manifest_volumes(path, patch, class_count: int) -> list[tuple[Volume, V
     for img_rel, lab_rel in pairs:
         img_path, lab_path = base / img_rel, base / lab_rel
         img, lab = read_vvol(img_path), read_vvol(lab_path)
-        if img.kind != "image" or lab.kind != "labels":
+        if img.class_count or not lab.class_count:
             raise VvolError(f"manifest pair ({img_rel}, {lab_rel}) has wrong kinds")
         if img.tensor.shape.c != 1:
             raise VvolError(f"{img_path}: image has {img.tensor.shape.c} channels, not one")

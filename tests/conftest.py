@@ -15,6 +15,15 @@ def full(shape: Shape4, value: float) -> Tensor4:
     return Tensor4(np.full((shape.z, shape.y, shape.x, shape.c), float(value)))
 
 
+def from_flat(shape: Shape4, buffer) -> Tensor4:
+    """Float64 tensor of ``shape`` built from a flat buffer in layout order (copies)."""
+    shape = Shape4(*shape).validate()
+    buf = np.array(buffer, dtype=np.float64, order="C").reshape(-1)
+    if buf.size != shape.element_count:
+        raise ValueError(f"buffer length {buf.size} != element count {shape.element_count}")
+    return Tensor4(buf.reshape(shape.z, shape.y, shape.x, shape.c))
+
+
 def tensors_equal(a: Tensor4, b: Tensor4) -> bool:
     """Same shape and the same values (NaN counts as unequal)."""
     return a.shape == b.shape and bool(np.array_equal(a.zyxc, b.zyxc))
@@ -68,7 +77,7 @@ def fd_gradient_error(build, leaf_tensors, seed=1.0):
                 buf[i] += sign * eps
                 mod = [
                     Node(t) if j != li
-                    else Node(Tensor4.from_flat(t.shape, buf))
+                    else Node(from_flat(t.shape, buf))
                     for j, t in enumerate(leaf_tensors)
                 ]
                 probes.append((build(mod).value.zyxc * seed).sum())

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import voxseg
-from conftest import dot, fd_gradient_error, tensors_equal
+from conftest import dot, fd_gradient_error, from_flat, tensors_equal
 from test_metrics import brute_asd_hd, mask_from_voxels
 from voxseg.cli.config import TrainConfig, load_config
 from voxseg.cli.main import main
@@ -100,7 +100,7 @@ class TestGradientSuite:
         relu_in += np.sign(relu_in) * 0.25
         errors["activation"] = fd_gradient_error(
             lambda l: activation(l[0], "relu"),
-            [Tensor4.from_flat(Shape4(2, 2, 2, 2), relu_in)],
+            [from_flat(Shape4(2, 2, 2, 2), relu_in)],
             projection(Shape4(2, 2, 2, 2), 2))
 
         errors["maxpool"] = fd_gradient_error(
@@ -381,7 +381,7 @@ class TestInferenceStitching:
                             widths=(4, 8))
         net = ShuffleUNet3d(spec, Rng(606))
         vol = Volume(Tensor4.gaussian(Shape4(24, 20, 16, 1), 0, 1, Rng(607)),
-                     (1.0, 1.0, 1.0), "image")
+                     (1.0, 1.0, 1.0))
         probs = predict_volume(net, vol, (8, 8, 8))
         sums = probs.tensor.zyxc.sum(axis=3)
         sums_ok = np.abs(sums - 1.0).max() < 1e-9
@@ -401,7 +401,7 @@ class TestInferenceStitching:
         marker = np.zeros((4, 4, 6, 1))
         marker[0, 0, 0, 0] = -1.0  # first tile sees a negative corner
         marker[0, 0, 2, 0] = +1.0  # second tile sees a positive corner
-        vol2 = Volume(Tensor4(marker), (1.0, 1.0, 1.0), "image")
+        vol2 = Volume(Tensor4(marker), (1.0, 1.0, 1.0))
         # tile normalization keeps each corner's sign: the tile mean lies between 0 and it
         out = predict_volume(TwoValueNet(), vol2, (4, 4, 4), (2, 2, 2))
         got = out.tensor.zyxc

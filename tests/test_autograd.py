@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dgemm
 
-from conftest import fd_gradient_error, full, tensors_equal, traced_peak
+from conftest import fd_gradient_error, from_flat, full, tensors_equal, traced_peak
 from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward,
                        ShuffleUNet3d, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
@@ -15,7 +15,7 @@ GRAD_TOL = 1e-6
 
 
 def scalar(v):
-    return Node(Tensor4.from_flat(Shape4(1, 1, 1, 1), [v]))
+    return Node(from_flat(Shape4(1, 1, 1, 1), [v]))
 
 
 def zero_fill_then_add(shape, *parts):
@@ -50,7 +50,7 @@ class TestEngine:
     def test_first_gradient_has_zero_fill_bits(self):
         # an adopted first gradient is 0.0 + g, as a zero fill plus g was:
         # the masked-out -0.0 becomes +0.0, NaN and inf pass through
-        x = Node(Tensor4.from_flat(Shape4(4, 1, 1, 1), [-1.0, 2.0, 3.0, -4.0]))
+        x = Node(from_flat(Shape4(4, 1, 1, 1), [-1.0, 2.0, 3.0, -4.0]))
         seed = np.array([-1.0, -2.0, np.nan, np.inf]).reshape(1, 1, 4, 1)
         with np.errstate(invalid="ignore"):
             backward(activation(x, "relu"), seed)
@@ -153,11 +153,11 @@ class TestEngine:
 
 class TestActivation:
     def test_relu_values(self):
-        t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
+        t = from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
         assert activation(Node(t), "relu").value.flat.tolist() == [0.0, 2.0]
 
     def test_relu_gradient_signs(self):
-        t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
+        t = from_flat(Shape4(2, 1, 1, 1), [-1.0, 2.0])
         x = Node(t)
         backward(activation(x, "relu"), np.ones(x.grad.shape))
         assert x.grad.reshape(-1).tolist() == [0.0, 1.0]
@@ -173,7 +173,7 @@ class TestActivation:
     def test_fd_away_from_kink(self):
         vals = Rng(4).normal(16)
         vals += np.sign(vals) * 0.25  # keep clear of the origin
-        t = Tensor4.from_flat(Shape4(2, 2, 2, 2), vals)
+        t = from_flat(Shape4(2, 2, 2, 2), vals)
         proj = Tensor4.gaussian(t.shape, 0, 1, Rng(5)).zyxc
         assert fd_gradient_error(lambda l: activation(l[0], "relu"), [t], proj) < GRAD_TOL
 
@@ -436,7 +436,7 @@ class TestConv3dActivation:
         rng = Rng(12)
         x = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, rng)
         w = Tensor4.gaussian(Shape4(3, 3, 3, 4), 0, 0.5, rng)
-        b = Tensor4.from_flat(Shape4(1, 1, 1, 2), [0.3, -0.3])
+        b = from_flat(Shape4(1, 1, 1, 2), [0.3, -0.3])
         proj = Tensor4.gaussian(Shape4(3, 3, 3, 2), 0, 1, Rng(13)).zyxc
 
         def build(leaves):
@@ -551,7 +551,7 @@ class TestMaxpool:
 
     def test_window_max(self):
         sh = Shape4(2, 2, 2, 1)
-        t = Tensor4.from_flat(sh, np.arange(8.0))
+        t = from_flat(sh, np.arange(8.0))
         out = maxpool3(Node(t), (2, 2, 2))
         assert out.value.at(0, 0, 0, 0) == 7.0
 
@@ -659,7 +659,7 @@ class TestSoftmax:
         assert np.allclose(out.value.zyxc, 0.5, atol=0, rtol=0)
 
     def test_closed_form(self):
-        t = Tensor4.from_flat(Shape4(1, 1, 1, 2), [0.0, math.log(3.0)])
+        t = from_flat(Shape4(1, 1, 1, 2), [0.0, math.log(3.0)])
         out = softmax_channels(Node(t)).value
         assert abs(out.at(0, 0, 0, 0) - 0.25) < 1e-15
         assert abs(out.at(0, 0, 0, 1) - 0.75) < 1e-15
@@ -806,7 +806,7 @@ class TestCeDiceLoss:
     def test_fd_direct_probs(self):
         rng = Rng(29)
         raw = 0.1 + 0.8 * rng.uniform(4 * 4 * 4 * 2)
-        probs = Tensor4.from_flat(Shape4(4, 4, 4, 2), raw)
+        probs = from_flat(Shape4(4, 4, 4, 2), raw)
         labels = label_patch(rng.randint(0, 2, 64).reshape(4, 4, 4))
 
         def build(leaves):

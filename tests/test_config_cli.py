@@ -231,7 +231,7 @@ class TestTrainInferEval:
             "--out-labels", str(out / "pred.vvol")])
         assert rc == 0
         probs = read_vvol(out / "prob.vvol")
-        assert probs.kind == "image" and probs.tensor.shape.c == 2
+        assert probs.class_count == 0 and probs.tensor.shape.c == 2
         sums = probs.tensor.zyxc.sum(axis=3)
         assert np.abs(sums - 1.0).max() < 1e-9
 
@@ -310,7 +310,7 @@ class TestShuffleCommand:
                 for z in range(2):
                     vals[z, y, x, 0] = x + 2 * y + 4 * z
         src = tmp_path / "arange.vvol"
-        write_vvol(Volume(Tensor4(vals), (1, 1, 1), "image"), src)
+        write_vvol(Volume(Tensor4(vals), (1, 1, 1)), src)
         out = tmp_path / "down.vvol"
         assert main(["shuffle", "--input", str(src), "--output", str(out),
                      "--factors", "2,2,2", "--direction", "down"]) == 0

@@ -161,7 +161,7 @@ def _pair(extents, seed=9):
     rng = Rng(seed)
     image = Tensor4(rng.normal(X * Y * Z).reshape(Z, Y, X, 1))
     labels = Tensor4(rng.randint(0, 4, X * Y * Z).reshape(Z, Y, X, 1).astype(np.float64))
-    return Volume(image, kind="image"), Volume(labels, kind="labels", class_count=4)
+    return Volume(image), Volume(labels, class_count=4)
 
 
 class TestElasticSlabs:

@@ -73,7 +73,7 @@ class TestPlanTiling:
 def image_volume(seed, extents):
     x, y, z = extents
     return Volume(Tensor4.gaussian(Shape4(x, y, z, 1), 0, 1, Rng(seed)),
-                  (1.0, 1.0, 1.0), "image")
+                  (1.0, 1.0, 1.0))
 
 
 class TestPredictVolume:
@@ -198,7 +198,7 @@ class TestPredictVolumeMemory:
         # label check, made 2.1x a float64 output (240 KiB); the uint8 output is
         # 30 KiB and one int64 argmax plane 7.5 KiB
         probs = Volume(Tensor4(Rng(15).uniform(32 * 24 * 40 * 3).reshape(32, 24, 40, 3)),
-                       (1.0, 1.0, 1.0), "image")
+                       (1.0, 1.0, 1.0))
         out, peak = traced_peak(lambda: decode_labels(probs))
         assert out.tensor.zyxc.nbytes == 32 * 24 * 40
         assert peak < 48 * 1024, peak
@@ -208,20 +208,20 @@ class TestDecodeLabels:
     def test_one_hot_exact(self):
         arr = np.zeros((2, 2, 2, 3))
         arr[..., 2] = 1.0
-        vol = Volume(Tensor4(arr), (1, 1, 1), "image")
+        vol = Volume(Tensor4(arr), (1, 1, 1))
         out = decode_labels(vol)
         assert (out.tensor.zyxc == 2.0).all()
         assert out.class_count == 3
 
     def test_tie_breaks_to_lowest_class(self):
         arr = np.full((1, 1, 1, 2), 0.5)
-        vol = Volume(Tensor4(arr), (1, 1, 1), "image")
+        vol = Volume(Tensor4(arr), (1, 1, 1))
         assert decode_labels(vol).tensor.at(0, 0, 0, 0) == 0.0
 
     def test_matches_bruteforce_argmax(self):
         rng = Rng(11)
         raw = rng.uniform(4 * 4 * 4 * 3).reshape(4, 4, 4, 3)
-        vol = Volume(Tensor4(raw), (1, 1, 1), "image")
+        vol = Volume(Tensor4(raw), (1, 1, 1))
         out = decode_labels(vol).tensor.zyxc[..., 0]
         for z in range(4):
             for y in range(4):

@@ -20,7 +20,7 @@ from test_volume import vvol_bytes
 
 def is_uint8_labels(volume: Volume, class_count: int) -> bool:
     a = volume.tensor.zyxc
-    return (volume.kind == "labels" and volume.class_count == class_count
+    return (volume.class_count == class_count
             and a.dtype == np.uint8 and a.flags.c_contiguous and int(a.max()) < class_count)
 
 
@@ -46,40 +46,45 @@ class TestVolumeOwnsTheFormat:
     @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8])
     def test_labels_stored_as_uint8(self, dtype):
         values = Rng(3).randint(0, 200, 6 * 5 * 4).reshape(4, 5, 6, 1)
-        vol = Volume(Tensor4(values.astype(dtype)), kind="labels", class_count=200)
+        vol = Volume(Tensor4(values.astype(dtype)), class_count=200)
         assert is_uint8_labels(vol, 200)
         assert np.array_equal(vol.tensor.zyxc, values)
 
     def test_float_coded_input_converted_once(self):
         values = Rng(4).randint(0, 3, 64 ** 3).reshape(64, 64, 64, 1).astype(np.float64)
         t = Tensor4(values)
-        vol, peak = traced_peak(lambda: Volume(t, kind="labels", class_count=3))
+        vol, peak = traced_peak(lambda: Volume(t, class_count=3))
         assert is_uint8_labels(vol, 3)
         assert peak < 1.1 * 64 ** 3, peak  # the uint8 copy and one slab of flooring
 
     def test_image_stays_float64(self):
         a = np.arange(8, dtype=np.uint8).reshape(2, 2, 2, 1)
-        vol = Volume(Tensor4(a), kind="image")
+        vol = Volume(Tensor4(a))
         assert vol.tensor.zyxc.dtype == np.float64 and np.array_equal(vol.tensor.zyxc, a)
 
     def test_class_count_256_holds_every_byte(self):
         a = np.arange(256, dtype=np.uint8).reshape(4, 8, 8, 1)
-        assert is_uint8_labels(Volume(Tensor4(a), kind="labels", class_count=256), 256)
+        assert is_uint8_labels(Volume(Tensor4(a), class_count=256), 256)
 
-    @pytest.mark.parametrize("class_count", [0, -1, 257, 1000])
+    @pytest.mark.parametrize("class_count", [-1, 257, 1000])
     def test_class_count_outside_1_to_256_rejected(self, class_count):
         t = Tensor4(np.zeros((2, 2, 2, 1), np.uint8))
         with pytest.raises(ValueError, match=r"class_count in \[1, 256\]"):
-            Volume(t, kind="labels", class_count=class_count)
+            Volume(t, class_count=class_count)
+
+    def test_image_values_are_not_labels(self):
+        # the class count alone decides: with 7 classes these float values are labels
+        with pytest.raises(ValueError, match="label values"):
+            Volume(Tensor4.gaussian(Shape4(2, 2, 2, 1), 0, 1, Rng(5)), class_count=7)
 
     @pytest.mark.parametrize("value", [3.0, 0.5, -1.0, np.nan, 300.0])
     def test_bad_float_labels_rejected_before_conversion(self, value):
         with pytest.raises(ValueError):
-            Volume(Tensor4(np.full((2, 2, 2, 1), value)), kind="labels", class_count=3)
+            Volume(Tensor4(np.full((2, 2, 2, 1), value)), class_count=3)
 
     def test_uint8_label_at_class_count_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            Volume(Tensor4(np.full((2, 2, 2, 1), 3, np.uint8)), kind="labels", class_count=3)
+            Volume(Tensor4(np.full((2, 2, 2, 1), 3, np.uint8)), class_count=3)
 
 
 def _pair(extents=(12, 10, 8), class_count=4):
@@ -108,7 +113,7 @@ class TestProducersBuildUint8:
 
     def test_decode_labels(self):
         probs = Rng(5).uniform(4 * 3 * 2 * 5).reshape(2, 3, 4, 5)
-        out = decode_labels(Volume(Tensor4(probs), kind="image"))
+        out = decode_labels(Volume(Tensor4(probs)))
         assert is_uint8_labels(out, 5)
         assert np.array_equal(out.tensor.zyxc[..., 0], probs.argmax(axis=3))
 
@@ -140,16 +145,24 @@ class TestClassCountLimit:
         with pytest.raises(VvolError, match=r"many\.vvol: .*class_count in \[1, 256\]"):
             read_vvol(path)
 
+    def test_read_vvol_refuses_an_image_header_with_classes(self, tmp_path):
+        # the class count alone says image or labels, so the dtype code must agree
+        path = tmp_path / "img7.vvol"
+        path.write_bytes(vvol_bytes(0, 7, (2, 1, 1, 1), (1, 1, 1), [0.0, 1.0]))
+        with pytest.raises(VvolError,
+                           match=r"img7\.vvol: dtype code 0 disagrees with class count 7"):
+            read_vvol(path)
+
     def test_decode_labels_of_257_channels_raises(self):
         probs = np.zeros((1, 1, 2, 257))
         probs[:, :, :, 256] = 1.0  # argmax 256 would wrap to 0 in uint8
         with pytest.raises(ValueError, match=r"class_count in \[1, 256\], got 257"):
-            decode_labels(Volume(Tensor4(probs), kind="image"))
+            decode_labels(Volume(Tensor4(probs)))
 
     def test_decode_labels_of_256_channels_keeps_the_last_class(self):
         probs = np.zeros((1, 1, 2, 256))
         probs[:, :, :, 255] = 1.0
-        assert decode_labels(Volume(Tensor4(probs), kind="image")).tensor.flat.tolist() == [255, 255]
+        assert decode_labels(Volume(Tensor4(probs))).tensor.flat.tolist() == [255, 255]
 
     def test_gen_synthetic_of_257_classes_raises(self):
         with pytest.raises(ValueError, match=r"class_count 257 must be in \[2, 256\]"):
@@ -161,7 +174,7 @@ class TestReadOncePerPayload:
 
     def test_image_read(self, tmp_path):
         shape = Shape4(64, 64, 64, 1)
-        write_vvol(Volume(Tensor4.gaussian(shape, 0, 1, Rng(7)), kind="image"),
+        write_vvol(Volume(Tensor4.gaussian(shape, 0, 1, Rng(7))),
                    tmp_path / "img.vvol")
         vol, peak = traced_peak(lambda: read_vvol(tmp_path / "img.vvol"))
         assert vol.tensor.zyxc.nbytes == 8 * 64 ** 3
@@ -169,7 +182,7 @@ class TestReadOncePerPayload:
 
     def test_label_read(self, tmp_path):
         values = Rng(8).randint(0, 3, 64 ** 3).reshape(64, 64, 64, 1).astype(np.uint8)
-        write_vvol(Volume(Tensor4(values), kind="labels", class_count=3), tmp_path / "lab.vvol")
+        write_vvol(Volume(Tensor4(values), class_count=3), tmp_path / "lab.vvol")
         vol, peak = traced_peak(lambda: read_vvol(tmp_path / "lab.vvol"))
         assert is_uint8_labels(vol, 3) and np.array_equal(vol.tensor.zyxc, values)
         assert peak < 1.1 * 64 ** 3, peak  # was 2.29 MiB for a 0.25 MiB payload

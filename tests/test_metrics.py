@@ -264,7 +264,7 @@ class TestBoundedSearch:
 class TestPerClassMetrics:
     def vol_from(self, arr, classes):
         t = Tensor4(np.asarray(arr, dtype=float)[..., None])
-        return Volume(t, (1.0, 1.0, 1.0), "labels", classes)
+        return Volume(t, (1.0, 1.0, 1.0), classes)
 
     def test_self_evaluation(self):
         rng = Rng(6)
@@ -294,8 +294,8 @@ class TestPerClassMetrics:
         spacing = (0.374, 0.363, 1.078)
         pred_arr = rng.randint(0, 3, 6 * 5 * 4).reshape(6, 5, 4)
         ref_arr = rng.randint(0, 3, 6 * 5 * 4).reshape(6, 5, 4)
-        pred = Volume(self.vol_from(pred_arr, 3).tensor, spacing, "labels", 3)
-        ref = Volume(self.vol_from(ref_arr, 3).tensor, spacing, "labels", 3)
+        pred = Volume(self.vol_from(pred_arr, 3).tensor, spacing, 3)
+        ref = Volume(self.vol_from(ref_arr, 3).tensor, spacing, 3)
         rows = per_class_metrics(pred, ref)
         assert [row["class"] for row in rows] == [1, 2]
         for row in rows:

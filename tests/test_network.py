@@ -410,6 +410,64 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_into_network(other, load_checkpoint(path))
 
+    def test_rejected_load_leaves_every_parameter(self, tmp_path):
+        # names match, and only the last layer's shapes differ: the load used to
+        # overwrite stem, enc*, up* and dec* before it reached head.weight
+        path = tmp_path / "model.vckp"
+        save_checkpoint(path, ShuffleUNet3d(small_spec(classes=2), Rng(43)).parameters())
+        net = ShuffleUNet3d(small_spec(classes=3), Rng(44))
+        before = {name: node.value for name, node in net.parameters().items()}
+        snapshot = {name: t.zyxc.tobytes() for name, t in before.items()}
+        with pytest.raises(CheckpointError, match="head.weight"):
+            load_into_network(net, load_checkpoint(path))
+        for name, node in net.parameters().items():
+            assert node.value is before[name] and node.value.zyxc.tobytes() == snapshot[name]
+
+    def test_load_adopts_the_tensors(self, tmp_path):
+        net = ShuffleUNet3d(small_spec(), Rng(45))
+        path = tmp_path / "model.vckp"
+        save_checkpoint(path, net.parameters())
+        params = load_checkpoint(path)
+        other = ShuffleUNet3d(small_spec(), Rng(46))
+        load_into_network(other, params)
+        assert all(other.parameters()[name].value is t for name, t in params.items())
+
+
+class TestCheckpointMemory:
+    """The default net (k=64, widths 32,64,128, 3 classes): each payload is read once."""
+
+    @pytest.fixture(scope="class")
+    def default_checkpoint(self, tmp_path_factory):
+        spec = BackboneSpec(class_count=3, factors=(2, 2, 2), stem_channels=64,
+                            widths=(32, 64, 128), pool=(2, 2, 2))
+        path = tmp_path_factory.mktemp("ckpt") / "model.vckp"
+        save_checkpoint(path, ShuffleUNet3d(spec, Rng(47)).parameters())
+        return spec, path
+
+    def test_load_checkpoint_holds_one_copy(self, default_checkpoint):
+        _, path = default_checkpoint
+        params, peak = traced_peak(lambda: load_checkpoint(path))
+        size = path.stat().st_size
+        assert sum(t.zyxc.nbytes for t in params.values()) > 0.99 * size
+        assert peak <= 1.05 * size, (peak, size)  # 2.0x: the whole file, then a copy
+
+    def test_load_into_network_allocates_nothing_new(self, default_checkpoint):
+        spec, path = default_checkpoint
+        net, params = ShuffleUNet3d(spec, Rng(48)), load_checkpoint(path)
+        _, peak = traced_peak(lambda: load_into_network(net, params))
+        assert peak <= 0.1 * 2 ** 20, peak  # was one more copy of every weight
+
+    def test_huge_record_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.vckp"
+        path.write_bytes(MALFORMED_VCKP["payload_claims_2_to_the_40"][0])
+
+        def load():  # 8 TiB of float64 claimed by a 93-byte file
+            with pytest.raises(CheckpointError, match="record"):
+                load_checkpoint(path)
+
+        _, peak = traced_peak(load)
+        assert peak < 2 ** 20, peak
+
 
 def _checkpoint_bytes(records):
     raw = b"VCKP" + struct.pack("<I", 1)
@@ -437,6 +495,9 @@ MALFORMED_VCKP = {
     "zero_extent": (_checkpoint_bytes([(b"w", (1, 0, 1, 1), [])]), CheckpointError,
                     "extents"),
     "payload_past_end": (VALID_CHECKPOINT[:-5], CheckpointError, "record"),
+    "payload_claims_2_to_the_40": (_HEADER + struct.pack("<I", 1) + b"w"
+                                   + struct.pack("<4I", 1024, 1024, 1024, 1) + bytes(64),
+                                   CheckpointError, "record"),
     "non_utf8_name": (_checkpoint_bytes([(b"stem.\xff", (1, 1, 1, 1), [0.5])]),
                       CheckpointError, "UTF-8"),
     "duplicate_name": (_checkpoint_bytes([_BIAS, _BIAS]), CheckpointError, "duplicate"),

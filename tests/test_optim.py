@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import from_flat
 from voxseg.nn import Node
 from voxseg.optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step, suggested_initial_lr
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
 def param(values):
-    return Node(Tensor4.from_flat(Shape4(len(values), 1, 1, 1), values))
+    return Node(from_flat(Shape4(len(values), 1, 1, 1), values))
 
 
 def step(params, state, *grads):

@@ -56,3 +56,23 @@ def test_every_hook_found_and_traced_through_a_train_step():
     # backward at twice its work
     per_forward = oracle.conv_flops_per_forward(net, (8, 8, 8))
     assert tracer.counters["nn.conv3d.flops"] == 3 * per_forward
+
+
+def test_checkpoint_round_trip_traced(tmp_path):
+    # perfbench's nn.load_checkpoint.s reads 0 if the loader stops going through the
+    # module attribute it wraps
+    spans = load_perfbench("spans")
+    spec = nn.BackboneSpec(class_count=2, factors=(2, 2, 2), stem_channels=4, widths=(4, 8))
+    net, other = nn.ShuffleUNet3d(spec, Rng(1)), nn.ShuffleUNet3d(spec, Rng(3))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        nn.save_checkpoint(tmp_path / "model.vckp", net.parameters())
+        nn.load_into_network(other, nn.load_checkpoint(tmp_path / "model.vckp"))
+    finally:
+        tracer.uninstall()
+    _, _, calls = tracer.times()
+    assert calls["nn.save_checkpoint"] == 1 and calls["nn.load_checkpoint"] == 1
+    patch = Tensor4.gaussian(Shape4(8, 8, 8, 1), 0, 1, Rng(2))
+    assert np.array_equal(other.forward(patch).value.zyxc, net.forward(patch).value.zyxc)

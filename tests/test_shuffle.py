@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dot, tensors_equal
+from conftest import dot, from_flat, tensors_equal
 
 from voxseg.nn import BackboneSpec, Node, maxpool3
 from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
@@ -88,7 +88,7 @@ class TestUpShuffle:
         assert tensors_equal(up_shuffle(t, (1, 1, 1)), t)
 
     def test_inverse_of_arange_case(self):
-        t = Tensor4.from_flat(Shape4(1, 1, 1, 8), np.arange(8.0))
+        t = from_flat(Shape4(1, 1, 1, 8), np.arange(8.0))
         out = up_shuffle(t, (2, 2, 2))
         assert tensors_equal(out, arange_spatial(2, 2, 2))
 

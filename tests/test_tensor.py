@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dot, tensors_equal, traced_peak
+from conftest import dot, from_flat, tensors_equal, traced_peak
 from voxseg.nn import Node, concat_channels
 from voxseg.tensor import Rng, Shape4, Tensor4
 
@@ -39,14 +39,15 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Tensor4.zeros(Shape4(2, 2, 2, 0))
 
+    # from_flat is the tests' helper in conftest; src/ builds every tensor from an array
     def test_from_flat_length_mismatch(self):
         with pytest.raises(ValueError):
-            Tensor4.from_flat(Shape4(2, 2, 2, 1), np.zeros(7))
+            from_flat(Shape4(2, 2, 2, 1), np.zeros(7))
 
     @pytest.mark.parametrize("buffer", [np.arange(24, dtype=np.uint8), np.arange(24.0) / 7,
                                         [i / 7 for i in range(24)]])
     def test_from_flat_bits_and_own_buffer(self, buffer):
-        t = Tensor4.from_flat(Shape4(2, 3, 4, 1), buffer)
+        t = from_flat(Shape4(2, 3, 4, 1), buffer)
         # the bits of the former two-copy construction
         expected = np.ascontiguousarray(buffer, dtype=np.float64).reshape(4, 3, 2, 1).copy()
         assert t.zyxc.tobytes() == expected.tobytes() and t.zyxc.flags.c_contiguous
@@ -56,14 +57,14 @@ class TestConstructors:
     def test_from_flat_copies_once(self, dtype):
         # a 64^3 label read used to trace 4.0 MiB for a 2.0 MiB tensor
         buffer = np.zeros(64 ** 3, dtype=dtype)
-        t, peak = traced_peak(lambda: Tensor4.from_flat(Shape4(64, 64, 64, 1), buffer))
+        t, peak = traced_peak(lambda: from_flat(Shape4(64, 64, 64, 1), buffer))
         assert peak <= 1.05 * t.zyxc.nbytes
 
 
 class TestLayoutLaw:
     def test_offset_formula_everywhere(self):
         sh = Shape4(3, 4, 2, 5)
-        t = Tensor4.from_flat(sh, np.arange(sh.element_count))
+        t = from_flat(sh, np.arange(sh.element_count))
         for z in range(sh.z):
             for y in range(sh.y):
                 for x in range(sh.x):
@@ -73,7 +74,7 @@ class TestLayoutLaw:
 
     def test_flat_is_layout_order(self):
         sh = Shape4(2, 2, 2, 2)
-        t = Tensor4.from_flat(sh, np.arange(16))
+        t = from_flat(sh, np.arange(16))
         assert t.flat.tolist() == list(range(16))
 
 
@@ -102,7 +103,7 @@ class TestGaussian:
 
 class TestElementwise:
     def test_map(self):
-        t = Tensor4.from_flat(Shape4(2, 1, 1, 1), [-1.0, 4.0])
+        t = from_flat(Shape4(2, 1, 1, 1), [-1.0, 4.0])
         assert Tensor4(np.abs(t.zyxc)).flat.tolist() == [1.0, 4.0]
 
 
@@ -140,7 +141,7 @@ class TestConcatCrop:
 
     def test_crop_first_fiber(self):
         sh = Shape4(2, 2, 2, 3)
-        t = Tensor4.from_flat(sh, np.arange(sh.element_count))
+        t = from_flat(sh, np.arange(sh.element_count))
         first = t.crop((0, 0, 0), (1, 1, 1))
         assert first.flat.tolist() == [0.0, 1.0, 2.0]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ, FailsHalfway, full, mutated, tensors_equal
+from conftest import FUZZ, FailsHalfway, from_flat, full, mutated, tensors_equal
 import voxseg.atomic as atomic
 from voxseg.cli.main import EXIT_DATA, main
 from voxseg.nn import Node, save_checkpoint
@@ -20,30 +20,31 @@ from voxseg.volume import (Volume, VvolError, augment_dataset, elastic_augment,
 def random_image(seed, extents=(6, 5, 4)):
     x, y, z = extents
     t = Tensor4.gaussian(Shape4(x, y, z, 1), 0, 1, Rng(seed))
-    return Volume(t, (0.5, 1.0, 2.0), "image")
+    return Volume(t, (0.5, 1.0, 2.0))
 
 
 def random_labels(seed, extents=(6, 5, 4), classes=3):
     x, y, z = extents
     vals = Rng(seed).randint(0, classes, x * y * z).astype(np.float64)
-    t = Tensor4.from_flat(Shape4(x, y, z, 1), vals)
-    return Volume(t, (0.5, 1.0, 2.0), "labels", classes)
+    t = from_flat(Shape4(x, y, z, 1), vals)
+    return Volume(t, (0.5, 1.0, 2.0), classes)
 
 
 class TestVolumeType:
     def test_label_range_enforced(self):
         t = full(Shape4(2, 2, 2, 1), 3.0)
         with pytest.raises(ValueError):
-            Volume(t, (1, 1, 1), "labels", 2)
+            Volume(t, (1, 1, 1), 2)
 
     def test_non_integer_labels_rejected(self):
         t = full(Shape4(2, 2, 2, 1), 0.5)
         with pytest.raises(ValueError):
-            Volume(t, (1, 1, 1), "labels", 2)
+            Volume(t, (1, 1, 1), 2)
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            Volume(Tensor4.zeros(Shape4(1, 1, 1, 1)), (1, 1, 1), "mask")
+    def test_no_kind_field(self):
+        # the class count alone says image (0) or labels (1 to 256)
+        with pytest.raises(TypeError):
+            Volume(Tensor4.zeros(Shape4(1, 1, 1, 1)), (1, 1, 1), kind="labels")
 
 
 class TestVvolRoundTrip:
@@ -52,7 +53,7 @@ class TestVvolRoundTrip:
         path = tmp_path / "img.vvol"
         write_vvol(vol, path)
         back = read_vvol(path)
-        assert back.kind == "image"
+        assert back.class_count == 0
         assert back.spacing == vol.spacing
         assert tensors_equal(back.tensor, vol.tensor)
 
@@ -61,7 +62,6 @@ class TestVvolRoundTrip:
         path = tmp_path / "lab.vvol"
         write_vvol(vol, path)
         back = read_vvol(path)
-        assert back.kind == "labels"
         assert back.class_count == 3
         assert tensors_equal(back.tensor, vol.tensor)
 
@@ -99,6 +99,8 @@ MALFORMED_VVOL = {
     "infinite_image_payload": vvol_bytes(0, 0, (2, 1, 1, 1), (1, 1, 1), [-math.inf, 1.0]),
     "label_out_of_range": vvol_bytes(1, 2, (2, 1, 1, 1), (1, 1, 1), [0, 2]),
     "label_class_count_over_256": vvol_bytes(1, 300, (2, 1, 1, 1), (1, 1, 1), [0, 2]),
+    "image_with_class_count": vvol_bytes(0, 3, (2, 1, 1, 1), (1, 1, 1), [0.0, 1.0]),
+    "labels_with_zero_class_count": vvol_bytes(1, 0, (2, 1, 1, 1), (1, 1, 1), [0, 1]),
 }
 
 
@@ -125,7 +127,7 @@ class TestVvolMalformed:
         assert read_vvol(path).tensor.flat.tolist() == [0.0, 1.0]
         path.write_bytes(vvol_bytes(1, 3, (2, 1, 1, 1), (0.5, 1, 2), [0, 2]))
         vol = read_vvol(path)
-        assert vol.kind == "labels" and vol.spacing == (0.5, 1.0, 2.0)
+        assert vol.class_count == 3 and vol.spacing == (0.5, 1.0, 2.0)
         assert vol.tensor.flat.tolist() == [0.0, 2.0]
 
 
@@ -240,7 +242,7 @@ class TestPatchSampling:
 
     def test_alignment(self):
         img = random_image(24, (10, 10, 10))
-        lab = Volume(img.tensor.copy(), img.spacing, "image")  # same payload
+        lab = Volume(img.tensor.copy(), img.spacing)  # same payload
         patch, aligned = sample_patch(img, lab, (4, 4, 4), Rng(25))
         assert tensors_equal(patch, normalize_patch(aligned))
 
@@ -336,10 +338,10 @@ class TestElastic:
         assert len(np.unique(corners)) > 3
         expected = trilinear_oracle(corners, extents)
         X, Y, Z = extents
-        lab = Volume(Tensor4.zeros(Shape4(X, Y, Z, 1)), (1, 1, 1), "labels", 2)
+        lab = Volume(Tensor4.zeros(Shape4(X, Y, Z, 1)), (1, 1, 1), 2)
         zz, yy, xx = np.meshgrid(np.arange(Z), np.arange(Y), np.arange(X), indexing="ij")
         for a, coord in enumerate((xx, yy, zz)):
-            img = Volume(Tensor4(coord[..., None]), (1, 1, 1), "image")
+            img = Volume(Tensor4(coord[..., None]), (1, 1, 1))
             warped, _ = elastic_augment(img, lab, corners)
             want = coord + expected[..., a]
             assert np.abs(warped.tensor.zyxc[..., 0] - want).max() < 1e-9
@@ -413,7 +415,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("labels,class_count,match", [
         (random_labels(52, extents=(6, 5, 5)), 3, r"l\.vvol: shape \(6, 5, 5, 1\) is not .*i\.vvol"),
-        (Volume(Tensor4(np.zeros((4, 5, 6, 2))), kind="labels", class_count=3), 3,
+        (Volume(Tensor4(np.zeros((4, 5, 6, 2))), class_count=3), 3,
          r"l\.vvol: shape \(6, 5, 4, 2\) is not .*i\.vvol's extents with one channel"),
         (random_labels(52), 2, r"l\.vvol: label values must be integers in \[0, 2\)"),
         (random_image(52), 3, "wrong kinds"),
