@@ -14,7 +14,7 @@ from .nn import (BackboneSpec, CheckpointError, Conv3d, ConvUpShuffle, DownShuff
                  ce_dice_loss, concat_channels, conv3d, down_shuffle_op, load_checkpoint,
                  load_into_network, maxpool3, save_checkpoint, softmax_channels,
                  up_shuffle_op)
-from .optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step, suggested_initial_lr
+from .optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step
 from .volume import (Volume, VvolError, augment_dataset, elastic_augment, gen_synthetic,
                      normalize_patch, random_deformation, read_vvol, sample_patch,
                      write_vvol)

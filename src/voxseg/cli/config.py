@@ -15,8 +15,7 @@ from itertools import chain
 from typing import get_args, get_origin, get_type_hints
 
 from ..nn import BackboneSpec
-from ..optim import suggested_initial_lr
-from ..shuffle import divide_extents
+from ..optim import INITIAL_LR_BY_FACTORS
 from ..volume import MAX_LABEL_CLASSES
 
 
@@ -64,10 +63,11 @@ class TrainConfig:
     def resolved_initial_lr(self) -> float:
         if self.initial_lr > 0:
             return self.initial_lr
-        try:
-            return suggested_initial_lr(self.factors)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        lr = INITIAL_LR_BY_FACTORS.get(tuple(self.factors))
+        if lr is None:
+            raise ConfigError(f"no tabulated learning rate for shuffle factors "
+                              f"{tuple(self.factors)}; set one explicitly")
+        return lr
 
     def backbone_spec(self) -> BackboneSpec:
         return BackboneSpec(
@@ -130,7 +130,6 @@ class TrainConfig:
         try:
             spec = self.backbone_spec().validate()
             spec.check_input_extents(self.patch)
-            divide_extents(self.extents, self.factors, "shuffle")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.resolved_initial_lr()

@@ -120,10 +120,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = read_vvol(args.prediction)
-    ref = read_vvol(args.reference)
-    if not (pred.class_count and ref.class_count):
-        raise VvolError("eval expects two label volumes")
+    pred, ref = read_vvol(args.prediction), read_vvol(args.reference)
+    for path, volume in ((args.prediction, pred), (args.reference, ref)):
+        if not volume.class_count or volume.tensor.shape.c != 1:
+            raise VvolError(f"{path}: eval needs a single-channel label volume")
     rows = per_class_metrics(pred, ref)
     name = Path(args.prediction).stem
     lines = ["volume,class,metric,value"]

@@ -112,28 +112,25 @@ def _directed_distances(src: np.ndarray, dst: np.ndarray,
     return np.sqrt(d2)
 
 
-def _surface_distances(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-surface distances from A's surface to B's and from B's to A's."""
+def _surface_distances(a: BinaryMask, b: BinaryMask) -> tuple[float, float]:
+    """(ASD, HD): the mean and the maximum of the nearest-surface distances both ways."""
     a._check_compatible(b)
     sa, sb = extract_surface(a), extract_surface(b)
     if len(sa) == 0 or len(sb) == 0:
         raise EmptyMaskError("mask has no foreground voxels")
-    return _directed_distances(sa, sb, a.spacing), _directed_distances(sb, sa, a.spacing)
-
-
-def _asd_hausdorff(d_ab: np.ndarray, d_ba: np.ndarray) -> tuple[float, float]:
+    d_ab, d_ba = _directed_distances(sa, sb, a.spacing), _directed_distances(sb, sa, a.spacing)
     return (math.fsum(d_ab.tolist() + d_ba.tolist()) / (len(d_ab) + len(d_ba)),
             float(max(d_ab.max(), d_ba.max())))
 
 
 def asd(a: BinaryMask, b: BinaryMask) -> float:
     """Symmetric mean nearest-surface distance in mm."""
-    return _asd_hausdorff(*_surface_distances(a, b))[0]
+    return _surface_distances(a, b)[0]
 
 
 def hausdorff(a: BinaryMask, b: BinaryMask) -> float:
     """Maximum nearest-surface distance over both directions, in mm (100th percentile)."""
-    return _asd_hausdorff(*_surface_distances(a, b))[1]
+    return _surface_distances(a, b)[1]
 
 
 def per_class_metrics(prediction: Volume, reference: Volume) -> list[dict]:
@@ -156,7 +153,7 @@ def per_class_metrics(prediction: Volume, reference: Volume) -> list[dict]:
         rm = BinaryMask.from_labels(reference, cls)
         row = {"class": cls, "dice": dice(pm, rm)}
         try:
-            row["asd"], row["hausdorff"] = _asd_hausdorff(*_surface_distances(pm, rm))
+            row["asd"], row["hausdorff"] = _surface_distances(pm, rm)
         except EmptyMaskError:
             row["asd"] = float("nan")
             row["hausdorff"] = float("nan")

@@ -34,16 +34,6 @@ INITIAL_LR_BY_FACTORS = {
 }
 
 
-def suggested_initial_lr(factors: tuple[int, int, int]) -> float:
-    try:
-        return INITIAL_LR_BY_FACTORS[tuple(factors)]
-    except KeyError:
-        raise ValueError(
-            f"no tabulated learning rate for shuffle factors {tuple(factors)}; "
-            "set one explicitly"
-        ) from None
-
-
 class SgdState:
     """Velocity buffers, hyperparameters and the applied-step count for one parameter set."""
 

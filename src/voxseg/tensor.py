@@ -108,9 +108,6 @@ class Tensor4:
     def at(self, x: int, y: int, z: int, c: int) -> float:
         return float(self._zyxc[z, y, x, c])
 
-    def copy(self) -> "Tensor4":
-        return Tensor4(self._zyxc.copy())
-
     # -- structure ----------------------------------------------------------
 
     def crop(self, origin: tuple[int, int, int], size: tuple[int, int, int]) -> "Tensor4":

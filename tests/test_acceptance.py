@@ -26,7 +26,7 @@ from voxseg.cli.main import main
 from voxseg.cli.train import run_training
 from voxseg.inference import predict_volume
 from voxseg.metrics import BinaryMask, asd, dice, hausdorff
-from voxseg.nn import (BackboneSpec, ShuffleUNet3d, activation, ce_dice_loss, conv3d,
+from voxseg.nn import (BackboneSpec, Node, ShuffleUNet3d, activation, ce_dice_loss, conv3d,
                        maxpool3, softmax_channels)
 from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
 from voxseg.tensor import Rng, Shape4, Tensor4
@@ -103,6 +103,18 @@ class TestGradientSuite:
             [from_flat(Shape4(2, 2, 2, 2), relu_in)],
             projection(Shape4(2, 2, 2, 2), 2))
 
+        # the same ReLU inside conv3d: a 1x1x1 kernel, with the input solved so
+        # that the pre-activations are relu_in, each at least 0.25 from zero
+        w1 = Tensor4.gaussian(Shape4(1, 1, 1, 4), 0, 1, Rng(311))
+        b1 = Tensor4.gaussian(Shape4(1, 1, 1, 2), 0, 0.5, Rng(312))
+        x1 = Tensor4((relu_in.reshape(2, 2, 2, 2) - b1.zyxc[0, 0, 0])
+                     @ np.linalg.inv(w1.zyxc.reshape(2, 2)))
+        pre = conv3d(Node(x1), Node(w1), Node(b1)).value.zyxc
+        assert np.abs(pre).min() >= 0.25 and pre.min() < 0.0 < pre.max()
+        errors["conv3d-relu"] = fd_gradient_error(
+            lambda l: conv3d(l[0], l[1], l[2], act="relu"),
+            [x1, w1, b1], projection(Shape4(2, 2, 2, 2), 7))
+
         errors["maxpool"] = fd_gradient_error(
             lambda l: maxpool3(l[0], (2, 2, 2)),
             [Tensor4.gaussian(Shape4(4, 4, 2, 2), 0, 1, rng)],
@@ -129,7 +141,8 @@ class TestGradientSuite:
         errors["down-shuffle-conv"] = fd_gradient_error(
             stem_op,
             [Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, rng),
-             stem.conv.weight.value.copy(), stem.conv.bias.value.copy()],
+             Tensor4(stem.conv.weight.value.zyxc.copy()),
+             Tensor4(stem.conv.bias.value.zyxc.copy())],
             projection(Shape4(2, 2, 2, 3), 5))
 
         head = ConvUpShuffle(2, 1, (2, 2, 2), Rng(307), sigma=0.3)
@@ -141,7 +154,8 @@ class TestGradientSuite:
         errors["conv-up-shuffle"] = fd_gradient_error(
             head_op,
             [Tensor4.gaussian(Shape4(2, 2, 2, 2), 0, 1, rng),
-             head.conv.weight.value.copy(), head.conv.bias.value.copy()],
+             Tensor4(head.conv.weight.value.zyxc.copy()),
+             Tensor4(head.conv.bias.value.zyxc.copy())],
             projection(Shape4(4, 4, 4, 1), 6))
 
         ok = all(err < self.TOL for err in errors.values())
@@ -160,7 +174,7 @@ class TestGradientSuite:
 
         params = net.parameters()
         names = list(params)
-        tensors = [params[n].value.copy() for n in names]
+        tensors = [Tensor4(params[n].value.zyxc.copy()) for n in names]
 
         def build(leaves):
             for name, leaf in zip(names, leaves):

@@ -70,14 +70,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(None, {"patch": "30,32,32", "factors": "4,2,2"})
 
+    def test_volume_extents_need_not_divide_by_factors(self):
+        # only patches reach the net, so only the patch must divide by the factors
+        assert TrainConfig(extents=(49, 50, 51), factors=(2, 2, 2)).validate().extents == \
+            (49, 50, 51)
+
     def test_class_count_limit_is_the_vvol_label_limit(self):
         assert TrainConfig(class_count=256).validate().class_count == 256
         with pytest.raises(ConfigError, match="class_count must be <= 256"):
             TrainConfig(class_count=257).validate()
 
     def test_unknown_factors_need_explicit_lr(self):
-        with pytest.raises(ConfigError):
-            load_config(None, {"factors": "3,1,1", "patch": "33,32,32",
+        with pytest.raises(ConfigError, match=r"shuffle factors \(3, 1, 1\); set one explicitly"):
+            load_config(None, {"factors": "3,1,1", "patch": "36,32,32",
                                "extents": "48,48,48"})
         cfg = load_config(None, {"factors": "3,1,1", "patch": "36,32,32",
                                  "extents": "48,48,48", "initial_lr": "0.004"})
@@ -256,6 +261,22 @@ class TestTrainInferEval:
         assert rows["dice"] == 1.0
         assert rows["asd"] == 0.0
         assert rows["hausdorff"] == 0.0
+
+    def test_pipeline_on_extents_the_factors_do_not_divide(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "run"
+        args = ["--volumes", "3", "--train-split", "2", "--extents", "17,18,19",
+                "--patch", "16,16,16", "--factors", "2,2,2", "--k", "4", "--widths", "4,8",
+                "--iterations", "2", "--augment-count", "0", "--data-dir", str(data),
+                "--out-dir", str(out)]
+        assert main(["gen-data"] + args) == 0
+        assert main(["train", "--quiet"] + args) == 0
+        assert main(["infer"] + args + [
+            "--checkpoint", str(out / "model.vckp"), "--input", str(data / "vol_002_img.vvol"),
+            "--out-prob", str(out / "prob.vvol"), "--out-labels", str(out / "pred.vvol")]) == 0
+        assert read_vvol(out / "pred.vvol").extents == (17, 18, 19)
+        assert main(["eval", "--prediction", str(out / "pred.vvol"),
+                     "--reference", str(data / "vol_002_lab.vvol"),
+                     "--out", str(out / "metrics.csv")]) == 0
 
     def test_missing_checkpoint_is_data_error(self, tiny_workspace, tmp_path):
         _, data, _ = tiny_workspace
@@ -474,6 +495,23 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert "two.vvol: image has 2 channels, not one" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.vckp", "two.vvol"]
+
+    def test_eval_multi_channel_labels_is_data_error(self, tiny_workspace, tmp_path, capsys):
+        # a down-shuffled label volume has 8 channels; it used to fail inside the
+        # metrics with "label volume must be single channel", naming no file
+        _, data, _ = tiny_workspace
+        lab, down = data / "vol_000_lab.vvol", tmp_path / "down.vvol"
+        assert main(["shuffle", "--input", str(lab), "--output", str(down),
+                     "--factors", "2,2,2", "--direction", "down"]) == 0
+        assert read_vvol(down).tensor.shape.c == 8
+        for pred, ref in ((down, lab), (lab, down)):
+            capsys.readouterr()
+            assert main(["eval", "--prediction", str(pred), "--reference", str(ref)]) \
+                == EXIT_DATA
+            assert f"{down}: eval needs a single-channel label volume" in capsys.readouterr().err
+        img = data / "vol_000_img.vvol"
+        assert main(["eval", "--prediction", str(lab), "--reference", str(img)]) == EXIT_DATA
+        assert f"{img}: eval needs a single-channel label volume" in capsys.readouterr().err
 
     def test_empty_manifest_is_data_error(self, tmp_path, capsys):
         # it used to raise a bare "empty train or test manifest" naming neither file

@@ -98,8 +98,8 @@ class TestStemLayer:
         layer = DownShuffleConv(1, 3, (2, 2, 2), Rng(7))
         t = Tensor4.gaussian(Shape4(4, 4, 4, 1), 0, 1, Rng(8))
         proj = Tensor4.gaussian(Shape4(2, 2, 2, 3), 0, 1, Rng(9)).zyxc
-        w0 = layer.conv.weight.value.copy()
-        b0 = layer.conv.bias.value.copy()
+        w0 = Tensor4(layer.conv.weight.value.zyxc.copy())
+        b0 = Tensor4(layer.conv.bias.value.zyxc.copy())
 
         def build(leaves):
             layer.conv.weight = leaves[1]
@@ -141,7 +141,8 @@ class TestHeadLayer:
             return layer(leaves[0])
 
         assert fd_gradient_error(
-            build, [t, layer.conv.weight.value.copy(), layer.conv.bias.value.copy()], proj
+            build, [t, Tensor4(layer.conv.weight.value.zyxc.copy()),
+                    Tensor4(layer.conv.bias.value.zyxc.copy())], proj
         ) < 1e-6
 
 
@@ -358,7 +359,7 @@ class TestFullBackboneGradient:
 
         params = net.parameters()
         names = list(params)
-        tensors = [params[n].value.copy() for n in names]
+        tensors = [Tensor4(params[n].value.zyxc.copy()) for n in names]
 
         def build(leaves):
             for name, leaf in zip(names, leaves):

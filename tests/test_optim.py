@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import from_flat
+from voxseg.cli.config import ConfigError, TrainConfig
 from voxseg.nn import Node
-from voxseg.optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step, suggested_initial_lr
+from voxseg.optim import INITIAL_LR_BY_FACTORS, SgdState, sgd_step
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
@@ -66,7 +67,7 @@ class TestSgdStep:
         rng = Rng(1)
         p = {"w": Node(Tensor4.gaussian(Shape4(3, 2, 1, 2), 0, 1, rng))}
         g = Tensor4.gaussian(Shape4(3, 2, 1, 2), 0, 1, rng)
-        before = p["w"].value.copy()
+        before = Tensor4(p["w"].value.zyxc.copy())
         state = SgdState(p, lr=0.05, momentum=0.0, weight_decay=0.0)
         step(p, state, g.zyxc)
         assert np.array_equal(p["w"].value.zyxc, before.zyxc - 0.05 * g.zyxc)
@@ -129,18 +130,23 @@ class TestSchedule:
             SgdState(p, lr=1e-3, halving_period=0)
 
 
+def looked_up_lr(factors):
+    return TrainConfig(factors=factors, initial_lr=0.0).resolved_initial_lr()
+
+
 class TestLrLookup:
     def test_tabulated_values(self):
-        assert suggested_initial_lr((2, 2, 2)) == 1.0e-3
-        assert suggested_initial_lr((4, 4, 2)) == 2.0e-3
-        assert suggested_initial_lr((25, 25, 2)) == 2.0e-2
+        assert looked_up_lr((2, 2, 2)) == 1.0e-3
+        assert looked_up_lr((4, 4, 2)) == 2.0e-3
+        assert looked_up_lr((25, 25, 2)) == 2.0e-2
 
     def test_baseline(self):
-        assert suggested_initial_lr((1, 1, 1)) == 1.0e-3
+        assert looked_up_lr((1, 1, 1)) == 1.0e-3
 
     def test_unknown_factors_require_explicit_rate(self):
-        with pytest.raises(ValueError):
-            suggested_initial_lr((3, 3, 3))
+        with pytest.raises(ConfigError, match=r"shuffle factors \(3, 3, 3\); set one explicitly"):
+            looked_up_lr((3, 3, 3))
+        assert TrainConfig(factors=(3, 3, 3), initial_lr=0.004).resolved_initial_lr() == 0.004
 
     def test_table_is_complete(self):
         assert set(INITIAL_LR_BY_FACTORS) == {

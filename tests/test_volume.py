@@ -242,7 +242,7 @@ class TestPatchSampling:
 
     def test_alignment(self):
         img = random_image(24, (10, 10, 10))
-        lab = Volume(img.tensor.copy(), img.spacing)  # same payload
+        lab = Volume(Tensor4(img.tensor.zyxc.copy()), img.spacing)  # same payload
         patch, aligned = sample_patch(img, lab, (4, 4, 4), Rng(25))
         assert tensors_equal(patch, normalize_patch(aligned))
 
