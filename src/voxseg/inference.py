@@ -15,7 +15,6 @@ class TilingPlan:
     """Patch origins covering a volume; the union of patches hits every voxel."""
 
     patch: tuple[int, int, int]
-    stride: tuple[int, int, int]
     origins: list[tuple[int, int, int]]
 
 
@@ -50,7 +49,7 @@ def plan_tiling(extents: tuple[int, int, int], patch: tuple[int, int, int],
         for oy in per_axis[1]
         for ox in per_axis[0]
     ]
-    return TilingPlan(tuple(patch), tuple(stride), origins)
+    return TilingPlan(tuple(patch), origins)
 
 
 def predict_volume(net, volume: Volume, patch: tuple[int, int, int],

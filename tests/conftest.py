@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from voxseg.nn import Node, backward
-from voxseg.tensor import Shape4, Tensor4
+from voxseg import nn
+from voxseg.nn import Node, ShuffleUNet3d, backward, ce_dice_loss
+from voxseg.tensor import Rng, Shape4, Tensor4
 
 
 def full(shape: Shape4, value: float) -> Tensor4:
@@ -49,6 +50,30 @@ def traced_peak(run):
         return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def gemm_flops_per_step(cfg) -> int:
+    """GEMM FLOPs of one forward, ``ce_dice_loss`` and backward of ``cfg``'s net.
+
+    Each ``voxseg.nn.dgemm`` call costs 2*M*N*K: M x N is ``c``'s shape and K
+    the inner extent of ``a`` (its rows under ``trans_a``). No machine load
+    moves the count: it depends only on the net and the patch extents.
+    """
+    flops = 0
+    gemm = nn.dgemm
+
+    def counted(alpha, a, b, **kw):  # voxseg passes c and the transposes by keyword
+        nonlocal flops
+        flops += 2 * kw["c"].size * a.shape[0 if kw.get("trans_a") else 1]
+        return gemm(alpha, a, b, **kw)
+
+    net = ShuffleUNet3d(cfg.backbone_spec(), Rng(cfg.seed))
+    patch = Tensor4.zeros(Shape4(*cfg.patch, 1))
+    labels = Tensor4(np.zeros(patch.zyxc.shape, np.uint8))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "dgemm", counted)
+        backward(ce_dice_loss(net.forward(patch), labels, cfg.lambda_ce, cfg.lambda_dice))
+    return flops
 
 
 def fd_gradient_error(build, leaf_tensors, seed=1.0):
@@ -122,12 +147,3 @@ class FailsHalfway:
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-
-@pytest.fixture(scope="session")
-def acceptance_report():
-    """Collects one pass/fail line per acceptance criterion; printed at the end."""
-    lines = []
-    yield lines
-    print()
-    for line in lines:
-        print(line)

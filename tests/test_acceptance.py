@@ -1,25 +1,21 @@
 """Acceptance suite: one test per release criterion, each printing a verdict line.
 
 The long-running criteria (end-to-end learning, convergence comparison) share
-one synthetic dataset fixture. Run with ``pytest tests/test_acceptance.py -v -s``
-to watch progress.
+one synthetic dataset fixture, and the loss-decrease and convergence tests
+share one 500-iteration (2,2,2) training run. Run with
+``pytest tests/test_acceptance.py -v -s`` to watch progress.
 """
 
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
 import time
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import voxseg
-from conftest import dot, fd_gradient_error, from_flat, tensors_equal
+from conftest import dot, fd_gradient_error, from_flat, gemm_flops_per_step, tensors_equal
 from test_metrics import brute_asd_hd, mask_from_voxels
 from voxseg.cli.config import TrainConfig, load_config
 from voxseg.cli.main import main
@@ -236,6 +232,14 @@ def desk_config(data_dir, out_dir, factors, iterations, val_interval=100):
     return cfg.validate()
 
 
+@pytest.fixture(scope="module")
+def shuffled_run(synthetic_dataset, tmp_path_factory):
+    """The (2,2,2) config of 500 iterations, validated once at the end, and its result."""
+    cfg = desk_config(synthetic_dataset, tmp_path_factory.mktemp("shuffled"), (2, 2, 2),
+                      500, val_interval=500)
+    return cfg, run_training(cfg)
+
+
 @pytest.mark.slow
 class TestEndToEndLearning:
     def test_foreground_dice_reaches_target(self, synthetic_dataset, tmp_path):
@@ -249,90 +253,34 @@ class TestEndToEndLearning:
                f"dice {mean_dice:.4f} at iteration {result.iterations_run} "
                f"in {elapsed:.0f}s")
 
-    def test_loss_decreases_from_start(self, synthetic_dataset, tmp_path):
+    def test_loss_decreases_from_start(self, shuffled_run):
         # training loss at iteration 500 is below iteration 1 on this task
-        cfg = desk_config(synthetic_dataset, tmp_path / "short", (2, 2, 2), 500,
-                          val_interval=500)
-        result = run_training(cfg)
         rows = [line.split(",") for line in
-                result.log_path.read_text().splitlines()[1:]]
+                shuffled_run[1].log_path.read_text().splitlines()[1:]]
         train_loss = {int(r[1]): float(r[3]) for r in rows if r[0] == "train"}
         report("optimization-sanity", train_loss[500] < train_loss[1],
                f"loss {train_loss[1]:.4f} -> {train_loss[500]:.4f}")
 
 
-# Run as a child process with config overrides as key=value arguments: trains
-# per config and prints the CPU seconds of each iteration after the first, taken
-# between consecutive SGD steps of run_training.
-ITERATION_CPU_SECONDS = """
-import sys, time
-import voxseg.cli.train as train
-from voxseg.cli.config import load_config
-stamps = []
-sgd_step = train.sgd_step
-def timed_sgd_step(*args):
-    sgd_step(*args)
-    stamps.append(time.process_time())
-train.sgd_step = timed_sgd_step
-train.run_training(load_config(None, dict(a.split("=", 1) for a in sys.argv[1:])))
-print(*(b - a for a, b in zip(stamps, stamps[1:])))
-"""
-
-
 @pytest.mark.slow
 class TestFasterConvergence:
-    @staticmethod
-    def least_iteration_cpu_seconds(runs):
-        """Least CPU seconds of one training iteration per (config, iterations).
-
-        The runs go at once, each a child process with one BLAS thread, so they
-        share the machine's load and speed. CPU time leaves out the time other
-        processes hold the CPUs, and a lone BLAS thread has no peer to spin-wait
-        for; the least over a run's iterations drops those the machine slowed.
-        """
-        src = str(Path(voxseg.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        default = TrainConfig()
-        children = []
-        for cfg, iterations in runs:
-            cfg = replace(cfg, iterations=iterations, val_interval=iterations,
-                          out_dir=f"{cfg.out_dir}-timing")
-            overrides = [f"{f.name}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
-                         for f in fields(cfg)
-                         if (v := getattr(cfg, f.name)) != getattr(default, f.name)]
-            children.append(subprocess.Popen(
-                [sys.executable, "-c", ITERATION_CPU_SECONDS, *overrides],
-                stdout=subprocess.PIPE, text=True, env=env))
-        seconds = []
-        for child in children:
-            out, _ = child.communicate(timeout=600)
-            assert child.returncode == 0
-            seconds.append(min(map(float, out.split())))
-        return seconds
-
-    def test_shuffled_beats_baseline_at_equal_wall_clock(self, synthetic_dataset,
-                                                         tmp_path):
+    def test_shuffled_beats_baseline_at_equal_gemm_work(self, synthetic_dataset,
+                                                        shuffled_run, tmp_path):
         """Validation loss at iteration 500 for factors (2,2,2) versus the
-        plain baseline given the same wall-clock budget on one core: as many
-        iterations as cost the CPU time of 500 shuffled ones, both timed on one
-        BLAS thread at once, so under the same load. Sustained contention still
-        raises a baseline iteration's CPU time more than a shuffled one's, which
-        shrinks the budget. Tolerance 10%; a failure here is a trigger for
+        plain baseline given the same GEMM work: as many iterations as the
+        counted GEMM FLOPs of 500 shuffled ones pay for, a budget that no
+        machine load moves. Tolerance 10%; a failure here is a trigger for
         investigation, since the property depends on the synthetic task."""
-        cfg_s = desk_config(synthetic_dataset, tmp_path / "shuffled", (2, 2, 2), 500,
-                            val_interval=500)
+        cfg_s, res_s = shuffled_run
         cfg_b = desk_config(synthetic_dataset, tmp_path / "baseline", (1, 1, 1), 500)
-        # a baseline iteration costs about seven shuffled ones, so both runs end together
-        step_s, step_b = self.least_iteration_cpu_seconds([(cfg_s, 160), (cfg_b, 24)])
-        iterations_b = math.ceil(500 * step_s / step_b)  # the one that exhausts the budget
-        res_s = run_training(cfg_s)
+        work_s, work_b = gemm_flops_per_step(cfg_s), gemm_flops_per_step(cfg_b)
+        iterations_b = math.ceil(500 * work_s / work_b)  # the one that exhausts the budget
         res_b = run_training(replace(cfg_b, iterations=iterations_b, val_interval=iterations_b))
         ok = res_s.final_val_loss <= 1.10 * res_b.final_val_loss
         report("faster-convergence", ok,
                f"shuffled val {res_s.final_val_loss:.4f} (500 iters at "
-               f"{1e3 * step_s:.0f} ms) vs baseline val {res_b.final_val_loss:.4f} "
-               f"({iterations_b} iters at {1e3 * step_b:.0f} ms, the same budget)")
+               f"{work_s / 1e6:,.0f} MFLOP) vs baseline val {res_b.final_val_loss:.4f} "
+               f"({iterations_b} iters at {work_b / 1e6:,.0f} MFLOP, the same GEMM work)")
 
 
 class TestMetricsOracle:

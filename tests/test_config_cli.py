@@ -636,8 +636,9 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_train_bytes_independent_of_blas_threads(self, tmp_path):
-        # conv3d's GEMMs must not change a bit with the BLAS thread count; the
-        # desk widths make them large enough for OpenBLAS to split across threads
+        # at this config (factors 1,1,1 at 16^3, desk widths, large enough for
+        # OpenBLAS to split) conv3d's GEMMs keep every bit under 1 and 2 BLAS
+        # threads; at factors 4,4,2 they do not (ROADMAP item 6)
         data = tmp_path / "data"
         net = ["--volumes", "3", "--train-split", "2", "--extents", "16,16,16",
                "--patch", "16,16,16", "--factors", "1,1,1", "--k", "16",

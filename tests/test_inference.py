@@ -45,7 +45,7 @@ class TestPlanTiling:
 
     def test_default_stride_is_half_patch(self):
         plan = plan_tiling((8, 8, 8), (4, 4, 4))
-        assert plan.stride == (2, 2, 2)
+        assert [sorted({o[i] for o in plan.origins}) for i in range(3)] == [[0, 2, 4]] * 3
 
     def test_patch_larger_than_volume_rejected(self):
         with pytest.raises(ValueError):

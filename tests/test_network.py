@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ, fd_gradient_error, full, mutated, tensors_equal, traced_peak
+from conftest import (FUZZ, fd_gradient_error, full, gemm_flops_per_step, mutated,
+                      tensors_equal, traced_peak)
+from voxseg.cli.config import TrainConfig
 from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, main
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
                        DownShuffleConv, NonFiniteWeightsError, ShuffleUNet3d,
@@ -347,6 +349,30 @@ class TestCostReduction:
         assert set(base) == set(reduced)
         for name in base:
             assert base[name] == reduced[name] * product, name
+
+
+class TestGemmCount:
+    @pytest.mark.parametrize("factors, total", [((1, 1, 1), 5_376_385_536),
+                                                ((2, 2, 2), 1_001_911_296)])
+    def test_desk_step_matches_closed_form(self, factors, total):
+        cfg = TrainConfig(class_count=2, patch=(32, 32, 32), factors=factors, k=16,
+                          widths=(16, 32))
+        net = ShuffleUNet3d(cfg.backbone_spec(), Rng(0))
+        depth = len(cfg.widths)
+        low = [p // f for p, f in zip(cfg.patch, factors)]
+        # (conv, pooling level, GEMM families): forward, dW and dX, but the stem's
+        # input needs no gradient, so the stem pays no dX
+        convs = [(net.stem.conv, 0, 2), *((c, i, 3) for i, c in enumerate(net.enc)),
+                 *((u.conv, depth - 1 - j, 3) for j, u in enumerate(net.ups)),
+                 *((c, depth - 2 - j, 3) for j, c in enumerate(net.dec)),
+                 (net.head.conv, 0, 3)]
+        expected = 0
+        for conv, level, families in convs:
+            (kx, ky, kz), (x, y, z) = conv.kernel, (e // q ** level for e, q in zip(low, cfg.pool))
+            X, Y, Z = x + kx - 1, y + ky - 1, z + kz - 1  # the padded extents
+            n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
+            expected += families * 2 * kx * ky * kz * conv.c_in * conv.c_out * n
+        assert gemm_flops_per_step(cfg) == expected == total
 
 
 class TestFullBackboneGradient:
