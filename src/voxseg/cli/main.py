@@ -124,6 +124,10 @@ def cmd_eval(args) -> int:
     for path, volume in ((args.prediction, pred), (args.reference, ref)):
         if not volume.class_count or volume.tensor.shape.c != 1:
             raise VvolError(f"{path}: eval needs a single-channel label volume")
+    for what in ("extents", "spacing"):
+        if getattr(pred, what) != getattr(ref, what):
+            raise VvolError(f"{what} differ: {args.prediction} has {getattr(pred, what)}, "
+                            f"{args.reference} has {getattr(ref, what)}")
     rows = per_class_metrics(pred, ref)
     name = Path(args.prediction).stem
     lines = ["volume,class,metric,value"]
@@ -140,7 +144,10 @@ def cmd_shuffle(args) -> int:
         raise ConfigError(f"shuffle factors {factors} must be >= 1")
     volume = read_vvol(args.input)
     op = down_shuffle if args.direction == "down" else up_shuffle
-    shuffled = op(volume.tensor, factors)
+    try:
+        shuffled = op(volume.tensor, factors)
+    except ValueError as exc:  # factors that do not fit this volume
+        raise VvolError(f"{args.input}: {exc}") from None
     out = Volume(shuffled, volume.spacing, volume.class_count)
     write_vvol(out, args.output)
     print(f"wrote {args.direction}-shuffled volume to {args.output}")

@@ -16,8 +16,7 @@ permutation, so a down/up round trip is the identity element for element.
 
 Both directions split each spatial axis into (coarse, block offset), move the
 offsets next to the channel axis with one transpose, and copy once; nothing is
-kept per shape. ``down_shuffle_reference`` keeps a deliberately naive
-transcription of the index map for cross-checking.
+kept per shape.
 
 Factors are plain ``(n_x, n_y, n_z)`` int tuples. ``divide_extents`` owns the
 rule of the down-shuffle and pooling (each factor >= 1 and divides its extent);
@@ -27,8 +26,6 @@ rule of the down-shuffle and pooling (each factor >= 1 and divides its extent);
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .tensor import Tensor4
 
@@ -63,26 +60,3 @@ def up_shuffle(t: Tensor4, factors: tuple[int, int, int]) -> Tensor4:
     c = t.shape.c // product
     blocks = t.zyxc.reshape(w, h, d, nz, ny, nx, c).transpose(0, 3, 1, 4, 2, 5, 6)
     return Tensor4(blocks.copy().reshape(w * nz, h * ny, d * nx, c))
-
-
-def down_shuffle_reference(t: Tensor4, factors: tuple[int, int, int]) -> Tensor4:
-    """Naive per-element transcription of the index map. Oracle only.
-
-    Kept loop-shaped and separate from the transpose path on purpose; do not
-    "optimize" this function.
-    """
-    nx, ny, nz = factors
-    d, h, w = divide_extents(t.shape.spatial, factors, "shuffle")
-    C = t.shape.c
-    c_out = C * nx * ny * nz
-    out = np.empty((w, h, d, c_out))
-    for zp in range(w):
-        for yp in range(h):
-            for xp in range(d):
-                for cp in range(c_out):
-                    sx = xp * nx + (cp % (nx * C)) // C
-                    sy = yp * ny + (cp % (nx * ny * C)) // (nx * C)
-                    sz = zp * nz + cp // (nx * ny * C)
-                    sc = cp % C
-                    out[zp, yp, xp, cp] = t.at(sx, sy, sz, sc)
-    return Tensor4(out)

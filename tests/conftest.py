@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from voxseg import nn
 from voxseg.nn import Node, ShuffleUNet3d, backward, ce_dice_loss
+from voxseg.shuffle import divide_extents
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
@@ -39,6 +40,34 @@ def dot(a: Tensor4, b: Tensor4) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return math.fsum(np.multiply(a.flat, b.flat).tolist())
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: NaN payloads and signed zeros count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def down_shuffle_reference(t: Tensor4, factors: tuple[int, int, int]) -> Tensor4:
+    """Naive per-element transcription of the index map. Oracle only.
+
+    Kept loop-shaped and separate from the transpose path on purpose; do not
+    "optimize" this function.
+    """
+    nx, ny, nz = factors
+    d, h, w = divide_extents(t.shape.spatial, factors, "shuffle")
+    C = t.shape.c
+    c_out = C * nx * ny * nz
+    out = np.empty((w, h, d, c_out))
+    for zp in range(w):
+        for yp in range(h):
+            for xp in range(d):
+                for cp in range(c_out):
+                    sx = xp * nx + (cp % (nx * C)) // C
+                    sy = yp * ny + (cp % (nx * ny * C)) // (nx * C)
+                    sz = zp * nz + cp // (nx * ny * C)
+                    sc = cp % C
+                    out[zp, yp, xp, cp] = t.at(sx, sy, sz, sc)
+    return Tensor4(out)
 
 
 def traced_peak(run):

@@ -15,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dot, fd_gradient_error, from_flat, gemm_flops_per_step, tensors_equal
+from conftest import (dot, down_shuffle_reference, fd_gradient_error, from_flat,
+                      gemm_flops_per_step, tensors_equal)
 from test_metrics import brute_asd_hd, mask_from_voxels
 from voxseg.cli.config import TrainConfig, load_config
 from voxseg.cli.main import main
@@ -24,7 +25,7 @@ from voxseg.inference import predict_volume
 from voxseg.metrics import BinaryMask, asd, dice, hausdorff
 from voxseg.nn import (BackboneSpec, Node, ShuffleUNet3d, activation, ce_dice_loss, conv3d,
                        maxpool3, softmax_channels)
-from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
+from voxseg.shuffle import down_shuffle, up_shuffle
 from voxseg.tensor import Rng, Shape4, Tensor4
 from voxseg.volume import Volume
 

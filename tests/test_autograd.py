@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dgemm
 
-from conftest import fd_gradient_error, from_flat, full, tensors_equal, traced_peak
+from conftest import (fd_gradient_error, from_flat, full, same_bits, tensors_equal,
+                      traced_peak)
 from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward,
                        ShuffleUNet3d, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
@@ -387,10 +388,6 @@ def unfused_conv_relu(x, weight, bias, act):
         pre.grad += out.grad * (pre.value.zyxc > 0.0)
 
     return Node(Tensor4(np.maximum(pre.value.zyxc, 0.0)), (pre,), backprop_relu)
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestConv3dActivation:

@@ -173,6 +173,13 @@ def tiny_workspace(tmp_path_factory):
     return root, data, args
 
 
+def src_env(**extra) -> dict:
+    """This process's environment plus ``extra``, with voxseg's source tree on PYTHONPATH."""
+    src = str(Path(voxseg.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def common_net_args(data, out):
     return ["--volumes", "4", "--train-split", "3", "--extents", "16,16,16",
             "--class-count", "2", "--seed", "5", "--data-dir", str(data),
@@ -346,6 +353,21 @@ class TestShuffleCommand:
                    "--factors", "5,2,2", "--direction", "down"])
         assert rc == 2
 
+    @pytest.mark.parametrize("factors,direction,rule", [
+        ("5,1,1", "down", "(5, 1, 1) must be >= 1 and divide extents (12, 12, 12)"),
+        ("2,1,1", "up", "(2, 1, 1) must be >= 1 and their product must divide channel count 1")],
+        ids=["down", "up"])
+    def test_factors_that_do_not_fit_name_the_input(self, tmp_path, capsys, factors,
+                                                    direction, rule):
+        # the shuffle's ValueError used to reach stderr without the input's name
+        src = tmp_path / "img.vvol"
+        write_vvol(Volume(Tensor4(np.zeros((12, 12, 12, 1)))), src)
+        rc = main(["shuffle", "--input", str(src), "--output", str(tmp_path / "x.vvol"),
+                   "--factors", factors, "--direction", direction])
+        assert rc == EXIT_DATA
+        assert f"{src}: shuffle factors {rule}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["img.vvol"]
+
     def test_non_integer_factors_is_config_error(self, tmp_path, capsys):
         # parsed before the input is read, so a missing input is not reached
         rc = main(["shuffle", "--input", str(tmp_path / "absent.vvol"),
@@ -513,6 +535,22 @@ class TestExitCodes:
         assert main(["eval", "--prediction", str(lab), "--reference", str(img)]) == EXIT_DATA
         assert f"{img}: eval needs a single-channel label volume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what,mismatch", [("extents", dict(extents=(12, 12, 10))),
+                                               ("spacing", dict(spacing=(1.0, 1.0, 2.0)))],
+                             ids=["extents", "spacing"])
+    def test_eval_mismatched_volumes_is_data_error(self, tmp_path, capsys, what, mismatch):
+        # it used to fail inside the metrics with "extent mismatch: (12, 12, 12) vs
+        # (12, 12, 10)" or "spacing mismatch: ...", naming neither file
+        def labels(extents=(12, 12, 12), spacing=(1.0, 1.0, 1.0)):
+            return Volume(Tensor4(np.zeros(extents[::-1] + (1,), np.uint8)), spacing, 2)
+
+        pred, ref = tmp_path / "pred.vvol", tmp_path / "ref.vvol"
+        write_vvol(labels(), pred)
+        write_vvol(labels(**mismatch), ref)
+        assert main(["eval", "--prediction", str(pred), "--reference", str(ref)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{what} differ: {pred} has " in err and f"{ref} has " in err
+
     def test_empty_manifest_is_data_error(self, tmp_path, capsys):
         # it used to raise a bare "empty train or test manifest" naming neither file
         data = tmp_path / "data"
@@ -604,14 +642,20 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad)]) == EXIT_USAGE
 
     def test_module_entry_point_prints_no_runtime_warning(self):
-        src = str(Path(voxseg.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run([sys.executable, "-m", "voxseg.cli.main", "--help"],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=src_env(), timeout=120)
         assert proc.returncode == 0
         assert "usage: voxseg" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_bare_import_loads_no_submodule(self):
+        # the package re-exports nothing: each name is reached through its module
+        code = ("import sys, voxseg; print(sorted(m for m in sys.modules "
+                "if m.startswith('voxseg.') or m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_bad_vvol_magic(self, tmp_path):
         bad = tmp_path / "bad.vvol"
@@ -644,12 +688,10 @@ class TestDeterminism:
                "--patch", "16,16,16", "--factors", "1,1,1", "--k", "16",
                "--widths", "16,32", "--seed", "8", "--data-dir", str(data)]
         assert main(["gen-data"] + net) == 0
-        src = str(Path(voxseg.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"run{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            env = src_env(OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "voxseg.cli.main", "train", "--quiet"] + net
                 + ["--out-dir", str(out), "--iterations", "4", "--val-interval", "2",

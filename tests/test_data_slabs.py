@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from conftest import traced_peak
+from conftest import same_bits, traced_peak
 from voxseg.tensor import _TWO53_INV, SLAB_VOXELS, Rng, Tensor4
 from voxseg.volume import Volume, elastic_augment, gen_synthetic, random_deformation, z_slabs
 
@@ -85,10 +85,6 @@ def elastic_oracle(image: np.ndarray, labels: np.ndarray, corners: np.ndarray):
     img_out = map_coordinates(image[..., 0], src, order=1, mode="nearest")
     lab_out = map_coordinates(labels[..., 0], src, order=0, mode="nearest")
     return img_out.reshape(Z, Y, X, 1), lab_out.reshape(Z, Y, X, 1)
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_slabs_cover_whole_planes_within_the_budget():

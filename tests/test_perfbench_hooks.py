@@ -49,7 +49,7 @@ def test_every_hook_found_and_traced_through_a_train_step():
     assert calls["nn.forward"] == 1 and calls["nn.maxpool3"] == 1
     assert calls["nn.softmax_channels"] == 1
     # the decoder conv reads the skip and up branches in place; perfbench still
-    # hooks concat_channels by name until the benchmark edit (ROADMAP item 5)
+    # hooks concat_channels by name until the benchmark edit (ROADMAP item 4)
     assert calls["nn.concat_channels"] == 0
     # the oracle reads the net's conv layers (stem.conv, enc, ups[j].conv, dec,
     # head.conv) and each Conv3d's c_in, c_out and kernel: a forward plus a

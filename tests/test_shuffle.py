@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dot, from_flat, tensors_equal
+from conftest import dot, down_shuffle_reference, from_flat, tensors_equal
 
 from voxseg.nn import BackboneSpec, Node, maxpool3
-from voxseg.shuffle import down_shuffle, down_shuffle_reference, up_shuffle
+from voxseg.shuffle import down_shuffle, up_shuffle
 from voxseg.tensor import Rng, Shape4, Tensor4
 
 
