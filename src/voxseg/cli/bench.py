@@ -23,9 +23,11 @@ from ..nn import ShuffleUNet3d, backward, ce_dice_loss
 from ..tensor import Rng, Shape4, Tensor4
 from .config import TrainConfig
 
-# the same backbone counts at 1x, 8x and 64x the context, then smaller backbones
+# the same backbone counts at 1x, 8x and 64x the context, then smaller backbones,
+# then the paper's own factors at clinical patch sizes
 DEFAULT_ROWS = ("32,32,32:1,1,1;64,64,64:2,2,2;128,128,128:4,4,4;"
-                "32,32,32:2,2,2;64,64,64:4,4,2;32,32,32:4,4,2")
+                "32,32,32:2,2,2;64,64,64:4,4,2;32,32,32:4,4,2;"
+                "256,256,64:8,8,2;256,256,32:16,16,2")
 
 
 def _blas_threads() -> int | None:

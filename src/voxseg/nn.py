@@ -15,24 +15,29 @@ head's up-shuffle output (the logits), so ``ConvUpShuffle`` and
 ``ShuffleUNet3d.forward`` set such a node's ``value`` to None once its one
 consumer's forward has run (its ``shape`` stays). ``conv3d`` reads a tuple of
 input nodes as their channel concatenation without building it, so the
-decoder has no concatenation node. It re-pads its inputs' values for the
-weight gradient, allocates the input gradient, if one is needed, only after
-it, and holds one full-size copy of the output gradient at a time. A ReLU
-folded into ``conv3d`` masks by its output, > 0 exactly where the
-pre-activation is (NaN and ±0 included). Every op hands each parent one array
-it gives up to ``Node._accumulate``; no op writes a gradient itself. The first
-array becomes the gradient in place and in its own layout as 0.0 + g, the bits
-a zero fill plus g gives; later ones are added to it.
+decoder has no concatenation node. Its forward holds one z-slab of padded
+input and accumulator at a time beside its output; its backward re-pads the
+inputs' values for the weight gradient, allocates the input gradient, if one
+is needed, only after it, and holds one full-size copy of the output gradient
+at a time. A ReLU folded into ``conv3d`` masks by its output, > 0 exactly
+where the pre-activation is (NaN and ±0 included). Every op hands each parent
+one array it gives up to ``Node._accumulate``; no op writes a gradient itself.
+The first array becomes the gradient in place and in its own layout as
+0.0 + g, the bits a zero fill plus g gives; later ones are added to it.
 
 Convolution is cross-correlation (no kernel flip) at stride 1 with "same" zero
 padding: every kernel extent k is odd, each axis is padded by k // 2 zeros on
 both sides, so the output keeps the input's extents; the net downsamples only
 by shuffling and pooling. Kernel weights live in a Tensor4 of shape
 (kx, ky, kz, c_in*c_out) with channel index ci * c_out + co, and ``conv3d``
-reads the kernel extents from that shape. It adds one GEMM per kernel tap, in
-place, into an output grid laid over the flattened zero-padded input: tap
-(dz, dy, dx) reads the rows from offset dz*Y*X + dy*X + dx on. All GEMMs are scipy's ``dgemm``: numpy's separate
-OpenBLAS thread pool contends with scipy's when both are used.
+reads the kernel extents from that shape. It lays the input on a shared-gap
+grid, rows of stride X = x + px and planes of stride P = (y + py) * X, where
+the px zeros after a row are also the left pad of the next row and the py zero
+rows after a plane the top pad of the next plane. Output voxel (z, y, x) is
+grid row z*P + y*X + x, and tap (dz, dy, dx) reads the rows from offset
+dz*P + dy*X + dx on, so each tap is one GEMM added in place into the output
+rows. All GEMMs are scipy's ``dgemm``: numpy's separate OpenBLAS thread pool
+contends with scipy's when both are used.
 """
 
 from __future__ import annotations
@@ -188,6 +193,9 @@ def up_shuffle_op(x: Node, factors: tuple[int, int, int]) -> Node:
 # convolution
 # ---------------------------------------------------------------------------
 
+_SLAB_ROWS = 4096  # grid rows a conv3d forward slab may hold, halo planes included
+
+
 def _channel_slices(nodes: tuple[Node, ...], a: np.ndarray):
     """Each node with its slice of ``a``'s channels, in order."""
     start = 0
@@ -203,6 +211,20 @@ def conv3d(x: Node | tuple[Node, ...], weight: Node, bias: Node, act: str = "ide
     channel concatenation in order without building it. ``weight`` has Tensor4
     shape (kx, ky, kz, c_in*c_out), odd extents, with channel index
     ci * c_out + co; ``bias`` has shape (1, 1, 1, c_out).
+
+    The input is laid on a grid of rows of stride X = x + px and planes of
+    stride P = (y + py) * X: the zeros after a row or plane are also the pad
+    before the next. The forward runs in z-slabs of whole output planes, at
+    most half of them (one slab would hold the whole grid beside the output)
+    and, when more than one plane fits, at most ``_SLAB_ROWS`` grid rows, halo
+    planes included. Each slab fills its own grid, runs the tap GEMMs into its
+    own accumulator and writes its valid rows through the activation into the
+    output. The backward fills the whole grid once. Its weight-gradient GEMMs
+    run in row blocks of at most 10**6 // (c_in * c_out) rows: OpenBLAS
+    (0.3.30, SkylakeX) computes a GEMM of at most 10**6 multiply-adds on one
+    thread with its small-matrix kernel, so their bits do not depend on the
+    BLAS thread count. The input-gradient GEMMs run in 2048-row blocks, whose
+    bits were the same under 1 and 2 threads at every shape tried.
     """
     _check_activation(act)
     xs = x if isinstance(x, tuple) else (x,)
@@ -217,61 +239,72 @@ def conv3d(x: Node | tuple[Node, ...], weight: Node, bias: Node, act: str = "ide
         raise ValueError(f"channel mismatch: inputs have {[node.shape.c for node in xs]}, "
                          f"filter expects {c_in} in all")
     px, py, pz = kx // 2, ky // 2, kz // 2
-    Z, Y, X = (e + 2 * p for e, p in zip(xs[0].value.zyxc.shape[:3], (pz, py, px)))
-    valid = np.s_[:, : Y - 2 * py, : X - 2 * px]
-
-    def padded() -> np.ndarray:  # rebuilt by the backward rather than kept
-        xp = np.zeros((Z, Y, X, c_in))
-        for node, part in _channel_slices(xs, xp[pz : Z - pz, py : Y - py, px : X - px]):
-            part[...] = node.value.zyxc
-        return xp.reshape(-1, c_in)
-
-    flat = padded()
+    oz, oy, ox = xs[0].value.zyxc.shape[:3]  # same padding: also the output's extents
+    X, P = ox + px, (oy + py) * (ox + px)
+    lead = py * X + px  # the zeros before a grid's first plane starts
+    offsets = [dz * P + dy * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
     taps = weight.value.zyxc.reshape(kz * ky * kx, c_in, c_out)
-    offsets = [(dz * Y + dy) * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
-    # outputs over the padded grid; rows past a row end wrap and are dropped
-    grid = (Z - kz + 1, Y, X)
-    n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
-    acc = np.empty((grid[0] * Y * X, c_out))  # one array: np.tile returns a view of another
-    acc[...] = bias.value.zyxc[0, 0, 0]
-    for t, o in enumerate(offsets):  # acc[:n] += flat[o:o+n] @ taps[t], in place
-        dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
-    del flat  # before the output is copied out of acc
-    if act == "relu":  # in place: on the strided valid view numpy allocates a buffer
-        np.maximum(acc, 0.0, out=acc)
-    value = Tensor4(acc.reshape(*grid, c_out)[valid])
+
+    def voxels(a: np.ndarray, start: int, planes: int) -> np.ndarray:
+        """The voxels of ``planes`` grid planes of ``a`` from row ``start`` on."""
+        return a[start : start + planes * P].reshape(planes, oy + py, X, -1)[:, :oy, :ox]
+
+    def grid(z0: int, z1: int) -> np.ndarray:
+        """Input planes z0 - pz .. z1 + pz - 1 on the grid, zero outside the input."""
+        flat = np.zeros(((z1 - z0 + 2 * pz) * P + lead, c_in))
+        lo, hi = max(0, z0 - pz), min(oz, z1 + pz)
+        for node, part in _channel_slices(xs, voxels(flat, (lo - z0 + pz) * P + lead, hi - lo)):
+            part[...] = node.value.zyxc[lo:hi]
+        return flat
+
+    value = np.empty((oz, oy, ox, c_out))
+    depth = max(1, min((oz + 1) // 2, (_SLAB_ROWS - lead) // P - 2 * pz))
+    for z0 in range(0, oz, depth):
+        z1 = min(oz, z0 + depth)
+        flat, n = grid(z0, z1), (z1 - z0 - 1) * P + (oy - 1) * X + ox
+        acc = np.empty(((z1 - z0) * P, c_out))  # the rows past n are gaps
+        acc[...] = bias.value.zyxc[0, 0, 0]
+        for t, o in enumerate(offsets):  # acc[:n] += flat[o:o+n] @ taps[t], in place
+            dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+        del flat
+        if act == "relu":
+            np.maximum(voxels(acc, 0, z1 - z0), 0.0, out=value[z0:z1])
+        else:
+            value[z0:z1] = voxels(acc, 0, z1 - z0)
+        del acc  # before the next slab's grid
 
     def backprop(out_node: Node) -> None:
         g = out_node.grad  # (oz, oy, ox, c_out); the node's own, so masked in place
         if act == "relu":  # value > 0 exactly where the pre-activation is
             g *= out_node.value.zyxc > 0.0
         bias._accumulate(g.sum(axis=(0, 1, 2)).reshape(bias.value.zyxc.shape))
-        gacc = np.zeros((*grid, c_out))
-        gacc[valid] = g
+        gmat = np.zeros((oz * P, c_out))
+        voxels(gmat, 0, oz)[...] = g
         del g
-        out_node.grad = None  # gacc holds the one full-size copy from here on
-        gmat = gacc.reshape(-1, c_out)
-        flat = padded()
+        out_node.grad = None  # gmat holds the one full-size copy from here on
+        n = (oz - 1) * P + (oy - 1) * X + ox  # the first output voxel's row to the last's
+
+        def blocks(size: int):  # row blocks of g outermost: a block stays in cache over all taps
+            return [(s, min(n, s + size), t, o) for s in range(0, n, size)
+                    for t, o in enumerate(offsets)]
+
+        flat = grid(0, oz)
         gw = np.zeros_like(taps)
-        # row blocks of g outermost, so that a block stays in cache over all taps
-        blocks = [(s, min(n, s + 2048), t, o) for s in range(0, n, 2048)
-                  for t, o in enumerate(offsets)]
-        for s, e, t, o in blocks:  # dW[t] += flat[o+s:o+e]^T @ g[s:e]
+        for s, e, t, o in blocks(max(1, 10 ** 6 // (c_in * c_out))):
             dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
-                  c=gw[t].T, overwrite_c=True)
+                  c=gw[t].T, overwrite_c=True)  # dW[t] += flat[o+s:o+e]^T @ g[s:e]
         del flat
         weight._accumulate(gw.reshape(weight.value.zyxc.shape))
         if any(node._needs_grad for node in xs):
-            gflat = np.zeros((Z * Y * X, c_in))
-            for s, e, t, o in blocks:  # dX[o+s:o+e] += g[s:e] @ W[t]^T
+            gflat = np.zeros(((oz + 2 * pz) * P + lead, c_in))
+            for s, e, t, o in blocks(2048):  # dX[o+s:o+e] += g[s:e] @ W[t]^T
                 dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
                       c=gflat[o + s : o + e].T, overwrite_c=True)
-            gx = gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
-            for node, part in _channel_slices(xs, gx):
+            for node, part in _channel_slices(xs, voxels(gflat, pz * P + lead, oz)):
                 if node._needs_grad:
                     node._accumulate(part)
 
-    return Node(value, (*xs, weight, bias), backprop)
+    return Node(Tensor4(value), (*xs, weight, bias), backprop)
 
 
 # ---------------------------------------------------------------------------

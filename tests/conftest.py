@@ -81,6 +81,27 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def conv_plan(extents_zyx, kernel):
+    """The grid strides, lead, tap offsets and forward slabs ``conv3d`` uses, derived
+    from its documented rule: rows of stride x + px, planes of stride
+    (y + py)(x + px), slabs of at most half the planes whose grid, halo planes
+    included, holds at most ``nn._SLAB_ROWS`` rows, and at least one plane each."""
+    (oz, oy, ox), (kx, ky, kz) = extents_zyx, kernel
+    px, py, pz = kx // 2, ky // 2, kz // 2
+    X, P = ox + px, (oy + py) * (ox + px)
+    lead = py * X + px
+    offsets = [dz * P + dy * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
+    depth = max(1, min((oz + 1) // 2, (nn._SLAB_ROWS - lead) // P - 2 * pz))
+    slabs = [(z0, min(oz, z0 + depth)) for z0 in range(0, oz, depth)]
+    return X, P, lead, offsets, slabs
+
+
+def grid_rows(extents_zyx, X, P, planes):
+    """Grid rows from the first voxel of a run of ``planes`` output planes to its last."""
+    _, oy, ox = extents_zyx
+    return (planes - 1) * P + (oy - 1) * X + ox
+
+
 def gemm_flops_per_step(cfg) -> int:
     """GEMM FLOPs of one forward, ``ce_dice_loss`` and backward of ``cfg``'s net.
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dgemm
 
-from conftest import (fd_gradient_error, from_flat, full, same_bits, tensors_equal,
-                      traced_peak)
+from conftest import (conv_plan, fd_gradient_error, from_flat, full, grid_rows, same_bits,
+                      tensors_equal, traced_peak)
 from voxseg.nn import (BackboneSpec, Conv3d, Node, activation, backward,
                        ShuffleUNet3d, ce_dice_loss, concat_channels, conv3d,
                        down_shuffle_op, maxpool3, softmax_channels, up_shuffle_op)
@@ -263,6 +263,10 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
+# three one-plane forward slabs of a 1,517-row plane stride, and 1,953-row
+# weight-gradient blocks (c_in * c_out = 512) over 4,509 grid rows
+MANY_BLOCKS = ((40, 36, 3), 16, 32, (3, 3, 3))
+
 CONV_CASES = [
     # (input extents x,y,z), c_in, c_out, kernel
     ((5, 4, 6), 1, 3, (3, 3, 3)),
@@ -277,7 +281,7 @@ CONV_CASES = [
 
 
 class TestConv3dOracle:
-    @pytest.mark.parametrize("extents,c_in,c_out,kernel", CONV_CASES)
+    @pytest.mark.parametrize("extents,c_in,c_out,kernel", CONV_CASES + [MANY_BLOCKS])
     def test_forward_and_backward_match_direct_sums(self, extents, c_in, c_out, kernel):
         rng = Rng(30 + sum(extents) + 7 * c_in + c_out)
         x = Node(Tensor4.gaussian(Shape4(*extents, c_in), 0, 1, rng))
@@ -296,6 +300,14 @@ class TestConv3dOracle:
                                           + np.abs(x.value.zyxc * x.grad).sum())
         assert_rel_close(w.grad, weight_grad(g.zyxc))
         assert_rel_close(b.grad[0, 0, 0], g.zyxc.sum(axis=(0, 1, 2)))
+
+    def test_case_spans_three_slabs_and_blocks(self):
+        extents, c_in, c_out, kernel = MANY_BLOCKS
+        zyx = extents[::-1]
+        X, P, _, _, slabs = conv_plan(zyx, kernel)
+        n = grid_rows(zyx, X, P, zyx[0])
+        assert len(slabs) >= 3
+        assert math.ceil(n / (10 ** 6 // (c_in * c_out))) >= 3
 
     def test_backward_accumulates_into_existing_gradients(self):
         rng = Rng(31)
@@ -343,44 +355,54 @@ class TestConv3dOracle:
 
 
 def unfused_conv_relu(x, weight, bias, act):
-    """conv3d as it ran before the activation moved into it: the closure keeps
-    the padded input, dW and dX interleave per row block, and a ReLU is a node
-    of its own masked by the pre-activation. Oracle only."""
+    """conv3d's GEMMs in its row, slab and block order, with the activation as a
+    node of its own masked by the pre-activation: the closure keeps the whole
+    grid (np.pad of the input after ``lead`` zeros), each forward slab reads a
+    window of it, and dW and dX run in their own row blocks. Oracle only."""
     kx, ky, kz = weight.value.shape.spatial
     c_out = bias.value.shape.c
     c_in = weight.value.shape.c // c_out
-    px, py, pz = kx // 2, ky // 2, kz // 2
-    xp = np.pad(x.value.zyxc, ((pz, pz), (py, py), (px, px), (0, 0)))
-    Z, Y, X, _ = xp.shape
-    valid = np.s_[:, : Y - ky + 1, : X - kx + 1]
-    flat = xp.reshape(-1, c_in)
+    zyx = x.value.zyxc.shape[:3]
+    oz, oy, ox = zyx
+    X, P, lead, offsets, slabs = conv_plan(zyx, (kx, ky, kz))
+    pz = kz // 2
+    xp = np.pad(x.value.zyxc, ((pz, pz), (0, P // X - oy), (0, X - ox), (0, 0)))
+    flat = np.concatenate([np.zeros((lead, c_in)), xp.reshape(-1, c_in)])
     taps = weight.value.zyxc.reshape(kz * ky * kx, c_in, c_out)
-    offsets = [(dz * Y + dy) * X + dx for dz, dy, dx in np.ndindex(kz, ky, kx)]
-    grid = (Z - kz + 1, Y, X)
-    n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
-    acc = np.tile(bias.value.zyxc[0, 0, 0], (grid[0] * Y * X, 1))
-    for t, o in enumerate(offsets):
-        dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+    pre = np.empty((oz, oy, ox, c_out))
+    for z0, z1 in slabs:
+        window = flat[z0 * P:]
+        n = grid_rows(zyx, X, P, z1 - z0)
+        acc = np.tile(bias.value.zyxc[0, 0, 0], ((z1 - z0) * P, 1))
+        for t, o in enumerate(offsets):
+            dgemm(1.0, taps[t].T, window[o : o + n].T, beta=1.0, c=acc[:n].T,
+                  overwrite_c=True)
+        pre[z0:z1] = acc.reshape(z1 - z0, P // X, X, c_out)[:, :oy, :ox]
 
     def backprop(out_node):
         g = out_node.grad
         bias.grad[0, 0, 0, :] += g.sum(axis=(0, 1, 2))
-        gacc = np.zeros((*grid, c_out))
-        gacc[valid] = g
+        gacc = np.zeros((oz, P // X, X, c_out))
+        gacc[:, :oy, :ox] = g
         gmat = gacc.reshape(-1, c_out)
+        n = grid_rows(zyx, X, P, oz)
         gw = np.zeros_like(taps)
+        block = 10 ** 6 // (c_in * c_out)
+        for s in range(0, n, block):
+            e = min(n, s + block)
+            for t, o in enumerate(offsets):
+                dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
+                      c=gw[t].T, overwrite_c=True)
         gflat = np.zeros_like(flat)
         for s in range(0, n, 2048):
             e = min(n, s + 2048)
             for t, o in enumerate(offsets):
-                dgemm(1.0, gmat[s:e].T, flat[o + s : o + e].T, trans_b=1, beta=1.0,
-                      c=gw[t].T, overwrite_c=True)
                 dgemm(1.0, taps[t].T, gmat[s:e].T, trans_a=1, beta=1.0,
                       c=gflat[o + s : o + e].T, overwrite_c=True)
         weight.grad += gw.reshape(weight.grad.shape)
-        x.grad += gflat.reshape(Z, Y, X, c_in)[pz : Z - pz, py : Y - py, px : X - px]
+        x.grad += gflat[lead:].reshape(xp.shape)[pz : pz + oz, :oy, :ox]
 
-    pre = Node(Tensor4(acc.reshape(*grid, c_out)[valid]), (x, weight, bias), backprop)
+    pre = Node(Tensor4(pre), (x, weight, bias), backprop)
     if act == "identity":
         return pre
 
@@ -393,12 +415,13 @@ def unfused_conv_relu(x, weight, bias, act):
 class TestConv3dActivation:
     @pytest.mark.parametrize("act", ["relu", "identity"])
     @pytest.mark.parametrize("extents,c_in,c_out,kernel",
-                             CONV_CASES + [((16, 16, 18), 2, 3, (3, 3, 3))])
+                             CONV_CASES + [((16, 16, 18), 2, 3, (3, 3, 3)), MANY_BLOCKS])
     @pytest.mark.parametrize("with_nan", [False, True])
     def test_bit_identical_to_unfused_oracle(self, extents, c_in, c_out, kernel, act,
                                              with_nan):
         # few-valued inputs give exact-zero pre-activations; the 16x16x18 case
-        # spans three 2048-row blocks of the backward GEMMs
+        # spans three 2048-row input-gradient blocks, MANY_BLOCKS three forward
+        # slabs and three weight-gradient blocks
         rng = np.random.default_rng(71 + sum(extents) + c_in)
         x = rng.integers(-2, 3, size=(*extents[::-1], c_in)).astype(np.float64)
         x[rng.random(x.shape) < 0.2] = -0.0

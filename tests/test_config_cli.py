@@ -679,14 +679,13 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_train_bytes_independent_of_blas_threads(self, tmp_path):
-        # at this config (factors 1,1,1 at 16^3, desk widths, large enough for
-        # OpenBLAS to split) conv3d's GEMMs keep every bit under 1 and 2 BLAS
-        # threads; at factors 4,4,2 they do not (ROADMAP item 6)
+    @staticmethod
+    def train_bytes_per_thread_count(tmp_path, net: list[str]) -> list:
+        """(model.vckp, runlog.csv) bytes of a 4-iteration ``train`` of ``net``
+        under 1 and under 2 BLAS threads."""
         data = tmp_path / "data"
-        net = ["--volumes", "3", "--train-split", "2", "--extents", "16,16,16",
-               "--patch", "16,16,16", "--factors", "1,1,1", "--k", "16",
-               "--widths", "16,32", "--seed", "8", "--data-dir", str(data)]
+        net = net + ["--volumes", "3", "--train-split", "2", "--k", "16", "--widths", "16,32",
+                     "--seed", "8", "--data-dir", str(data)]
         assert main(["gen-data"] + net) == 0
         outputs = []
         for threads in ("1", "2"):
@@ -699,6 +698,23 @@ class TestDeterminism:
                 capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / n).read_bytes() for n in ("model.vckp", "runlog.csv")])
+        return outputs
+
+    def test_train_bytes_independent_of_blas_threads(self, tmp_path):
+        # at factors 1,1,1 at 16^3 with desk widths, conv3d's forward and
+        # input-gradient GEMMs are large enough for OpenBLAS to split, which moves
+        # none of their bits; its weight-gradient blocks run on one thread
+        outputs = self.train_bytes_per_thread_count(
+            tmp_path, ["--extents", "16,16,16", "--patch", "16,16,16", "--factors", "1,1,1"])
+        assert outputs[0] == outputs[1]
+
+    def test_train_bytes_independent_of_blas_threads_at_4_4_2(self, tmp_path):
+        # the head's weight gradient here has 96 x 16 outputs; a row block longer
+        # than 10**6 // (96 * 16) rows goes to OpenBLAS's threaded kernel, whose
+        # bits move with the thread count at row counts off a multiple of 64
+        outputs = self.train_bytes_per_thread_count(
+            tmp_path, ["--extents", "32,32,32", "--patch", "32,32,32", "--factors", "4,4,2",
+                       "--class-count", "3"])
         assert outputs[0] == outputs[1]
 
 

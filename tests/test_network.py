@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg.blas import dgemm
 
-from conftest import (FUZZ, fd_gradient_error, full, gemm_flops_per_step, mutated,
-                      tensors_equal, traced_peak)
+from conftest import (FUZZ, conv_plan, fd_gradient_error, full, gemm_flops_per_step, grid_rows,
+                      mutated, same_bits, tensors_equal, traced_peak)
+from voxseg import nn
 from voxseg.cli.config import TrainConfig
 from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, main
 from voxseg.nn import (BackboneSpec, CheckpointError, ConvUpShuffle,
@@ -319,6 +321,42 @@ class TestBackbone:
             assert np.array_equal(got[name], want[name]), name
 
 
+def whole_grid_conv(x, weight: Node, bias: Node, act: str = "identity") -> Node:
+    """``conv3d``'s forward as one GEMM per tap over the whole input, zero-padded by
+    k // 2 on both sides of each axis; no graph. Oracle only."""
+    a = np.concatenate([node.value.zyxc for node in (x if isinstance(x, tuple) else (x,))],
+                       axis=3)
+    kx, ky, kz = weight.value.shape.spatial
+    c_in, c_out = a.shape[3], bias.value.shape.c
+    xp = np.pad(a, ((kz // 2,) * 2, (ky // 2,) * 2, (kx // 2,) * 2, (0, 0)))
+    Z, Y, X = xp.shape[:3]
+    flat = xp.reshape(-1, c_in)
+    taps = weight.value.zyxc.reshape(-1, c_in, c_out)
+    n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
+    acc = np.tile(bias.value.zyxc[0, 0, 0], (Z * Y * X, 1))
+    for t, (dz, dy, dx) in enumerate(np.ndindex(kz, ky, kx)):
+        o = (dz * Y + dy) * X + dx
+        dgemm(1.0, taps[t].T, flat[o : o + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+    out = acc.reshape(Z, Y, X, c_out)[: Z - kz + 1, : Y - ky + 1, : X - kx + 1]
+    return Node(Tensor4(np.maximum(out, 0.0) if act == "relu" else out.copy()))
+
+
+class TestSlabForward:
+    def test_predict_bytes_match_whole_grid_forward(self, monkeypatch):
+        # desk net at 2,2,2 with 3 classes: conv3d's z-slabs on the shared-gap
+        # grid give the bytes of one whole-grid GEMM per tap at every layer
+        net = ShuffleUNet3d(BackboneSpec(class_count=3, factors=(2, 2, 2), stem_channels=16,
+                                         widths=(16, 32)), Rng(60))
+        for i, (name, node) in enumerate(net.parameters().items()):
+            if name.endswith(".bias"):  # biases start at zero; make them count
+                node.value = Tensor4.gaussian(node.value.shape, 0.0, 0.01, Rng(62 + i))
+        t, _ = desk_step_inputs(32, 61)
+        got = net.predict(t)
+        monkeypatch.setattr(nn, "conv3d", whole_grid_conv)
+        want = net.predict(t)
+        assert same_bits(got.zyxc, want.zyxc)
+
+
 class TestFullScaleGeometry:
     def test_large_volume_stem_shapes(self):
         # (400, 400, 80) input with factors (4, 4, 2) lands the backbone on
@@ -352,8 +390,8 @@ class TestCostReduction:
 
 
 class TestGemmCount:
-    @pytest.mark.parametrize("factors, total", [((1, 1, 1), 5_376_385_536),
-                                                ((2, 2, 2), 1_001_911_296)])
+    @pytest.mark.parametrize("factors, total", [((1, 1, 1), 5_007_815_232),
+                                                ((2, 2, 2), 891_858_432)])
     def test_desk_step_matches_closed_form(self, factors, total):
         cfg = TrainConfig(class_count=2, patch=(32, 32, 32), factors=factors, k=16,
                           widths=(16, 32))
@@ -368,10 +406,12 @@ class TestGemmCount:
                  (net.head.conv, 0, 3)]
         expected = 0
         for conv, level, families in convs:
-            (kx, ky, kz), (x, y, z) = conv.kernel, (e // q ** level for e, q in zip(low, cfg.pool))
-            X, Y, Z = x + kx - 1, y + ky - 1, z + kz - 1  # the padded extents
-            n = (Z - kz) * Y * X + (Y - ky) * X + (X - kx) + 1
-            expected += families * 2 * kx * ky * kz * conv.c_in * conv.c_out * n
+            x, y, z = (e // q ** level for e, q in zip(low, cfg.pool))
+            X, P, _, _, slabs = conv_plan((z, y, x), conv.kernel)
+            # the forward runs its taps once per slab, dW and dX over the whole grid
+            rows = (sum(grid_rows((z, y, x), X, P, z1 - z0) for z0, z1 in slabs)
+                    + (families - 1) * grid_rows((z, y, x), X, P, z))
+            expected += 2 * math.prod(conv.kernel) * conv.c_in * conv.c_out * rows
         assert gemm_flops_per_step(cfg) == expected == total
 
 
