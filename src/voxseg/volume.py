@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .atomic import write_atomic
 from .tensor import SLAB_VOXELS, Rng, Shape4, Tensor4
@@ -141,10 +140,10 @@ def read_vvol(path) -> Volume:
 # synthetic dataset
 # ---------------------------------------------------------------------------
 
-def z_slabs(z_count: int, plane: int) -> list[slice]:
+def z_slabs(z_count: int, plane: int, budget: int = SLAB_VOXELS) -> list[slice]:
     """``range(z_count)`` cut into runs of whole z planes of ``plane`` voxels each,
-    at most SLAB_VOXELS voxels per run but at least one plane."""
-    step = max(1, SLAB_VOXELS // plane)
+    at most ``budget`` voxels per run but at least one plane."""
+    step = max(1, budget // plane)
     return [slice(z, min(z + step, z_count)) for z in range(0, z_count, step)]
 
 
@@ -265,14 +264,57 @@ def _lerp_ramp(n: int) -> np.ndarray:
     return np.arange(n) * (1.0 / (n - 1)) if n > 1 else np.zeros(1)
 
 
+_SAMPLE_VOXELS = 1 << 13  # output voxels elastic_augment samples at a time
+
+
+def _sample_clamped(image: np.ndarray, labels: np.ndarray, src: np.ndarray,
+                    img_out: np.ndarray, lab_out: np.ndarray) -> None:
+    """Sample ``image`` trilinearly and ``labels`` at the nearest voxel, edge-clamped.
+
+    ``image`` and ``labels`` are (Z, Y, X) arrays and ``src`` holds one (z, y, x)
+    source coordinate per column; each output takes one value per column.
+    """
+    _, Y, X = image.shape
+    flat_img, flat_lab = image.reshape(-1), labels.reshape(-1)
+    corners, nearest = [], 0
+    for c, n, stride in zip(src, image.shape, (Y * X, X, 1)):
+        low = np.floor(c)
+        w0 = 1.0 - (c - low)
+        corners.append(((np.clip(low, 0, n - 1).astype(np.intp) * stride, w0),
+                        (np.clip(low + 1, 0, n - 1).astype(np.intp) * stride, 1.0 - w0)))
+        nearest = nearest + np.floor(np.clip(c, 0, n - 1) + 0.5).astype(np.intp) * stride
+    np.take(flat_lab, nearest, out=lab_out)
+    del nearest
+    img_out[...] = 0.0
+    for iz, wz in corners[0]:
+        for iy, wy in corners[1]:
+            izy = iz + iy
+            for ix, wx in corners[2]:
+                v = flat_img[izy + ix]
+                v *= wz
+                v *= wy
+                v *= wx
+                img_out += v
+
+
 def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
                     ) -> tuple[Volume, Volume]:
     """Warp an aligned pair by a trilinear field spanned by eight corner vectors.
 
-    ``corners`` is a (2, 2, 2, 3) array as ``random_deformation`` returns.
-    Output voxel v samples the input at v + displacement(v): the image with
-    trilinear interpolation, labels with nearest neighbor; reads outside the
-    volume clamp to the edge. Zero displacement is the exact identity.
+    ``corners`` is a (2, 2, 2, 3) array as ``random_deformation`` returns, finite and
+    below 2**1020 in magnitude.
+    Output voxel v samples the input at source coordinate c = v + displacement(v),
+    per axis of extent n, with the arithmetic of scipy's
+    ``map_coordinates(mode="nearest")`` at orders 1 and 0, so the bits match it:
+
+    - the image, trilinearly: w0 = 1 - (c - floor(c)) and w1 = 1 - w0 from the
+      unclamped c, weighting the voxels at floor(c) and floor(c) + 1, each index
+      clamped to [0, n - 1]; the eight corners are summed from 0.0, z-major with x
+      fastest, each as ((value * wz) * wy) * wx;
+    - labels at the nearest voxel, floor(clip(c, 0, n - 1) + 0.5).
+
+    So reads outside the volume clamp to the edge, and zero displacement is the
+    exact identity. The output is sampled ``_SAMPLE_VOXELS`` voxels at a time.
     """
     if image.extents != labels.extents:
         raise ValueError(f"extents differ: {image.extents} vs {labels.extents}")
@@ -280,10 +322,12 @@ def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
         raise ValueError("deformation expects single-channel volumes")
     if np.shape(corners) != (2, 2, 2, 3):
         raise ValueError(f"corners must have shape (2, 2, 2, 3), got {np.shape(corners)}")
+    if not (np.abs(corners) < 2.0 ** 1020).all():  # NaN fails too; below, no lerp overflows
+        raise ValueError("corners must be finite and below 2**1020 in magnitude")
     X, Y, Z = image.extents
     # separable lerp a + f*(b - a) of the (z, y, x) components, so constant corners densify
     # exactly: x gives (axis, 2, 2, X), then y gives (axis, 2, Y, X), then z one slab of
-    # (axis, slab, Y, X) at a time; map_coordinates at order <= 1 reads each point alone
+    # (axis, slab, Y, X) at a time; each output voxel reads only its own coordinate
     d = np.moveaxis(np.asarray(corners, dtype=np.float64)[..., ::-1], 3, 0)
     for dim, n in ((3, X), (2, Y)):
         a, b = np.split(d, 2, axis=dim)
@@ -291,20 +335,22 @@ def elastic_augment(image: Volume, labels: Volume, corners: np.ndarray
     a, b = np.split(d, 2, axis=1)
     b = b - a
     ramp = _lerp_ramp(Z)
-    img_out, lab_out = np.empty((Z, Y, X, 1)), np.empty((Z, Y, X, 1), np.uint8)
-    for sl in z_slabs(Z, X * Y):
+    img, lab = image.tensor.zyxc[..., 0], labels.tensor.zyxc[..., 0]
+    img_out, lab_out = np.empty(Z * Y * X), np.empty(Z * Y * X, np.uint8)
+    for sl in z_slabs(Z, X * Y, _SAMPLE_VOXELS):
         src = ramp[sl, None, None] * b
         src += a
         src[0] += np.arange(sl.start, sl.stop)[:, None, None]  # displacement to source coordinate
         src[1] += np.arange(Y)[:, None]
         src[2] += np.arange(X)
-        map_coordinates(image.tensor.zyxc[..., 0], src, output=img_out[sl, ..., 0],
-                        order=1, mode="nearest")
-        map_coordinates(labels.tensor.zyxc[..., 0], src, output=lab_out[sl, ..., 0],
-                        order=0, mode="nearest")
+        src, base = src.reshape(3, -1), sl.start * X * Y
+        for s in range(0, src.shape[1], _SAMPLE_VOXELS):
+            e = min(s + _SAMPLE_VOXELS, src.shape[1])
+            _sample_clamped(img, lab, src[:, s:e], img_out[base + s : base + e],
+                            lab_out[base + s : base + e])
     return (
-        Volume(Tensor4(img_out), image.spacing),
-        Volume(Tensor4(lab_out), labels.spacing, labels.class_count),
+        Volume(Tensor4(img_out.reshape(Z, Y, X, 1)), image.spacing),
+        Volume(Tensor4(lab_out.reshape(Z, Y, X, 1)), labels.spacing, labels.class_count),
     )
 
 

@@ -657,6 +657,30 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_train_and_infer_path_loads_no_scipy_module(self):
+        # GEMMs come from scipy's BLAS extension file and the warp samples in numpy
+        code = """
+import sys
+import voxseg.cli.train, voxseg.metrics
+from voxseg import inference, nn, volume
+from voxseg.cli.config import TrainConfig
+from voxseg.optim import SgdState, sgd_step
+from voxseg.tensor import Rng
+cfg = TrainConfig(patch=(16, 16, 16), factors=(2, 2, 2), k=4, widths=(4, 8))
+(image, labels), = volume.gen_synthetic(1, 1, cfg.patch, cfg.class_count)
+image, labels = volume.elastic_augment(image, labels, volume.random_deformation(Rng(2), 3.0))
+net = nn.ShuffleUNet3d(cfg.backbone_spec(), Rng(cfg.seed))
+params = net.parameters()
+nn.backward(nn.ce_dice_loss(net.forward(image.tensor), labels.tensor, 1.0, 1.0))
+assert sgd_step(params, SgdState(params, cfg.resolved_initial_lr()))
+inference.predict_volume(net, image, cfg.patch)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_bad_vvol_magic(self, tmp_path):
         bad = tmp_path / "bad.vvol"
         bad.write_bytes(b"NOPE" + bytes(64))

@@ -8,13 +8,16 @@ oracles build float-coded labels, so label bytes are compared against the
 oracle's labels cast to uint8.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
 from conftest import same_bits, traced_peak
 from voxseg.tensor import _TWO53_INV, SLAB_VOXELS, Rng, Tensor4
-from voxseg.volume import Volume, elastic_augment, gen_synthetic, random_deformation, z_slabs
+from voxseg.volume import (Volume, _sample_clamped, elastic_augment, gen_synthetic,
+                           random_deformation, z_slabs)
 
 MIB = 2 ** 20
 
@@ -178,3 +181,28 @@ class TestElasticSlabs:
         corners = random_deformation(Rng(2), sigma=15.0)
         _, peak = traced_peak(lambda: elastic_augment(image, labels, corners))
         assert peak <= 20 * MIB  # output 13.5 MiB; the whole-volume form held 40.9
+
+
+class TestSamplerEdges:
+    """The numpy sampler against ``map_coordinates(mode="nearest")`` itself, at the
+    coordinates where clamping, flooring and rounding turn."""
+
+    @staticmethod
+    def edge_points(n: int) -> np.ndarray:
+        below = [-7.3, -1.5]                               # below -1
+        near = [-1.0, -0.75, -0.5, -0.25, -0.0]            # in [-1, 0), and -0.0
+        inside = [*range(n), *(np.arange(n) + 0.5)]        # integers, n - 1 and .5 ties
+        above = [n - 1 - 1e-9, n - 1 + 1e-9, n - 0.75, n, n + 0.5, n + 9.6]
+        return np.array(below + near + inside + above, dtype=np.float64)
+
+    @pytest.mark.parametrize("extents", [(4, 5, 6), (1, 4, 3), (3, 1, 1), (1, 1, 1)])
+    def test_bits_match_map_coordinates(self, extents):
+        rng = Rng(sum(extents))
+        image = rng.normal(math.prod(extents)).reshape(extents)
+        labels = rng.randint(0, 4, math.prod(extents)).astype(np.uint8).reshape(extents)
+        grids = np.meshgrid(*(self.edge_points(n) for n in extents), indexing="ij")
+        src = np.stack([g.reshape(-1) for g in grids])
+        img_out, lab_out = np.empty(src.shape[1]), np.empty(src.shape[1], np.uint8)
+        _sample_clamped(image, labels, src, img_out, lab_out)
+        assert same_bits(img_out, map_coordinates(image, src, order=1, mode="nearest"))
+        assert same_bits(lab_out, map_coordinates(labels, src, order=0, mode="nearest"))

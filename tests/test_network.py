@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import math
 import struct
 import tracemalloc
@@ -355,6 +357,49 @@ class TestSlabForward:
         monkeypatch.setattr(nn, "conv3d", whole_grid_conv)
         want = net.predict(t)
         assert same_bits(got.zyxc, want.zyxc)
+
+
+class TestDgemm:
+    """``nn.dgemm``, loaded from scipy's BLAS extension file, against
+    ``scipy.linalg.blas.dgemm`` in the three call forms ``conv3d`` uses."""
+
+    # rows, c_in, c_out: multiply-adds below and above OpenBLAS's 10**6 small-matrix bound
+    @pytest.mark.parametrize("rows, c_in, c_out", [(300, 8, 4), (3000, 16, 16),
+                                                   (4000, 16, 16), (9000, 16, 32)])
+    def test_conv3d_call_forms_write_scipy_bytes(self, rows, c_in, c_out):
+        rng = Rng(rows + c_in * c_out)
+        flat = rng.normal((rows + 7) * c_in).reshape(rows + 7, c_in)
+        g = rng.normal(rows * c_out).reshape(rows, c_out)
+        tap = rng.normal(c_in * c_out).reshape(c_in, c_out)
+        acc = rng.normal((rows + 5) * c_out).reshape(rows + 5, c_out)
+        gw = rng.normal(c_in * c_out).reshape(c_in, c_out)
+        gx = rng.normal((rows + 7) * c_in).reshape(rows + 7, c_in)
+
+        def forward(gemm):  # acc[:rows] += flat[3:3+rows] @ tap
+            out = acc.copy()
+            gemm(1.0, tap.T, flat[3 : 3 + rows].T, beta=1.0, c=out[:rows].T, overwrite_c=True)
+            return out
+
+        def weight_gradient(gemm):  # gw += flat[3:3+rows]^T @ g
+            out = gw.copy()
+            gemm(1.0, g.T, flat[3 : 3 + rows].T, trans_b=1, beta=1.0, c=out.T, overwrite_c=True)
+            return out
+
+        def input_gradient(gemm):  # gx[2:2+rows] += g @ tap^T
+            out = gx.copy()
+            gemm(1.0, tap.T, g.T, trans_a=1, beta=1.0, c=out[2 : 2 + rows].T, overwrite_c=True)
+            return out
+
+        for call in (forward, weight_gradient, input_gradient):
+            assert same_bits(call(nn.dgemm), call(dgemm)), call.__name__
+
+    def test_missing_extension_file_names_its_path(self, monkeypatch, tmp_path):
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError) as info:
+            nn._load_fblas()
+        assert str(tmp_path / "linalg" / "_fblas") in str(info.value)
 
 
 class TestFullScaleGeometry:

@@ -325,6 +325,17 @@ class TestElastic:
         with pytest.raises(ValueError):
             elastic_augment(img, lab, np.zeros(shape))
 
+    # one NaN or infinite component, or two finite ones whose lerp overflows
+    @pytest.mark.parametrize("bad, other", [(math.nan, 0.0), (math.inf, 0.0),
+                                            (-math.inf, 0.0), (1.7e308, -1.7e308)])
+    def test_non_finite_or_overflowing_corners_rejected(self, bad, other):
+        img = random_image(51, (16, 16, 16))
+        lab = random_labels(52, (16, 16, 16))
+        corners = np.zeros((2, 2, 2, 3))
+        corners[1, 0, 1, 2], corners[0, 0, 1, 2] = bad, other
+        with pytest.raises(ValueError, match="finite"):
+            elastic_augment(img, lab, corners)
+
     @pytest.mark.parametrize("extents", [(7, 5, 1), (6, 4, 3)])
     def test_matches_trilinear_oracle(self, extents):
         # per axis a, image value = voxel coordinate along a, so a warped voxel
