@@ -17,7 +17,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ..nn import ShuffleUNet3d, backward, ce_dice_loss
 from ..tensor import Rng, Shape4, Tensor4
@@ -30,9 +29,9 @@ DEFAULT_ROWS = ("32,32,32:1,1,1;64,64,64:2,2,2;128,128,128:4,4,4;"
                 "256,256,64:8,8,2;256,256,32:16,16,2")
 
 
-def _blas_threads() -> int | None:
+def _blas_threads(scipy_dir: Path) -> int | None:
     """Threads of the OpenBLAS behind scipy's ``dgemm``, None if it does not say."""
-    for path in (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*"):
+    for path in (scipy_dir.parent / "scipy.libs").glob("*openblas*"):
         lib = ctypes.CDLL(str(path))
         get = getattr(lib, "scipy_openblas_get_num_threads", None) or getattr(
             lib, "openblas_get_num_threads", None)
@@ -89,12 +88,12 @@ def bench_row(cfg: TrainConfig, repetitions: int) -> dict:
 def bench_report(cfg: TrainConfig, rows: list[tuple[tuple, tuple]], repetitions: int) -> dict:
     """The machine, the net and one ``bench_row`` per (patch, factors) row; every
     row's config is validated before the first one runs."""
-    row_cfgs = [replace(cfg, patch=patch, extents=patch, factors=factors,
-                        initial_lr=1e-3).validate() for patch, factors in rows]
+    import scipy  # here alone, so no other command loads it
+    row_cfgs = [replace(cfg, patch=patch, factors=factors).validate() for patch, factors in rows]
     return {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,
-                    "blas_threads": _blas_threads()},
+                    "blas_threads": _blas_threads(Path(scipy.__file__).parent)},
         "net": {"k": cfg.k, "widths": list(cfg.widths), "pool": list(cfg.pool),
                 "class_count": cfg.class_count, "repetitions": repetitions},
         "rows": [bench_row(row_cfg, repetitions) for row_cfg in row_cfgs],

@@ -83,6 +83,7 @@ class TrainConfig:
         return None if self.stride == (0, 0, 0) else self.stride
 
     def validate(self) -> "TrainConfig":
+        """Each value, and the net against the patch; a command checks what it alone reads."""
         for f in fields(self):
             value = getattr(self, f.name)
             hint = _HINTS[f.name]
@@ -100,8 +101,6 @@ class TrainConfig:
             raise ConfigError(f"class_count must be <= {MAX_LABEL_CLASSES}, the VVOL label limit")
         if min(self.extents) < 1 or min(self.patch) < 1:
             raise ConfigError("extents and patch must be positive")
-        if any(p > e for p, e in zip(self.patch, self.extents)):
-            raise ConfigError(f"patch {self.patch} exceeds volume extents {self.extents}")
         if self.noise_sigma < 0 or self.init_sigma < 0 or self.augment_sigma < 0:
             raise ConfigError("sigmas must be >= 0")
         if not (0.0 <= self.fg_lo < self.fg_hi <= 1.0):
@@ -132,7 +131,6 @@ class TrainConfig:
             spec.check_input_extents(self.patch)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.resolved_initial_lr()
         return self
 
 

@@ -70,6 +70,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
     determinism contract.
     """
     cfg.validate()
+    initial_lr = cfg.resolved_initial_lr()  # untabulated factors fail before any file is touched
     data_dir = Path(cfg.data_dir)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -84,8 +85,7 @@ def run_training(cfg: TrainConfig, *, dice_target: float | None = None,
 
     net = ShuffleUNet3d(cfg.backbone_spec(), root.spawn(7))
     params = net.parameters()
-    state = SgdState(params, cfg.resolved_initial_lr(), cfg.momentum, cfg.weight_decay,
-                     cfg.lr_halving_period)
+    state = SgdState(params, initial_lr, cfg.momentum, cfg.weight_decay, cfg.lr_halving_period)
     sampler = root.spawn(11)
 
     log_rows: list[str] = []

@@ -18,6 +18,7 @@ from conftest import FUZZ, FailsHalfway, mutated
 from voxseg.cli.config import ConfigError, TrainConfig, load_config
 from voxseg.cli.main import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from voxseg.cli.train import run_training
+from voxseg.inference import predict_volume
 from voxseg.nn import ShuffleUNet3d, save_checkpoint
 from voxseg.tensor import Rng, Tensor4
 from voxseg.volume import Volume, gen_synthetic, read_vvol, write_manifest, write_vvol
@@ -80,12 +81,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="class_count must be <= 256"):
             TrainConfig(class_count=257).validate()
 
-    def test_unknown_factors_need_explicit_lr(self):
-        with pytest.raises(ConfigError, match=r"shuffle factors \(3, 1, 1\); set one explicitly"):
-            load_config(None, {"factors": "3,1,1", "patch": "36,32,32",
-                               "extents": "48,48,48"})
-        cfg = load_config(None, {"factors": "3,1,1", "patch": "36,32,32",
-                                 "extents": "48,48,48", "initial_lr": "0.004"})
+    def test_unknown_factors_need_explicit_lr(self, tmp_path, capsys):
+        # train owns the rule and checks it before it makes its out dir or reads a manifest
+        out = tmp_path / "run"
+        assert main(["train", "--factors", "3,1,1", "--patch", "36,32,32", "--data-dir",
+                     str(tmp_path / "nowhere"), "--out-dir", str(out)]) == EXIT_USAGE
+        assert "shuffle factors (3, 1, 1); set one explicitly" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = load_config(None, {"factors": "3,1,1", "patch": "36,32,32", "initial_lr": "0.004"})
         assert cfg.resolved_initial_lr() == 0.004
 
     def test_lookup_rate_used_when_unset(self):
@@ -216,6 +219,12 @@ class TestGenData:
         test = (tmp_path / "d" / "test.manifest").read_text().strip().splitlines()
         assert len(train) == 20 and len(test) == 5
 
+    def test_extents_smaller_than_the_patch(self, tmp_path):
+        # gen-data never reads the patch, so the default 32^3 one does not bound the extents
+        assert main(["gen-data", "--volumes", "2", "--train-split", "1",
+                     "--extents", "16,16,16", "--data-dir", str(tmp_path)]) == 0
+        assert read_vvol(tmp_path / "vol_001_lab.vvol").extents == (16, 16, 16)
+
     def test_invalid_extents_is_config_error(self, tmp_path):
         rc = main(["gen-data", "--extents", "30,32,32", "--factors", "4,2,2",
                    "--patch", "30,32,32", "--data-dir", str(tmp_path)])
@@ -284,6 +293,22 @@ class TestTrainInferEval:
         assert main(["eval", "--prediction", str(out / "pred.vvol"),
                      "--reference", str(data / "vol_002_lab.vvol"),
                      "--out", str(out / "metrics.csv")]) == 0
+
+    def test_whole_volume_infer(self, tmp_path):
+        # a patch equal to the volume runs it as one tile; (4,4,4) has no tabulated rate
+        # and the patch is larger than the default extents, neither of which infer reads
+        (image, _), = gen_synthetic(11, 1, (64, 64, 64), 2)
+        write_vvol(image, tmp_path / "img.vvol")
+        net = ShuffleUNet3d(TrainConfig(factors=(4, 4, 4), k=4, widths=(4, 8)).backbone_spec(),
+                            Rng(3))
+        save_checkpoint(tmp_path / "m.vckp", net.parameters())
+        rc = main(["infer", "--factors", "4,4,4", "--k", "4", "--widths", "4,8",
+                   "--patch", "64,64,64", "--checkpoint", str(tmp_path / "m.vckp"),
+                   "--input", str(tmp_path / "img.vvol"), "--out-prob", str(tmp_path / "p.vvol"),
+                   "--out-labels", str(tmp_path / "l.vvol")])
+        assert rc == 0
+        write_vvol(predict_volume(net, image, (64, 64, 64)), tmp_path / "want.vvol")
+        assert (tmp_path / "p.vvol").read_bytes() == (tmp_path / "want.vvol").read_bytes()
 
     def test_missing_checkpoint_is_data_error(self, tiny_workspace, tmp_path):
         _, data, _ = tiny_workspace
@@ -451,7 +476,8 @@ class TestExitCodes:
         assert not (tmp_path / "run" / "runlog.csv").exists()
 
     @staticmethod
-    def train_steps(tmp_path, monkeypatch, pairs, patch="16,16,16", class_count=2):
+    def train_steps(tmp_path, monkeypatch, pairs, patch="16,16,16", class_count=2,
+                    factors="1,1,1"):
         """``train`` on one (image, labels) pair per split; returns its exit code,
         the ``sgd_step`` calls it made and whether it wrote a run log."""
         data = tmp_path / "data"
@@ -464,7 +490,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli_train, "sgd_step", lambda *args: steps.append(args))
         out = tmp_path / "run"
         rc = main(["train", "--quiet", "--data-dir", str(data), "--out-dir", str(out),
-                   "--patch", patch, "--factors", "1,1,1", "--k", "4", "--widths", "4,8",
+                   "--patch", patch, "--factors", factors, "--k", "4", "--widths", "4,8",
                    "--iterations", "6", "--val-interval", "5", "--augment-count", "0",
                    "--class-count", str(class_count)])
         return rc, len(steps), (out / "runlog.csv").exists()
@@ -475,6 +501,12 @@ class TestExitCodes:
         assert self.train_steps(tmp_path, monkeypatch, pairs) == (EXIT_DATA, 0, False)
         err = capsys.readouterr().err
         assert "test_img.vvol" in err and "patch (16, 16, 16)" in err
+
+    def test_patch_beyond_the_default_extents_trains(self, tmp_path, monkeypatch):
+        # train checks the patch against the manifest volumes, not against gen-data's extents
+        pairs = gen_synthetic(3, 2, (64, 64, 64), 2)
+        rc = self.train_steps(tmp_path, monkeypatch, pairs, patch="64,64,64", factors="2,2,2")
+        assert rc == (0, 6, True)
 
     def test_label_extents_differ_from_image_is_data_error(self, tmp_path, monkeypatch, capsys):
         # it used to train until the first validation, then fail on the extent mismatch
@@ -676,6 +708,15 @@ assert sgd_step(params, SgdState(params, cfg.resolved_initial_lr()))
 inference.predict_volume(net, image, cfg.patch)
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_cli_import_loads_no_scipy_module(self):
+        # only bench's machine block reads scipy, and it imports it there
+        code = ("import sys, voxseg.cli.main as cli; cli.build_parser(); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
